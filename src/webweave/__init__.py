@@ -42,13 +42,11 @@ from .tableau import (
 )
 from .verify import Family, VerifyReport, run_verification
 from .webcore import (
-    ExpandedWeb,
     Matching,
     Web,
     WebStructureError,
     canonicalize,
     contract_pair,
-    expand_white,
     matching_from_json,
     matching_to_json,
     reflect_matching,

@@ -10,11 +10,10 @@ import argparse
 import json
 import sys
 
-from .bijection import m_diagram, russell_web, tableau_of_web, web_of_2row
+from .bijection import m_diagram, russell_web, web_of_2row
 from .jdt import evacuate
 from .render import render_matching_svg, render_mdiagram_svg, render_web_svg
 from .tableau import (
-    enumerate_russell,
     enumerate_standard,
     format_tableau,
     parse_tableau,
@@ -30,6 +29,7 @@ from .webcore import (
     matching_to_json,
     reflect_matching,
     reflect_web,
+    validate_web,
     web_from_json,
     web_to_json,
 )
@@ -50,6 +50,15 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad shape {text!r}; expected comma-separated integers") from None
+
+
+def _parse_repetition(text: str | None) -> int | str | None:
+    if text is None or text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad repetition {text!r}; expected an integer or 'all'") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -93,7 +102,7 @@ def _cmd_to_web(args) -> int:
 
 def _load_web_or_matching(text: str):
     doc = json.loads(text)
-    if "pairs" in doc:
+    if isinstance(doc, dict) and "pairs" in doc:
         return matching_from_json(doc)
     return web_from_json(doc)
 
@@ -103,6 +112,9 @@ def _cmd_reflect(args) -> int:
     if isinstance(obj, Matching):
         doc = matching_to_json(reflect_matching(obj))
     else:
+        report = validate_web(obj)
+        if report:
+            raise ValueError("cannot reflect an invalid web: " + "; ".join(report))
         doc = web_to_json(reflect_web(obj))
     _emit(json.dumps(doc, separators=(",", ":")), None)
     return 0
@@ -110,17 +122,11 @@ def _cmd_reflect(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     shape = _parse_shape(args.shape)
-    if args.repetition is None:
+    repetition = _parse_repetition(args.repetition)
+    if repetition is None:
         tableaux = enumerate_standard(Shape(shape))
     else:
-        if len(shape) != 3 or len(set(shape)) != 1:
-            raise ValueError("--repetition needs a (k,k,k) shape")
-        if args.repetition == "all":
-            tableaux = []
-            for h in range(0, 3 * shape[0]):
-                tableaux.extend(enumerate_russell(shape[0], h))
-        else:
-            tableaux = enumerate_russell(shape[0], int(args.repetition))
+        tableaux = Family(shape, repetition).tableaux()
     if args.json:
         _emit(json.dumps([tableau_to_json(t) for t in tableaux], separators=(",", ":")), None)
     else:
@@ -130,11 +136,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    shape = _parse_shape(args.shape)
-    repetition = args.repetition
-    if repetition is not None and repetition != "all":
-        repetition = int(repetition)
-    family = Family(shape, repetition)
+    family = Family(_parse_shape(args.shape), _parse_repetition(args.repetition))
     report = run_verification(family, args.check, jobs=args.jobs, max_seconds=args.max_seconds)
     if args.json:
         _emit(json.dumps(report.to_json(), separators=(",", ":")), None)

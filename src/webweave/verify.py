@@ -5,6 +5,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .bijection import russell_web, tymoczko_web, web_of_2row
 from .jdt import evacuate, reading_word
@@ -16,7 +17,7 @@ from .tableau import (
     format_tableau,
     rotate_complement,
 )
-from .webcore import canonicalize, reflect_matching, reflect_web, validate_web
+from .webcore import Matching, canonicalize, reflect_matching, reflect_web, validate_web
 
 CHECK_NAMES = ("theorem", "involution", "lemma", "validity", "injectivity")
 
@@ -32,6 +33,29 @@ class FamilyBoundError(ValueError):
 
 class TimeBudgetExceeded(RuntimeError):
     pass
+
+
+class Pipeline(NamedTuple):
+    """What a kind of family does with each tableau: map it forward to a
+    matching or web, reflect that, key it canonically, and list its defects."""
+
+    forward: Callable
+    reflect: Callable
+    key: Callable[..., str]
+    defects: Callable[..., list[str]]
+
+
+def _pairs_key(m: Matching) -> str:
+    return str(m.pairs)
+
+
+def _no_defects(m: Matching) -> list[str]:
+    return []  # noncrossing is enforced when a Matching is built
+
+
+SL2 = Pipeline(web_of_2row, reflect_matching, _pairs_key, _no_defects)
+SL3_STANDARD = Pipeline(tymoczko_web, reflect_web, canonicalize, validate_web)
+SL3_RUSSELL = Pipeline(russell_web, reflect_web, canonicalize, validate_web)
 
 
 @dataclass(frozen=True)
@@ -59,6 +83,12 @@ class Family:
     @property
     def is_russell(self) -> bool:
         return self.rows == 3 and self.repetition is not None
+
+    @property
+    def pipeline(self) -> Pipeline:
+        if self.rows == 2:
+            return SL2
+        return SL3_RUSSELL if self.is_russell else SL3_STANDARD
 
     def describe(self) -> str:
         base = ",".join(str(p) for p in self.shape)
@@ -116,14 +146,6 @@ class VerifyReport:
         )
 
 
-def _forward_canonical(family: Family, t: RowStrictTableau) -> str:
-    if family.rows == 2:
-        return str(web_of_2row(t).pairs)
-    if family.is_russell:
-        return canonicalize(russell_web(t))
-    return canonicalize(tymoczko_web(t))
-
-
 def _failure(t: RowStrictTableau, expected: str, actual: str) -> dict:
     return {
         "tableau": format_tableau(t),
@@ -134,15 +156,9 @@ def _failure(t: RowStrictTableau, expected: str, actual: str) -> dict:
 
 
 def _check_theorem(family: Family, t: RowStrictTableau) -> dict | None:
-    if family.rows == 2:
-        actual = reflect_matching(web_of_2row(t))
-        expected = web_of_2row(evacuate(t))
-        if actual != expected:
-            return _failure(t, str(expected.pairs), str(actual.pairs))
-        return None
-    build = russell_web if family.is_russell else tymoczko_web
-    actual = canonicalize(reflect_web(build(t)))
-    expected = canonicalize(build(evacuate(t)))
+    p = family.pipeline
+    actual = p.key(p.reflect(p.forward(t)))
+    expected = p.key(p.forward(evacuate(t)))
     if actual != expected:
         return _failure(t, expected, actual)
     return None
@@ -164,11 +180,8 @@ def _check_lemma(family: Family, t: RowStrictTableau) -> dict | None:
 
 
 def _check_validity(family: Family, t: RowStrictTableau) -> dict | None:
-    if family.rows == 2:
-        web_of_2row(t)  # noncrossing enforced on construction
-        return None
-    build = russell_web if family.is_russell else tymoczko_web
-    report = validate_web(build(t))
+    p = family.pipeline
+    report = p.defects(p.forward(t))
     if report:
         return _failure(t, "", "; ".join(report))
     return None
@@ -189,10 +202,11 @@ def _check_batch(args) -> list[dict]:
 
 
 def _injectivity_failures(family: Family, tableaux) -> list[dict]:
+    p = family.pipeline
     seen: dict[str, RowStrictTableau] = {}
     failures = []
     for t in tableaux:
-        key = _forward_canonical(family, t)
+        key = p.key(p.forward(t))
         if key in seen:
             failures.append(_failure(t, "distinct web", f"collides with {format_tableau(seen[key])}"))
         else:
@@ -204,7 +218,10 @@ def _worker_count(jobs: int | None) -> int:
     jobs = jobs or 1
     cap = os.environ.get("WEBWEAVE_THREADS")
     if cap:
-        jobs = min(jobs, max(1, int(cap)))
+        try:
+            jobs = min(jobs, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"WEBWEAVE_THREADS must be an integer, got {cap!r}") from None
     return max(1, jobs)
 
 

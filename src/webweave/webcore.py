@@ -248,23 +248,6 @@ def webs_equal(a: Web, b: Web) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-@dataclass(frozen=True)
-class ExpandedWeb:
-    """An all-black-boundary web plus the consecutive pairs (p, p+1) that may
-    be contracted back into white boundary vertices."""
-
-    web: Web
-    contractible: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "contractible", tuple(sorted(int(p) for p in self.contractible)))
-        for p, q in zip(self.contractible, self.contractible[1:]):
-            if q - p < 2:
-                raise ValueError(f"contractible pairs at {p} and {q} overlap")
-        for p in self.contractible:
-            _common_white_neighbor(self.web, p)
-
-
 def _common_white_neighbor(web: Web, p: int) -> tuple[int, int, int]:
     """The shared white neighbor of boundary vertices p and p+1 (1-based,
     cyclic); returns (white vertex, edge at p, edge at p+1)."""
@@ -327,92 +310,41 @@ def contract_pairs(web: Web, positions) -> Web:
     return web
 
 
-def expand_white(web: Web) -> ExpandedWeb:
-    """Replace each white boundary vertex by a pair of black boundary vertices
-    attached to a new internal white vertex (the reverse contraction)."""
-    report = validate_web(web)
-    if report:
-        raise ValueError("cannot expand an invalid web: " + "; ".join(report))
-    b = web.n_boundary
-    whites = [v for v in range(b) if web.boundary_colors[v] == WHITE]
-    if not whites:
-        return ExpandedWeb(web, ())
-
-    new_b = b + len(whites)
-    # slot assignment along the boundary, preserving cyclic order
-    slot_of: dict[int, int] = {}
-    pair_slots: dict[int, tuple[int, int]] = {}
-    contractible = []
-    cursor = 0
-    for v in range(b):
-        if web.boundary_colors[v] == WHITE:
-            pair_slots[v] = (cursor, cursor + 1)
-            contractible.append(cursor + 1)  # 1-based position of the pair
-            cursor += 2
-        else:
-            slot_of[v] = cursor
-            cursor += 1
-
-    # vertex ids: boundary slots first, then old internals, then restored whites
-    remap: dict[int, int] = {}
-    for v, slot in slot_of.items():
-        remap[v] = slot
-    for i, v in enumerate(range(b, web.n_vertices)):
-        remap[v] = new_b + i
-    restored = {v: new_b + (web.n_vertices - b) + i for i, v in enumerate(whites)}
-
-    colors = [BLACK] * new_b + [web.internal_colors[v - b] for v in range(b, web.n_vertices)]
-    colors += [WHITE] * len(whites)
-    edges = []
-    for a, bb in web.edges:
-        edges.append(tuple(restored.get(x, remap.get(x)) for x in (a, bb)))
-    rotation: list[tuple[int, ...]] = [()] * len(colors)
-    for v in range(web.n_vertices):
-        target = restored[v] if v in restored else remap[v]
-        rotation[target] = web.rotation[v]
-    for v in whites:
-        left, right = pair_slots[v]
-        e_left = len(edges)
-        edges.append((restored[v], left))
-        e_right = len(edges)
-        edges.append((restored[v], right))
-        old_edge = web.rotation[v][0]
-        # ccw at the pulled-in white: old edge into the disk, then the leg to
-        # the clockwise-side (smaller label) black, then the other leg
-        rotation[restored[v]] = (old_edge, e_left, e_right)
-        rotation[left] = (e_left,)
-        rotation[right] = (e_right,)
-    out = Web(tuple(colors[:new_b]), tuple(colors[new_b:]), tuple(edges), tuple(rotation))
-    return ExpandedWeb(out, tuple(contractible))
-
-
-def _mirror_all_black(web: Web) -> Web:
-    """Reflect an all-black-boundary web: boundary label i becomes m+1-i and
-    every rotation reverses (a mirror image reverses orientation)."""
-    b = web.n_boundary
-    remap = {v: (b - 1 - v if v < b else v) for v in range(web.n_vertices)}
-    edges = tuple((remap[a], remap[bb]) for a, bb in web.edges)
-    rotation: list[tuple[int, ...]] = [()] * web.n_vertices
-    for v in range(web.n_vertices):
-        rotation[remap[v]] = tuple(reversed(web.rotation[v]))
-    return Web(web.boundary_colors, web.internal_colors, edges, tuple(rotation))
-
-
 def reflect_web(web: Web) -> Web:
     """Reflect across the diameter through the midpoint of the boundary arc
     between the last and first labels.
 
-    Combinatorially: expand white boundary vertices to black pairs, relabel
-    i -> m+1-i while reversing every rotation, then recontract at the
-    reflected pair positions.
+    Combinatorially a mirror: boundary label i becomes b+1-i, so the boundary
+    colors reverse, internal vertices keep their ids, and every rotation
+    reverses (a mirror image reverses orientation).
     """
-    exp = expand_white(web)
-    m = exp.web.n_boundary
-    mirrored = _mirror_all_black(exp.web)
-    return contract_pairs(mirrored, [m - p for p in exp.contractible])
+    _check_structure(web)
+    b = web.n_boundary
+    remap = [b - 1 - v if v < b else v for v in range(web.n_vertices)]
+    edges = tuple((remap[a], remap[bb]) for a, bb in web.edges)
+    rotation: list[tuple[int, ...]] = [()] * web.n_vertices
+    for v, rot in enumerate(web.rotation):
+        rotation[remap[v]] = rot[::-1]
+    return Web(web.boundary_colors[::-1], web.internal_colors, edges, tuple(rotation))
 
 
 # --- JSON forms -------------------------------------------------------------
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """Return value if it is a JSON value of the given kind, so that a
+    malformed document fails with a ValueError naming the field instead of a
+    TypeError deep inside the parse."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _typed_items(value, kind: type, what: str) -> list:
+    return [_typed(item, kind, f"each entry of {what}") for item in _typed(value, list, what)]
+
 
 def matching_to_json(m: Matching) -> dict:
     return {"n": m.n, "pairs": [list(p) for p in m.pairs]}
@@ -421,7 +353,11 @@ def matching_to_json(m: Matching) -> dict:
 def matching_from_json(doc: dict | str) -> Matching:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return Matching(int(doc["n"]), tuple((int(i), int(j)) for i, j in doc["pairs"]))
+    doc = _typed(doc, dict, "a matching document")
+    pairs = tuple(tuple(_typed_items(p, int, "each pair")) for p in _typed_items(doc["pairs"], list, "pairs"))
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("each pair must have two points")
+    return Matching(_typed(doc["n"], int, "n"), pairs)
 
 
 def _endpoint_name(web: Web, v: int) -> str:
@@ -448,14 +384,15 @@ def web_to_json(web: Web) -> dict:
 def web_from_json(doc: dict | str) -> Web:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    boundary_colors = tuple(item["color"] for item in doc["boundary"])
-    internal_colors = tuple(doc["internal_colors"])
-    if len(internal_colors) != int(doc["internal_count"]):
+    doc = _typed(doc, dict, "a web document")
+    boundary_colors = tuple(item["color"] for item in _typed_items(doc["boundary"], dict, "boundary"))
+    internal_colors = tuple(_typed(doc["internal_colors"], list, "internal_colors"))
+    if len(internal_colors) != _typed(doc["internal_count"], int, "internal_count"):
         raise WebStructureError("internal_count disagrees with internal_colors")
     b = len(boundary_colors)
 
     def endpoint(name: str) -> int:
-        kind, idx = name[0], int(name[1:])
+        kind, idx = _typed(name, str, "each edge endpoint")[0], int(name[1:])
         if kind == "b":
             if not 0 <= idx < b:
                 raise WebStructureError(f"unknown boundary vertex {name}")
@@ -466,12 +403,15 @@ def web_from_json(doc: dict | str) -> Web:
             return b + idx
         raise WebStructureError(f"bad endpoint {name!r}")
 
-    edges = tuple((endpoint(x), endpoint(y)) for x, y in doc["edges"])
+    edge_docs = _typed_items(doc["edges"], list, "edges")
+    if any(len(ends) != 2 for ends in edge_docs):
+        raise WebStructureError("each edge must have two endpoints")
+    edges = tuple((endpoint(x), endpoint(y)) for x, y in edge_docs)
     rotation = []
-    for v, halves in enumerate(doc["rotation"]):
+    for v, halves in enumerate(_typed_items(doc["rotation"], list, "rotation")):
         rot = []
-        for h in halves:
-            e, side = divmod(int(h), 2)
+        for h in _typed_items(halves, int, f"rotation[{v}]"):
+            e, side = divmod(h, 2)
             if not 0 <= e < len(edges):
                 raise WebStructureError(f"half-edge {h} references unknown edge")
             if edges[e][side] != v:

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from webweave.jdt import jdt_slide, slide_targets
 from webweave.tableau import RowStrictTableau, Shape, tableau_from_cells
+from webweave.webcore import BLACK, WHITE, Web, _common_white_neighbor, contract_pairs, validate_web
 
 
 def all_row_strict_fillings(shape, max_entry) -> list[RowStrictTableau]:
@@ -63,3 +65,104 @@ def rectify_random_order(t: RowStrictTableau, rng: random.Random) -> RowStrictTa
         if not targets:
             return t
         t = jdt_slide(t, rng.choice(targets))
+
+
+# --- reflection by white-vertex expansion -----------------------------------
+
+@dataclass(frozen=True)
+class ExpandedWeb:
+    """An all-black-boundary web plus the consecutive pairs (p, p+1) that may
+    be contracted back into white boundary vertices."""
+
+    web: Web
+    contractible: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "contractible", tuple(sorted(int(p) for p in self.contractible)))
+        for p, q in zip(self.contractible, self.contractible[1:]):
+            if q - p < 2:
+                raise ValueError(f"contractible pairs at {p} and {q} overlap")
+        for p in self.contractible:
+            _common_white_neighbor(self.web, p)
+
+
+def expand_white(web: Web) -> ExpandedWeb:
+    """Replace each white boundary vertex by a pair of black boundary vertices
+    attached to a new internal white vertex (the reverse contraction)."""
+    report = validate_web(web)
+    if report:
+        raise ValueError("cannot expand an invalid web: " + "; ".join(report))
+    b = web.n_boundary
+    whites = [v for v in range(b) if web.boundary_colors[v] == WHITE]
+    if not whites:
+        return ExpandedWeb(web, ())
+
+    new_b = b + len(whites)
+    # slot assignment along the boundary, preserving cyclic order
+    slot_of: dict[int, int] = {}
+    pair_slots: dict[int, tuple[int, int]] = {}
+    contractible = []
+    cursor = 0
+    for v in range(b):
+        if web.boundary_colors[v] == WHITE:
+            pair_slots[v] = (cursor, cursor + 1)
+            contractible.append(cursor + 1)  # 1-based position of the pair
+            cursor += 2
+        else:
+            slot_of[v] = cursor
+            cursor += 1
+
+    # vertex ids: boundary slots first, then old internals, then restored whites
+    remap: dict[int, int] = {}
+    for v, slot in slot_of.items():
+        remap[v] = slot
+    for i, v in enumerate(range(b, web.n_vertices)):
+        remap[v] = new_b + i
+    restored = {v: new_b + (web.n_vertices - b) + i for i, v in enumerate(whites)}
+
+    colors = [BLACK] * new_b + [web.internal_colors[v - b] for v in range(b, web.n_vertices)]
+    colors += [WHITE] * len(whites)
+    edges = []
+    for a, bb in web.edges:
+        edges.append(tuple(restored.get(x, remap.get(x)) for x in (a, bb)))
+    rotation: list[tuple[int, ...]] = [()] * len(colors)
+    for v in range(web.n_vertices):
+        target = restored[v] if v in restored else remap[v]
+        rotation[target] = web.rotation[v]
+    for v in whites:
+        left, right = pair_slots[v]
+        e_left = len(edges)
+        edges.append((restored[v], left))
+        e_right = len(edges)
+        edges.append((restored[v], right))
+        old_edge = web.rotation[v][0]
+        # ccw at the pulled-in white: old edge into the disk, then the leg to
+        # the clockwise-side (smaller label) black, then the other leg
+        rotation[restored[v]] = (old_edge, e_left, e_right)
+        rotation[left] = (e_left,)
+        rotation[right] = (e_right,)
+    out = Web(tuple(colors[:new_b]), tuple(colors[new_b:]), tuple(edges), tuple(rotation))
+    return ExpandedWeb(out, tuple(contractible))
+
+
+def _mirror_all_black(web: Web) -> Web:
+    """Reflect an all-black-boundary web: boundary label i becomes m+1-i and
+    every rotation reverses (a mirror image reverses orientation)."""
+    b = web.n_boundary
+    remap = {v: (b - 1 - v if v < b else v) for v in range(web.n_vertices)}
+    edges = tuple((remap[a], remap[bb]) for a, bb in web.edges)
+    rotation: list[tuple[int, ...]] = [()] * web.n_vertices
+    for v in range(web.n_vertices):
+        rotation[remap[v]] = tuple(reversed(web.rotation[v]))
+    return Web(web.boundary_colors, web.internal_colors, edges, tuple(rotation))
+
+
+def reflect_web_by_expansion(web: Web) -> Web:
+    """Reflection the long way round: expand white boundary vertices to black
+    pairs, relabel i -> m+1-i while reversing every rotation, then recontract
+    at the reflected pair positions.  The reference for the direct mirror
+    webweave.webcore.reflect_web."""
+    exp = expand_white(web)
+    m = exp.web.n_boundary
+    mirrored = _mirror_all_black(exp.web)
+    return contract_pairs(mirrored, [m - p for p in exp.contractible])

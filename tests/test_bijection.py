@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import expand_white
 from webweave.bijection import (
     Arc,
     ArcDiagram,
@@ -26,7 +27,6 @@ from webweave.webcore import (
     WHITE,
     Matching,
     canonicalize,
-    expand_white,
     reflect_matching,
     reflect_web,
     validate_web,

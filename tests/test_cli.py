@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ from webweave.cli import main
 from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, parse_tableau
 from webweave.webcore import web_from_json, web_to_json, webs_equal
 from webweave.bijection import russell_web
+from webweave.verify import Family
 
 T = RowStrictTableau.from_rows
 
@@ -19,6 +24,17 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, stdin):
+    """Run the CLI in a fresh interpreter, so an escaping exception would show
+    as a traceback on stderr rather than fail the test process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "webweave.cli", *argv], input=stdin, capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestEvacuateCommand:
@@ -103,6 +119,21 @@ class TestReflectCommand:
         assert code == 0
         assert webs_equal(web_from_json(out2), web)
 
+    def test_invalid_web_exits_2(self):
+        doc = {"boundary": [{"color": "black"}], "internal_count": 0, "internal_colors": [], "edges": [],
+               "rotation": [[]]}
+        code, _, err = run_process(["reflect"], json.dumps(doc))
+        assert code == 2
+        assert err.startswith("error:") and "degree 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", ['{"n":2,"pairs":5}', "[1,2]", "null", '{"boundary":3}'])
+    def test_malformed_document_exits_2(self, doc):
+        code, _, err = run_process(["reflect"], doc)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestEnumerateCommand:
     def test_count_on_stderr(self, capsys, monkeypatch):
@@ -112,6 +143,17 @@ class TestEnumerateCommand:
         blocks = [b for b in out.strip().split("\n\n") if b]
         assert len(blocks) == 5
         assert all(parse_tableau(b) in enumerate_standard(Shape((3, 3))) for b in blocks)
+
+    def test_non_rectangular_standard_shape(self, capsys, monkeypatch):
+        code, _, err = run(capsys, ["enumerate", "--shape", "3,2"], monkeypatch=monkeypatch)
+        assert code == 0
+        assert "total 5" in err
+
+    def test_all_repetitions_match_family(self, capsys, monkeypatch):
+        argv = ["enumerate", "--shape", "2,2,2", "--repetition", "all"]
+        code, _, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 0
+        assert f"total {len(Family((2, 2, 2), 'all').tableaux())}" in err
 
     def test_russell_json(self, capsys, monkeypatch):
         code, out, _ = run(

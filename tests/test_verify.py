@@ -69,3 +69,8 @@ class TestRunVerification:
         monkeypatch.setenv("WEBWEAVE_THREADS", "1")
         result = run_verification(Family((3, 3, 3)), "theorem", jobs=8)
         assert result.ok and result.total == 42
+
+    def test_thread_cap_env_must_be_integer(self, monkeypatch):
+        monkeypatch.setenv("WEBWEAVE_THREADS", "x")
+        with pytest.raises(ValueError, match="WEBWEAVE_THREADS"):
+            run_verification(Family((3, 3, 3)), "theorem", jobs=2)

@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+from oracles import expand_white, reflect_web_by_expansion
+from webweave.bijection import russell_web, tymoczko_web
+from webweave.tableau import Shape, enumerate_russell, enumerate_standard
 from webweave.webcore import (
     BLACK,
     WHITE,
@@ -11,7 +14,6 @@ from webweave.webcore import (
     canonicalize,
     contract_pair,
     contract_pairs,
-    expand_white,
     matching_from_json,
     matching_to_json,
     reflect_matching,
@@ -224,6 +226,15 @@ class TestReflectWeb:
         web = contract_pair(tripod(), 1)  # (W, B)
         reflected = reflect_web(web)
         assert reflected.boundary_colors == (BLACK, WHITE)
+
+    def test_direct_mirror_matches_expansion_oracle(self):
+        webs = [russell_web(t) for k in (1, 2, 3) for h in range(3 * k) for t in enumerate_russell(k, h)]
+        assert len(webs) == 612  # 3 + 33 + 576 over k = 1, 2, 3
+        webs += [tymoczko_web(t) for k in (3, 4) for t in enumerate_standard(Shape((k, k, k)))]
+        for web in webs:
+            mirrored = reflect_web(web)
+            assert canonicalize(mirrored) == canonicalize(reflect_web_by_expansion(web))
+            assert validate_web(mirrored) == []
 
 
 class TestWebJson:
