@@ -178,9 +178,12 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
     builder = _WebBuilder(diagram.points)
 
     tripod = {}
-    for arc in diagram.arcs:
+    arc_at: dict[tuple[int, str], int] = {}  # (point, "top" | "bottom" | "boundary") -> arc
+    for idx, arc in enumerate(diagram.arcs):
         if arc.middle not in tripod:
             tripod[arc.middle] = builder.internal(WHITE)
+        arc_at[arc.middle, "bottom" if arc.middle == arc.left else "top"] = idx
+        arc_at[arc.boundary_end, "boundary"] = idx
     legs = {mid: builder.edge(w, mid - 1) for mid, w in tripod.items()}
     cross_nodes = {}
     for c in crossings:
@@ -191,20 +194,20 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
     for c in crossings:
         per_arc[c.arc_a].append(c)
         per_arc[c.arc_b].append(c)
+    for hits in per_arc.values():
+        hits.sort(key=lambda c: c.x)
     segments: dict[int, list[int]] = {}
     for idx, arc in enumerate(diagram.arcs):
-        hits = sorted(per_arc[idx], key=lambda c: c.x)
         white_is_left = arc.middle == arc.left
         nodes = [tripod[arc.middle] if white_is_left else arc.boundary_end - 1]
-        for c in hits:
+        for c in per_arc[idx]:
             u_c, v_c = cross_nodes[c]
             nodes.extend((u_c, v_c) if white_is_left else (v_c, u_c))
         nodes.append(arc.boundary_end - 1 if white_is_left else tripod[arc.middle])
         segments[idx] = [builder.edge(nodes[s], nodes[s + 1]) for s in range(0, len(nodes) - 1, 2)]
 
     def germ_edge(arc_idx: int, c: Crossing, direction: str) -> int:
-        hits = sorted(per_arc[arc_idx], key=lambda cc: cc.x)
-        r = hits.index(c)
+        r = per_arc[arc_idx].index(c)
         return segments[arc_idx][r] if direction == "L" else segments[arc_idx][r + 1]
 
     for c in crossings:
@@ -232,20 +235,15 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
         )
 
     for mid, w in tripod.items():
-        top_idx = next(
-            i for i, a in enumerate(diagram.arcs) if a.middle == mid and a.right == mid
-        )
-        bottom_idx = next(
-            i for i, a in enumerate(diagram.arcs) if a.middle == mid and a.left == mid
-        )
-        builder.rotation[w] = (segments[top_idx][-1], legs[mid], segments[bottom_idx][0])
+        top, bottom = segments[arc_at[mid, "top"]], segments[arc_at[mid, "bottom"]]
+        builder.rotation[w] = (top[-1], legs[mid], bottom[0])
 
     for p in range(diagram.points):
         point = p + 1
         if point in tripod:
             builder.rotation[p] = (legs[point],)
         else:
-            arc_idx = next(i for i, a in enumerate(diagram.arcs) if a.boundary_end == point)
+            arc_idx = arc_at[point, "boundary"]
             white_is_left = diagram.arcs[arc_idx].middle == diagram.arcs[arc_idx].left
             builder.rotation[p] = (segments[arc_idx][-1] if white_is_left else segments[arc_idx][0],)
     return builder.build()

@@ -7,7 +7,6 @@ tableaux.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from math import factorial
@@ -333,75 +332,66 @@ def count_standard(shape: Shape) -> int:
     return factorial(shape.size) // hooks
 
 
-def enumerate_standard(shape: Shape) -> list[RowStrictTableau]:
-    """All standard Young tableaux of a straight shape, sorted by column word."""
-    cells = shape.cells()
-    n = len(cells)
+def _grow(shape: Shape, doubled: int) -> list[RowStrictTableau]:
+    """Fill a straight shape with the values 1, 2, ... in turn, sorted by
+    column word.
+
+    Each value takes one addable box or, for exactly `doubled` of the values,
+    an addable box plus a box in a lower row that is addable once the first
+    is placed (never right of the first, since the filled boxes form a
+    partition).  Rows then strictly and columns weakly increase.
+    """
+    parts = shape.parts
+    skew = SkewShape(shape)
+    rows: list[list[int]] = [[] for _ in parts]
     results: list[RowStrictTableau] = []
-    filled: dict[tuple[int, int], int] = {}
 
-    def grow(v: int) -> None:
-        if v > n:
-            results.append(tableau_from_cells(dict(filled)))
+    def addable(r: int) -> bool:
+        n = len(rows[r])
+        return n < parts[r] and (r == 0 or len(rows[r - 1]) > n)
+
+    def grow(v: int, left: int, remaining: int) -> None:
+        if 2 * left > remaining:
             return
-        for (r, c) in cells:
-            if (r, c) in filled:
+        if remaining == 0:
+            results.append(RowStrictTableau(skew, rows))
+            return
+        for r in range(len(parts)):
+            if not addable(r):
                 continue
-            if (r > 1 and (r - 1, c) not in filled) or (c > 1 and (r, c - 1) not in filled):
-                continue
-            filled[(r, c)] = v
-            grow(v + 1)
-            del filled[(r, c)]
+            rows[r].append(v)
+            grow(v + 1, left, remaining - 1)
+            if left:
+                for s in range(r + 1, len(parts)):
+                    if addable(s):
+                        rows[s].append(v)
+                        grow(v + 1, left - 1, remaining - 2)
+                        rows[s].pop()
+            rows[r].pop()
 
-    grow(1)
-    results.sort(key=lambda t: t.column_word())
+    grow(1, doubled, shape.size)
+    results.sort(key=RowStrictTableau.column_word)
     return results
 
 
-def _merge_sets(limit: int, h: int) -> list[tuple[int, ...]]:
-    """Size-h subsets of 1..limit with no two consecutive members."""
-    out = []
-    for combo in itertools.combinations(range(1, limit + 1), h):
-        if all(b - a > 1 for a, b in zip(combo, combo[1:])):
-            out.append(combo)
-    return out
+def enumerate_standard(shape: Shape) -> list[RowStrictTableau]:
+    """All standard Young tableaux of a straight shape, sorted by column word."""
+    return _grow(shape, 0)
 
 
 def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     """All 3-row rectangular once-or-twice fillings with exactly h doubled values.
 
-    Built by collapsing h disjoint consecutive pairs (j, j+1) in each standard
-    tableau of shape (k,k,k) and keeping the fillings whose standardization
-    round-trips; for h = 0 this is exactly enumerate_standard((k,k,k)).
+    Grown value by value in the (k,k,k) rectangle: each value fills one
+    addable box or, for h of the values, two boxes in different rows, the
+    lower one addable once the upper is placed.  Sorted by column word; for
+    h = 0 this is enumerate_standard((k,k,k)).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if h < 0 or h > 3 * k - 1:
         raise ValueError(f"repetition {h} out of range for k={k}")
-    shape = Shape((k, k, k))
-    if h == 0:
-        return enumerate_standard(shape)
-    results = []
-    for u in enumerate_standard(shape):
-        ent = u.entries
-        for starts in _merge_sets(3 * k - 1, h):
-            collapsed = {
-                cell: v - sum(1 for s in starts if s < v) for cell, v in ent.items()
-            }
-            try:
-                t = tableau_from_cells(collapsed)
-            except ValueError:
-                continue
-            try:
-                if russell_repetition(t) != h:
-                    continue
-                back, pairs = standardize_with_pairs(t)
-            except NotRussellError:
-                continue
-            if back == u and pairs == starts:
-                results.append(t)
-    results.sort(key=lambda t: t.column_word())
-    return results
+    return _grow(Shape((k, k, k)), h)
 
 
 # --- text and JSON forms ------------------------------------------------

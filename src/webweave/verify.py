@@ -1,6 +1,7 @@
 """Exhaustive verification campaigns over enumerated tableau families."""
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -201,17 +202,20 @@ def _check_batch(args) -> list[dict]:
     return [bad for t in tableaux if (bad := fn(family, t)) is not None]
 
 
-def _injectivity_failures(family: Family, tableaux) -> list[dict]:
-    p = family.pipeline
+def _collision_check() -> Callable[[Family, RowStrictTableau], dict | None]:
+    """A per-tableau injectivity check: it remembers the canonical key of
+    every tableau it has passed and fails a tableau whose key it has seen."""
     seen: dict[str, RowStrictTableau] = {}
-    failures = []
-    for t in tableaux:
+
+    def check(family: Family, t: RowStrictTableau) -> dict | None:
+        p = family.pipeline
         key = p.key(p.forward(t))
         if key in seen:
-            failures.append(_failure(t, "distinct web", f"collides with {format_tableau(seen[key])}"))
-        else:
-            seen[key] = t
-    return failures
+            return _failure(t, "distinct web", f"collides with {format_tableau(seen[key])}")
+        seen[key] = t
+        return None
+
+    return check
 
 
 def _worker_count(jobs: int | None) -> int:
@@ -234,12 +238,15 @@ def run_verification(
     """Run one named property exhaustively over a family.
 
     Families beyond the desk-scale bounds are refused unless a time budget is
-    given; exceeding a given budget aborts with TimeBudgetExceeded.
+    given; exceeding a given budget aborts with TimeBudgetExceeded, and a NaN
+    budget is refused with ValueError.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
     if max_seconds is None:
         family.check_bounds()
+    elif math.isnan(max_seconds):
+        raise ValueError("max_seconds must be a number, got nan")
     start = time.monotonic()
 
     def over_budget() -> bool:
@@ -250,25 +257,24 @@ def run_verification(
         raise TimeBudgetExceeded(f"enumeration alone exceeded {max_seconds}s")
 
     if check == "injectivity":
-        failures = _injectivity_failures(family, tableaux)
+        fn, jobs = _collision_check(), 1
     else:
-        jobs = _worker_count(jobs)
-        if jobs == 1 or len(tableaux) < 4 * jobs:
-            failures = []
-            fn = _PER_TABLEAU[check]
-            for t in tableaux:
-                bad = fn(family, t)
-                if bad is not None:
-                    failures.append(bad)
-                if over_budget():
-                    raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
-        else:
-            chunks = [tableaux[i::jobs] for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = pool.map(_check_batch, [(check, family, chunk) for chunk in chunks])
-                failures = [bad for batch in results for bad in batch]
+        fn, jobs = _PER_TABLEAU[check], _worker_count(jobs)
+    if jobs == 1 or len(tableaux) < 4 * jobs:
+        failures = []
+        for t in tableaux:
+            bad = fn(family, t)
+            if bad is not None:
+                failures.append(bad)
             if over_budget():
                 raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
+    else:
+        chunks = [tableaux[i::jobs] for i in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = pool.map(_check_batch, [(check, family, chunk) for chunk in chunks])
+            failures = [bad for batch in results for bad in batch]
+        if over_budget():
+            raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
 
     failures.sort(key=lambda f: tuple(f["reading_word"]))
     elapsed = (time.monotonic() - start) * 1000.0

@@ -1,11 +1,19 @@
 """Shared independent oracles and seeded generators for the test suite."""
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from webweave.jdt import jdt_slide, slide_targets
-from webweave.tableau import RowStrictTableau, Shape, tableau_from_cells
+from webweave.tableau import (
+    NotRussellError,
+    RowStrictTableau,
+    Shape,
+    russell_repetition,
+    standardize_with_pairs,
+    tableau_from_cells,
+)
 from webweave.webcore import BLACK, WHITE, Web, _common_white_neighbor, contract_pairs, validate_web
 
 
@@ -65,6 +73,72 @@ def rectify_random_order(t: RowStrictTableau, rng: random.Random) -> RowStrictTa
         if not targets:
             return t
         t = jdt_slide(t, rng.choice(targets))
+
+
+# --- enumeration by box-by-box growth and by collapsing pairs --------------
+
+def enumerate_standard_by_cells(shape: Shape) -> list[RowStrictTableau]:
+    """Standard Young tableaux grown box by box on a cell map, each rebuilt
+    with shape inference; sorted by column word.  The reference for
+    webweave.tableau.enumerate_standard."""
+    cells = shape.cells()
+    n = len(cells)
+    results: list[RowStrictTableau] = []
+    filled: dict[tuple[int, int], int] = {}
+
+    def grow(v: int) -> None:
+        if v > n:
+            results.append(tableau_from_cells(dict(filled)))
+            return
+        for (r, c) in cells:
+            if (r, c) in filled:
+                continue
+            if (r > 1 and (r - 1, c) not in filled) or (c > 1 and (r, c - 1) not in filled):
+                continue
+            filled[(r, c)] = v
+            grow(v + 1)
+            del filled[(r, c)]
+
+    grow(1)
+    results.sort(key=lambda t: t.column_word())
+    return results
+
+
+def _merge_sets(limit: int, h: int) -> list[tuple[int, ...]]:
+    """Size-h subsets of 1..limit with no two consecutive members."""
+    out = []
+    for combo in itertools.combinations(range(1, limit + 1), h):
+        if all(b - a > 1 for a, b in zip(combo, combo[1:])):
+            out.append(combo)
+    return out
+
+
+def enumerate_russell_by_collapse(k: int, h: int) -> list[RowStrictTableau]:
+    """Russell fillings the long way round: collapse h disjoint consecutive
+    pairs (j, j+1) in each standard tableau of shape (k,k,k) and keep the
+    fillings whose standardization round-trips; sorted by column word.  The
+    reference for webweave.tableau.enumerate_russell."""
+    results = []
+    for u in enumerate_standard_by_cells(Shape((k, k, k))):
+        ent = u.entries
+        for starts in _merge_sets(3 * k - 1, h):
+            collapsed = {
+                cell: v - sum(1 for s in starts if s < v) for cell, v in ent.items()
+            }
+            try:
+                t = tableau_from_cells(collapsed)
+            except ValueError:
+                continue
+            try:
+                if russell_repetition(t) != h:
+                    continue
+                back, pairs = standardize_with_pairs(t)
+            except NotRussellError:
+                continue
+            if back == u and pairs == starts:
+                results.append(t)
+    results.sort(key=lambda t: t.column_word())
+    return results
 
 
 # --- reflection by white-vertex expansion -----------------------------------

@@ -189,6 +189,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "bounded" in err
 
+    def test_nan_budget_exits_2(self, capsys, monkeypatch):
+        code, _, err = run(
+            capsys,
+            ["verify", "--shape", "9,9", "--check", "lemma", "--max-seconds", "nan"],
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "nan" in err
+
     def test_bad_check_name(self, capsys, monkeypatch):
         code, _, _ = run(
             capsys, ["verify", "--shape", "2,2", "--check", "nonsense"], monkeypatch=monkeypatch

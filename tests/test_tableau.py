@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_russell_by_collapse, enumerate_standard_by_cells
 from webweave.tableau import (
     NotRussellError,
     RowStrictTableau,
@@ -209,6 +210,10 @@ class TestCounting:
             return
         assert len(enumerate_standard(shape)) == count_standard(shape)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 1), (4, 3, 3, 1), (3, 3, 3)])
+    def test_enumeration_matches_cell_growth_oracle(self, shape):
+        assert enumerate_standard(Shape(shape)) == enumerate_standard_by_cells(Shape(shape))
+
 
 class TestEnumerateRussell:
     def test_single_column_standard(self):
@@ -235,6 +240,11 @@ class TestEnumerateRussell:
             by_h.setdefault(h, set()).add(t)
         for h in range(0, 3 * k):
             assert set(enumerate_russell(k, h)) == by_h.get(h, set()), f"h={h}"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_collapse_oracle(self, k):
+        for h in range(0, 3 * k):
+            assert enumerate_russell(k, h) == enumerate_russell_by_collapse(k, h), f"h={h}"
 
     def test_standardization_closure(self):
         for h in range(5):

@@ -1,5 +1,9 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
+from webweave import verify
 from webweave.verify import (
     Family,
     FamilyBoundError,
@@ -57,6 +61,16 @@ class TestRunVerification:
     def test_budget_lifts_bound_but_enforces_time(self):
         with pytest.raises(TimeBudgetExceeded):
             run_verification(Family((9, 9)), "involution", max_seconds=1e-9)
+
+    def test_injectivity_honours_budget(self, monkeypatch):
+        clock = itertools.count()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 1\.5s$"):
+            run_verification(Family((3, 3, 3), "all"), "injectivity", max_seconds=1.5)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            run_verification(Family((9, 9)), "lemma", max_seconds=float("nan"))
 
     def test_parallel_matches_serial(self):
         family = Family((3, 3, 3))
