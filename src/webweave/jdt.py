@@ -5,7 +5,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .tableau import (
-    EMPTY_TABLEAU,
     RowStrictTableau,
     Shape,
     is_skew_cellset,
@@ -43,17 +42,16 @@ def slide_targets(t: RowStrictTableau) -> list[Cell]:
     return out
 
 
-def _slide(cells: dict[Cell, int], start: Cell) -> dict[Cell, int]:
-    """Walk the hole from `start`, moving in the smaller of right/below
-    (ties go right), until nothing lies right or below.  Total: a start with
-    no such neighbor returns the cells unchanged."""
-    cells = dict(cells)
+def _slide(cells: dict[Cell, int], start: Cell) -> Cell:
+    """Walk the hole from `start` in place, moving into the smaller of
+    right/below (ties go right), until nothing lies right or below; return
+    the box where the hole stops.  A start with no such neighbor stays put."""
     r, c = start
     while True:
         right = cells.get((r, c + 1))
         below = cells.get((r + 1, c))
         if right is None and below is None:
-            return cells
+            return r, c
         if below is None or (right is not None and right <= below):
             cells[(r, c)] = right
             del cells[(r, c + 1)]
@@ -69,7 +67,9 @@ def jdt_slide(t: RowStrictTableau, cell: Cell) -> RowStrictTableau:
     cell = (int(cell[0]), int(cell[1]))
     if cell not in slide_targets(t):
         raise ValueError(f"{cell} is not a valid slide target")
-    return tableau_from_cells(_slide(t.entries, cell))
+    cells = t.entries
+    _slide(cells, cell)
+    return tableau_from_cells(cells)
 
 
 def rectify(t: RowStrictTableau) -> RowStrictTableau:
@@ -95,7 +95,7 @@ def delta(t: RowStrictTableau) -> RowStrictTableau:
     cells = {cell: v - 1 for cell, v in t.entries.items() if v > 1}
     ones = sorted(cell for cell, v in t.entries.items() if v == 1)
     for hole in reversed(ones):
-        cells = _slide(cells, hole)
+        _slide(cells, hole)
     out = tableau_from_cells(cells)
     if not out.is_straight:
         raise AssertionError("delta produced a non-straight shape")
@@ -103,23 +103,31 @@ def delta(t: RowStrictTableau) -> RowStrictTableau:
 
 
 def evacuate(t: RowStrictTableau) -> RowStrictTableau:
-    """Evacuation: box sets vacated by successive delta steps, refilled with
-    the reversed alphabet (step i vacates the boxes that receive n+1-i)."""
+    """Evacuation: the n delta steps on one cell map, where the boxes that
+    step i vacates receive n+1-i.
+
+    The filling stays straight, so its least value i heads column 1 in rows
+    1, 2, ...; those boxes are deleted and their holes slid closed from the
+    bottom one up, each stopping box taking n+1-i.  Entries are never
+    decremented: a uniform shift does not change a slide's comparisons.  A
+    missing value vacates nothing.
+    """
     if not t.is_straight:
         raise ValueError("evacuate requires a straight shape")
     n = t.max_entry
-    if n == 0:
-        return EMPTY_TABLEAU
-    shapes = [set(t.entries)]
-    cur = t
-    for _ in range(n):
-        cur = delta(cur)
-        shapes.append(set(cur.entries))
-    cells: dict[Cell, int] = {}
+    cells = t.entries
+    out: dict[Cell, int] = {}
     for i in range(1, n + 1):
-        for cell in shapes[i - 1] - shapes[i]:
-            cells[cell] = n + 1 - i
-    return tableau_from_cells(cells)
+        r = 1
+        while cells.get((r, 1)) == i:
+            r += 1
+        for hole in range(r - 1, 0, -1):
+            del cells[(hole, 1)]
+            out[_slide(cells, (hole, 1))] = n + 1 - i
+    result = tableau_from_cells(out)
+    if result.shape != t.shape:
+        raise AssertionError("evacuate changed the shape")
+    return result
 
 
 @dataclass(frozen=True)

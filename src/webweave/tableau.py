@@ -370,6 +370,9 @@ def _grow(shape: Shape, doubled: int) -> list[RowStrictTableau]:
             rows[r].pop()
 
     grow(1, doubled, shape.size)
+    # `grow` refers to itself through its closure; unless that cycle is cut
+    # here, it keeps `results` alive after the caller drops it, until a GC pass
+    del grow
     results.sort(key=RowStrictTableau.column_word)
     return results
 

@@ -196,10 +196,30 @@ _PER_TABLEAU = {
 }
 
 
+def _check_all(
+    fn: Callable[[Family, RowStrictTableau], dict | None],
+    family: Family,
+    tableaux: list[RowStrictTableau],
+    max_seconds: float | None,
+    seconds_left: float,
+) -> list[dict]:
+    """Check each tableau in turn, raising TimeBudgetExceeded once this call
+    has run longer than `seconds_left` (inf: no budget).  The budget is a
+    duration, so a pool worker can measure it on its own clock."""
+    start = time.monotonic()
+    failures = []
+    for t in tableaux:
+        bad = fn(family, t)
+        if bad is not None:
+            failures.append(bad)
+        if time.monotonic() - start > seconds_left:
+            raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
+    return failures
+
+
 def _check_batch(args) -> list[dict]:
-    check, family, tableaux = args
-    fn = _PER_TABLEAU[check]
-    return [bad for t in tableaux if (bad := fn(family, t)) is not None]
+    check, family, tableaux, max_seconds, seconds_left = args
+    return _check_all(_PER_TABLEAU[check], family, tableaux, max_seconds, seconds_left)
 
 
 def _collision_check() -> Callable[[Family, RowStrictTableau], dict | None]:
@@ -249,11 +269,11 @@ def run_verification(
         raise ValueError("max_seconds must be a number, got nan")
     start = time.monotonic()
 
-    def over_budget() -> bool:
-        return max_seconds is not None and time.monotonic() - start > max_seconds
+    def seconds_left() -> float:
+        return math.inf if max_seconds is None else max_seconds - (time.monotonic() - start)
 
     tableaux = family.tableaux()
-    if over_budget():
+    if seconds_left() < 0:
         raise TimeBudgetExceeded(f"enumeration alone exceeded {max_seconds}s")
 
     if check == "injectivity":
@@ -261,19 +281,14 @@ def run_verification(
     else:
         fn, jobs = _PER_TABLEAU[check], _worker_count(jobs)
     if jobs == 1 or len(tableaux) < 4 * jobs:
-        failures = []
-        for t in tableaux:
-            bad = fn(family, t)
-            if bad is not None:
-                failures.append(bad)
-            if over_budget():
-                raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
+        failures = _check_all(fn, family, tableaux, max_seconds, seconds_left())
     else:
         chunks = [tableaux[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_check_batch, [(check, family, chunk) for chunk in chunks])
+            batches = [(check, family, chunk, max_seconds, seconds_left()) for chunk in chunks]
+            results = pool.map(_check_batch, batches)
             failures = [bad for batch in results for bad in batch]
-        if over_budget():
+        if seconds_left() < 0:
             raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
 
     failures.sort(key=lambda f: tuple(f["reading_word"]))

@@ -5,8 +5,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from webweave.jdt import jdt_slide, slide_targets
+from webweave.jdt import delta, jdt_slide, slide_targets
 from webweave.tableau import (
+    EMPTY_TABLEAU,
     NotRussellError,
     RowStrictTableau,
     Shape,
@@ -73,6 +74,29 @@ def rectify_random_order(t: RowStrictTableau, rng: random.Random) -> RowStrictTa
         if not targets:
             return t
         t = jdt_slide(t, rng.choice(targets))
+
+
+# --- evacuation by n delta steps -------------------------------------------
+
+def evacuate_by_delta(t: RowStrictTableau) -> RowStrictTableau:
+    """Evacuation: box sets vacated by successive delta steps, refilled with
+    the reversed alphabet (step i vacates the boxes that receive n+1-i).
+    The reference for webweave.jdt.evacuate."""
+    if not t.is_straight:
+        raise ValueError("evacuate requires a straight shape")
+    n = t.max_entry
+    if n == 0:
+        return EMPTY_TABLEAU
+    shapes = [set(t.entries)]
+    cur = t
+    for _ in range(n):
+        cur = delta(cur)
+        shapes.append(set(cur.entries))
+    cells: dict[tuple[int, int], int] = {}
+    for i in range(1, n + 1):
+        for cell in shapes[i - 1] - shapes[i]:
+            cells[cell] = n + 1 - i
+    return tableau_from_cells(cells)
 
 
 # --- enumeration by box-by-box growth and by collapsing pairs --------------

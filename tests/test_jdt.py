@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_row_strict_fillings, evacuate_by_delta
 from webweave.jdt import (
     GKProfile,
     column_lengths,
@@ -245,6 +246,23 @@ class TestEvacuate:
         for shape in [(2, 2), (3, 3), (2, 2, 2)]:
             for t in enumerate_standard(Shape(shape)):
                 assert evacuate(t) == rotate_complement(t, t.max_entry)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (6, 6), (4, 3, 3, 1)])
+    def test_matches_delta_oracle_standard(self, shape):
+        for t in enumerate_standard(Shape(shape)):
+            assert evacuate(t) == evacuate_by_delta(t)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_delta_oracle_russell(self, k):
+        for h in range(3 * k):
+            for t in enumerate_russell(k, h):
+                assert evacuate(t) == evacuate_by_delta(t)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (3, 2), (2, 2, 2), (3, 2, 1)])
+    def test_matches_delta_oracle_all_fillings(self, shape):
+        # gapped fillings and values repeated down column 1 included
+        for t in all_row_strict_fillings(shape, 6):
+            assert evacuate(t) == evacuate_by_delta(t)
 
 
 # --- Greene-Kleitman -------------------------------------------------------

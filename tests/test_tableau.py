@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,16 @@ class TestCounting:
     @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 1), (4, 3, 3, 1), (3, 3, 3)])
     def test_enumeration_matches_cell_growth_oracle(self, shape):
         assert enumerate_standard(Shape(shape)) == enumerate_standard_by_cells(Shape(shape))
+
+    def test_dropped_family_is_freed_without_gc(self):
+        gc.disable()
+        try:
+            family = enumerate_standard(Shape((3, 3)))
+            ref = weakref.ref(family[0])
+            del family
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEnumerateRussell:

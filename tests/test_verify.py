@@ -68,6 +68,14 @@ class TestRunVerification:
         with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 1\.5s$"):
             run_verification(Family((3, 3, 3), "all"), "injectivity", max_seconds=1.5)
 
+    def test_worker_batch_honours_budget(self, monkeypatch):
+        clock = itertools.count()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        family = Family((3, 3))
+        batch = ("involution", family, family.tableaux(), 0.5, 0.0)
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 0\.5s$"):
+            verify._check_batch(batch)
+
     def test_nan_budget_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             run_verification(Family((9, 9)), "lemma", max_seconds=float("nan"))
