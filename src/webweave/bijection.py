@@ -25,8 +25,8 @@ from .webcore import (
     WHITE,
     Matching,
     Web,
+    _contract,
     canonicalize,
-    contract_pairs,
 )
 
 Pair = tuple[int, int]
@@ -159,9 +159,10 @@ class _WebBuilder:
         self.edges.append((a, b))
         return len(self.edges) - 1
 
-    def build(self) -> Web:
-        rotation = tuple(self.rotation[v] for v in range(self._n_boundary + len(self.internal_colors)))
-        return Web(tuple(self.boundary_colors), tuple(self.internal_colors), tuple(self.edges), rotation)
+    def parts(self) -> tuple[list[str], list[str], list[tuple[int, int]], list[tuple[int, ...]]]:
+        """Boundary colors, internal colors, edges and rotation, the fields of a Web."""
+        rotation = [self.rotation[v] for v in range(self._n_boundary + len(self.internal_colors))]
+        return self.boundary_colors, self.internal_colors, self.edges, rotation
 
 
 def tymoczko_web(u: RowStrictTableau) -> Web:
@@ -173,6 +174,11 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
     vertex joins them, the new white vertex joins the other two, and the H bar
     joins black to white.
     """
+    return Web(*_tymoczko_parts(u))
+
+
+def _tymoczko_parts(u: RowStrictTableau):
+    """The fields of tymoczko_web(u) as plain lists, before any Web is built."""
     diagram = m_diagram(u)
     crossings = find_crossings(diagram)
     builder = _WebBuilder(diagram.points)
@@ -246,14 +252,15 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
             arc_idx = arc_at[point, "boundary"]
             white_is_left = diagram.arcs[arc_idx].middle == diagram.arcs[arc_idx].left
             builder.rotation[p] = (segments[arc_idx][-1] if white_is_left else segments[arc_idx][0],)
-    return builder.build()
+    return builder.parts()
 
 
 def russell_web(t: RowStrictTableau) -> Web:
     """Web of a 3-row once-or-twice filling: build the standardization's web,
-    then contract the boundary pair (j, j+1) of each doubled value."""
+    then contract the boundary pair (j, j+1) of each doubled value.  The pairs
+    are contracted on the builder's lists, so one Web is built."""
     u, pair_starts = standardize_with_pairs(t)
-    return contract_pairs(tymoczko_web(u), pair_starts)
+    return Web(*_contract(*_tymoczko_parts(u), pair_starts))
 
 
 # --- table-based inverse ----------------------------------------------------

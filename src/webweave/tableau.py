@@ -257,38 +257,33 @@ def russell_repetition(t: RowStrictTableau) -> int:
     return sum(1 for n in counts.values() if n == 2)
 
 
-def _standardize_cells(t: RowStrictTableau) -> tuple[dict[tuple[int, int], int], dict[int, tuple[int, int]]]:
-    """Run the duplicate-splitting relabeling; also report where each doubled
-    original value ended up, as {original value: (j, j+1) pair start j}."""
-    cells = dict(t.entries)
-    originals = {cell: v for cell, v in cells.items()}
-    doubled = sorted({v for v in t.values() if sum(1 for x in t.values() if x == v) == 2})
-    while True:
-        seen: dict[int, list[tuple[int, int]]] = {}
-        for cell, v in cells.items():
-            seen.setdefault(v, []).append(cell)
-        dups = sorted(v for v, cs in seen.items() if len(cs) > 1)
-        if not dups:
-            break
-        i = dups[0]
-        if len(seen[i]) != 2:
-            raise NotRussellError(f"value {i} appears {len(seen[i])} times")
-        a, b = sorted(seen[i])  # row order; the lower instance gets i+1
-        if a[0] == b[0]:
-            raise NotRussellError(f"doubled value {i} appears twice in row {a[0]}")
-        for cell, v in cells.items():
-            if v > i:
-                cells[cell] = v + 1
-        cells[b] = i + 1
-    pair_starts = {}
-    for v in doubled:
-        spots = sorted(cell for cell, orig in originals.items() if orig == v)
-        upper, lower = spots
-        j, j1 = cells[upper], cells[lower]
-        if j1 != j + 1:
-            raise NotRussellError(f"doubled value {v} split into non-consecutive {j}, {j1}")
-        pair_starts[v] = j
-    return cells, pair_starts
+def _standardize(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
+    """Split each doubled value of a straight filling into consecutive entries
+    in one pass: a box's new value is the number of entries with a smaller
+    original value, plus 1, plus 1 more in the lower copy of a doubled value.
+    Also return, in increasing order, the start j of the pair (j, j+1) that
+    each doubled value became."""
+    boxes: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(t.rows):  # row by row, so each list runs top down
+        for c, v in enumerate(row):
+            boxes.setdefault(v, []).append((r, c))
+    rows = [list(row) for row in t.rows]
+    starts = []
+    smaller = 0
+    for v in sorted(boxes):
+        spots = boxes[v]
+        if len(spots) > 2:
+            raise NotRussellError(f"value {v} appears {len(spots)} times")
+        if len(spots) == 2:
+            (upper, _), (lower, c) = spots
+            if upper == lower:
+                raise NotRussellError(f"doubled value {v} appears twice in row {upper + 1}")
+            rows[lower][c] = smaller + 2
+            starts.append(smaller + 1)
+        r, c = spots[0]
+        rows[r][c] = smaller + 1
+        smaller += len(spots)
+    return RowStrictTableau(t.shape, rows), tuple(starts)
 
 
 def standardize(t: RowStrictTableau) -> RowStrictTableau:
@@ -299,15 +294,13 @@ def standardize(t: RowStrictTableau) -> RowStrictTableau:
     Young tableau of the same shape.
     """
     russell_repetition(t)
-    cells, _ = _standardize_cells(t)
-    return tableau_from_cells(cells)
+    return _standardize(t)[0]
 
 
 def standardize_with_pairs(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
     """Standardize and also return the sorted pair starts j (doubled value -> j, j+1)."""
     russell_repetition(t)
-    cells, pair_starts = _standardize_cells(t)
-    return tableau_from_cells(cells), tuple(sorted(pair_starts.values()))
+    return _standardize(t)
 
 
 def rotate_complement(t: RowStrictTableau, n: int) -> RowStrictTableau:

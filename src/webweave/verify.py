@@ -62,7 +62,8 @@ SL3_RUSSELL = Pipeline(russell_web, reflect_web, canonicalize, validate_web)
 @dataclass(frozen=True)
 class Family:
     """An enumerable verification domain: (n, n), or (k, k, k) with an
-    optional repetition (None = standard tableaux, "all" = every h)."""
+    optional repetition (None = standard tableaux, "all" = every h).  A (k,k,k)
+    filling has at most 3k // 2 doubled values, so a larger h is refused."""
 
     shape: tuple[int, ...]
     repetition: int | str | None = None
@@ -74,12 +75,21 @@ class Family:
         if self.repetition is not None:
             if len(self.shape) == 2:
                 raise ValueError("2-row families do not take a repetition")
-            if isinstance(self.repetition, str) and self.repetition != "all":
-                raise ValueError(f"bad repetition {self.repetition!r}")
+            if isinstance(self.repetition, str):
+                if self.repetition != "all":
+                    raise ValueError(f"bad repetition {self.repetition!r}")
+            elif not 0 <= self.repetition <= self.max_repetition:
+                raise ValueError(
+                    f"repetition {self.repetition} out of range 0..{self.max_repetition} for k={self.shape[0]}"
+                )
 
     @property
     def rows(self) -> int:
         return len(self.shape)
+
+    @property
+    def max_repetition(self) -> int:
+        return 3 * self.shape[0] // 2
 
     @property
     def is_russell(self) -> bool:
@@ -112,7 +122,7 @@ class Family:
         k = self.shape[0]
         if self.repetition == "all":
             out = []
-            for h in range(0, 3 * k):
+            for h in range(self.max_repetition + 1):
                 out.extend(enumerate_russell(k, h))
             return out
         return enumerate_russell(k, int(self.repetition))

@@ -105,8 +105,8 @@ def _check_structure(web: Web) -> None:
             raise WebStructureError(f"edge {e} incidences {seen_at[e]} disagree with endpoints {(a, b)}")
 
 
-def _other(web: Web, e: int, v: int) -> int:
-    a, b = web.edges[e]
+def _other(edges, e: int, v: int) -> int:
+    a, b = edges[e]
     return b if v == a else a
 
 
@@ -227,7 +227,7 @@ def canonicalize(web: Web) -> str:
     while queue:
         v = queue.popleft()
         for e in anchored(v):
-            w = _other(web, e, v)
+            w = _other(web.edges, e, v)
             if w not in order:
                 order[w] = nxt
                 nxt += 1
@@ -239,7 +239,7 @@ def canonicalize(web: Web) -> str:
     chunks = ["".join("B" if c == BLACK else "W" for c in web.boundary_colors)]
     for v in by_id:
         mark = "B" if web.color(v) == BLACK else "W"
-        nbrs = ",".join(str(order[_other(web, e, v)]) for e in anchored(v))
+        nbrs = ",".join(str(order[_other(web.edges, e, v)]) for e in anchored(v))
         chunks.append(f"{mark}({nbrs})")
     return "|".join(chunks)
 
@@ -248,66 +248,89 @@ def webs_equal(a: Web, b: Web) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-def _common_white_neighbor(web: Web, p: int) -> tuple[int, int, int]:
-    """The shared white neighbor of boundary vertices p and p+1 (1-based,
-    cyclic); returns (white vertex, edge at p, edge at p+1)."""
-    b = web.n_boundary
-    if not 1 <= p <= b:
-        raise ValueError(f"position {p} out of range 1..{b}")
-    vp, vq = p - 1, p % b
-    for v in (vp, vq):
-        if web.boundary_colors[v] != BLACK:
-            raise ValueError(f"boundary vertex {v + 1} is not black")
-        if len(web.rotation[v]) != 1:
-            raise ValueError(f"boundary vertex {v + 1} does not have degree 1")
-    ep, eq = web.rotation[vp][0], web.rotation[vq][0]
-    u = _other(web, ep, vp)
-    if _other(web, eq, vq) != u or web.color(u) != WHITE:
-        raise ValueError(f"boundary vertices {p} and {p % b + 1} have no common white neighbor")
-    return u, ep, eq
+def _contract(boundary_colors, internal_colors, edges, rotation, positions):
+    """Contract the black boundary pairs (p, p+1) at the recorded positions p,
+    given as labels of the uncontracted web (p == b pairs the last label with
+    the first), in one remap of plain color, edge and rotation sequences.
+
+    Each pair's shared white neighbor takes the pair's place on the boundary;
+    the other vertices and the edges keep their relative order, so the result
+    equals contracting the pairs one at a time, lowest first.  Returns
+    (boundary colors, internal colors, edges, rotation) as tuples.
+    """
+    b = len(boundary_colors)
+    color = (*boundary_colors, *internal_colors)
+    white_of: dict[int, int] = {}  # first vertex of each pair -> its white
+    dropped: set[int] = set()  # second vertex of each pair
+    gone_edges: set[int] = set()
+    for p in positions:
+        if not 1 <= p <= b:
+            raise ValueError(f"position {p} out of range 1..{b}")
+        vp, vq = p - 1, p % b
+        for v in (vp, vq):
+            if color[v] != BLACK:
+                raise ValueError(f"boundary vertex {v + 1} is not black")
+            if len(rotation[v]) != 1:
+                raise ValueError(f"boundary vertex {v + 1} does not have degree 1")
+        ep, eq = rotation[vp][0], rotation[vq][0]
+        u = _other(edges, ep, vp)
+        if _other(edges, eq, vq) != u or color[u] != WHITE:
+            raise ValueError(f"boundary vertices {p} and {p % b + 1} have no common white neighbor")
+        if u < b:
+            raise ValueError("shared white neighbor already lies on the boundary")
+        rot_u = rotation[u]
+        if rot_u[(rot_u.index(ep) + 1) % len(rot_u)] != eq:
+            raise ValueError("contraction pair edges are not adjacent in the white vertex's rotation")
+        # overlapping pairs share a boundary vertex of degree 1, hence its white
+        if u in white_of.values():
+            raise ValueError(f"two contraction pairs overlap or share the white vertex {u}")
+        white_of[vp] = u
+        dropped.add(vq)
+        gone_edges.update((ep, eq))
+
+    whites = set(white_of.values())
+    # each pair's white takes its first vertex's slot, and its second leaves
+    order = [white_of.get(v, v) for v in range(b) if v in white_of or v not in dropped]
+    nb = len(order)
+    order += [v for v in range(b, len(color)) if v not in whites]
+    remap = [0] * len(color)
+    for new_v, v in enumerate(order):
+        remap[v] = new_v
+    edge_remap: list[int | None] = [None] * len(edges)
+    kept = []
+    for e, (x, y) in enumerate(edges):
+        if e not in gone_edges:
+            edge_remap[e] = len(kept)
+            kept.append((remap[x], remap[y]))
+    # a removed edge joins a removed boundary vertex to a moved white, so no
+    # other vertex's rotation loses an edge
+    new_rotation = tuple(
+        tuple(edge_remap[e] for e in rotation[v] if e not in gone_edges)
+        if v in whites
+        else tuple(edge_remap[e] for e in rotation[v])
+        for v in order
+    )
+    colors = tuple(color[v] for v in order)
+    return colors[:nb], colors[nb:], tuple(kept), new_rotation
 
 
 def contract_pair(web: Web, p: int) -> Web:
     """Delete the black boundary pair (p, p+1) and move their shared white
     neighbor onto the boundary in their place."""
-    _check_structure(web)
-    b = web.n_boundary
-    u, ep, eq = _common_white_neighbor(web, p)
-    if web.is_boundary(u):
-        raise ValueError("shared white neighbor already lies on the boundary")
-    rot_u = web.rotation[u]
-    iu = rot_u.index(ep)
-    if rot_u[(iu + 1) % len(rot_u)] != eq:
-        raise ValueError("contraction pair edges are not adjacent in the white vertex's rotation")
-    vp, vq = p - 1, p % b
-
-    # new boundary: u replaces the pair; seam contraction (p == b) appends u
-    if p < b:
-        new_boundary = [v for v in range(b) if v not in (vp, vq)]
-        new_boundary.insert(p - 1, u)
-    else:
-        new_boundary = [v for v in range(1, b - 1)] + [u]
-    new_internal = [v for v in range(b, web.n_vertices) if v != u]
-    remap = {v: i for i, v in enumerate(new_boundary + new_internal)}
-
-    keep_edges = [e for e in range(len(web.edges)) if e not in (ep, eq)]
-    edge_remap = {e: i for i, e in enumerate(keep_edges)}
-    edges = tuple((remap[a], remap[bb]) for a, bb in (web.edges[e] for e in keep_edges))
-    colors = [None] * len(remap)
-    rotation: list[tuple[int, ...]] = [()] * len(remap)
-    for v, new_v in remap.items():
-        colors[new_v] = web.color(v)
-        rotation[new_v] = tuple(edge_remap[e] for e in web.rotation[v] if e in edge_remap)
-    nb = len(new_boundary)
-    return Web(tuple(colors[:nb]), tuple(colors[nb:]), edges, tuple(rotation))
+    return contract_pairs(web, (p,))
 
 
 def contract_pairs(web: Web, positions) -> Web:
-    """Contract at several recorded pair positions, lowest first; each earlier
-    contraction shifts the later positions down by one."""
-    for done, p in enumerate(sorted(positions)):
-        web = contract_pair(web, p - done)
-    return web
+    """Contract the black boundary pairs at several positions, all given as
+    labels of this web, in one pass; the result equals contracting them one
+    at a time, lowest first, each earlier contraction shifting the later
+    positions down by one.  Overlapping pairs, and two pairs with the same
+    white neighbor, raise ValueError.  No positions return the web itself."""
+    positions = tuple(positions)
+    if not positions:
+        return web
+    _check_structure(web)
+    return Web(*_contract(web.boundary_colors, web.internal_colors, web.edges, web.rotation, positions))
 
 
 def reflect_web(web: Web) -> Web:

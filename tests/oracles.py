@@ -15,7 +15,7 @@ from webweave.tableau import (
     standardize_with_pairs,
     tableau_from_cells,
 )
-from webweave.webcore import BLACK, WHITE, Web, _common_white_neighbor, contract_pairs, validate_web
+from webweave.webcore import BLACK, WHITE, Web, _check_structure, validate_web
 
 
 def all_row_strict_fillings(shape, max_entry) -> list[RowStrictTableau]:
@@ -165,6 +165,121 @@ def enumerate_russell_by_collapse(k: int, h: int) -> list[RowStrictTableau]:
     return results
 
 
+# --- standardization by repeated splitting ---------------------------------
+
+def standardize_cells_by_splitting(t: RowStrictTableau) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """Split the smallest duplicated value at a time, shifting every larger
+    entry up by one, until no value repeats; also report where each doubled
+    original value ended up, as {original value: (j, j+1) pair start j}.  The
+    reference for webweave.tableau._standardize."""
+    cells = dict(t.entries)
+    originals = {cell: v for cell, v in cells.items()}
+    doubled = sorted({v for v in t.values() if sum(1 for x in t.values() if x == v) == 2})
+    while True:
+        seen: dict[int, list[tuple[int, int]]] = {}
+        for cell, v in cells.items():
+            seen.setdefault(v, []).append(cell)
+        dups = sorted(v for v, cs in seen.items() if len(cs) > 1)
+        if not dups:
+            break
+        i = dups[0]
+        if len(seen[i]) != 2:
+            raise NotRussellError(f"value {i} appears {len(seen[i])} times")
+        a, b = sorted(seen[i])  # row order; the lower instance gets i+1
+        if a[0] == b[0]:
+            raise NotRussellError(f"doubled value {i} appears twice in row {a[0]}")
+        for cell, v in cells.items():
+            if v > i:
+                cells[cell] = v + 1
+        cells[b] = i + 1
+    pair_starts = {}
+    for v in doubled:
+        spots = sorted(cell for cell, orig in originals.items() if orig == v)
+        upper, lower = spots
+        j, j1 = cells[upper], cells[lower]
+        if j1 != j + 1:
+            raise NotRussellError(f"doubled value {v} split into non-consecutive {j}, {j1}")
+        pair_starts[v] = j
+    return cells, pair_starts
+
+
+def standardize_with_pairs_by_splitting(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
+    """webweave.tableau.standardize_with_pairs on the splitting reference."""
+    russell_repetition(t)
+    cells, pair_starts = standardize_cells_by_splitting(t)
+    return tableau_from_cells(cells), tuple(sorted(pair_starts.values()))
+
+
+# --- contraction one pair at a time -----------------------------------------
+
+def _common_white_neighbor(web: Web, p: int) -> tuple[int, int, int]:
+    """The shared white neighbor of boundary vertices p and p+1 (1-based,
+    cyclic); returns (white vertex, edge at p, edge at p+1)."""
+    b = web.n_boundary
+    if not 1 <= p <= b:
+        raise ValueError(f"position {p} out of range 1..{b}")
+    vp, vq = p - 1, p % b
+    for v in (vp, vq):
+        if web.boundary_colors[v] != BLACK:
+            raise ValueError(f"boundary vertex {v + 1} is not black")
+        if len(web.rotation[v]) != 1:
+            raise ValueError(f"boundary vertex {v + 1} does not have degree 1")
+    ep, eq = web.rotation[vp][0], web.rotation[vq][0]
+    u = _other(web, ep, vp)
+    if _other(web, eq, vq) != u or web.color(u) != WHITE:
+        raise ValueError(f"boundary vertices {p} and {p % b + 1} have no common white neighbor")
+    return u, ep, eq
+
+
+def _other(web: Web, e: int, v: int) -> int:
+    a, b = web.edges[e]
+    return b if v == a else a
+
+
+def _contract_one(web: Web, p: int) -> Web:
+    """Delete the black boundary pair (p, p+1) and move their shared white
+    neighbor onto the boundary in their place, building a new Web."""
+    _check_structure(web)
+    b = web.n_boundary
+    u, ep, eq = _common_white_neighbor(web, p)
+    if web.is_boundary(u):
+        raise ValueError("shared white neighbor already lies on the boundary")
+    rot_u = web.rotation[u]
+    iu = rot_u.index(ep)
+    if rot_u[(iu + 1) % len(rot_u)] != eq:
+        raise ValueError("contraction pair edges are not adjacent in the white vertex's rotation")
+    vp, vq = p - 1, p % b
+
+    # new boundary: u replaces the pair; seam contraction (p == b) appends u
+    if p < b:
+        new_boundary = [v for v in range(b) if v not in (vp, vq)]
+        new_boundary.insert(p - 1, u)
+    else:
+        new_boundary = [v for v in range(1, b - 1)] + [u]
+    new_internal = [v for v in range(b, web.n_vertices) if v != u]
+    remap = {v: i for i, v in enumerate(new_boundary + new_internal)}
+
+    keep_edges = [e for e in range(len(web.edges)) if e not in (ep, eq)]
+    edge_remap = {e: i for i, e in enumerate(keep_edges)}
+    edges = tuple((remap[a], remap[bb]) for a, bb in (web.edges[e] for e in keep_edges))
+    colors = [None] * len(remap)
+    rotation: list[tuple[int, ...]] = [()] * len(remap)
+    for v, new_v in remap.items():
+        colors[new_v] = web.color(v)
+        rotation[new_v] = tuple(edge_remap[e] for e in web.rotation[v] if e in edge_remap)
+    nb = len(new_boundary)
+    return Web(tuple(colors[:nb]), tuple(colors[nb:]), edges, tuple(rotation))
+
+
+def contract_pairs_one_by_one(web: Web, positions) -> Web:
+    """Contract at several recorded pair positions, lowest first, one Web per
+    pair; each earlier contraction shifts the later positions down by one.
+    The reference for webweave.webcore.contract_pairs."""
+    for done, p in enumerate(sorted(positions)):
+        web = _contract_one(web, p - done)
+    return web
+
+
 # --- reflection by white-vertex expansion -----------------------------------
 
 @dataclass(frozen=True)
@@ -263,4 +378,4 @@ def reflect_web_by_expansion(web: Web) -> Web:
     exp = expand_white(web)
     m = exp.web.n_boundary
     mirrored = _mirror_all_black(exp.web)
-    return contract_pairs(mirrored, [m - p for p in exp.contractible])
+    return contract_pairs_one_by_one(mirrored, [m - p for p in exp.contractible])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import expand_white
+from oracles import contract_pairs_one_by_one, expand_white
 from webweave.bijection import (
     Arc,
     ArcDiagram,
@@ -21,6 +21,7 @@ from webweave.tableau import (
     Shape,
     enumerate_russell,
     enumerate_standard,
+    standardize_with_pairs,
 )
 from webweave.webcore import (
     BLACK,
@@ -30,6 +31,7 @@ from webweave.webcore import (
     reflect_matching,
     reflect_web,
     validate_web,
+    web_to_json,
     webs_equal,
 )
 
@@ -242,6 +244,14 @@ class TestRussellWeb:
         web = russell_web(T([[1], [1], [2]]))
         assert web.boundary_colors == (WHITE, BLACK)
         assert validate_web(web) == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_one_by_one_contraction_oracle(self, k):
+        for h in range(3 * k):
+            for t in enumerate_russell(k, h):
+                u, starts = standardize_with_pairs(t)
+                want = web_to_json(contract_pairs_one_by_one(tymoczko_web(u), starts))
+                assert web_to_json(russell_web(t)) == want, t.rows
 
 
 class TestTableauOfWeb:

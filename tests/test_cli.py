@@ -182,6 +182,13 @@ class TestVerifyCommand:
         assert doc["failures"] == []
         assert doc["total"] > 5
 
+    @pytest.mark.parametrize("command", [["verify", "--check", "theorem"], ["enumerate"]])
+    def test_impossible_repetition_exits_2(self, capsys, monkeypatch, command):
+        argv = command + ["--shape", "3,3,3", "--repetition", "8"]
+        code, out, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 2
+        assert "out of range" in err and "total" not in out + err
+
     def test_out_of_bounds_family_refused(self, capsys, monkeypatch):
         code, _, err = run(
             capsys, ["verify", "--shape", "9,9", "--check", "theorem"], monkeypatch=monkeypatch

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_russell_by_collapse, enumerate_standard_by_cells
+from oracles import (
+    enumerate_russell_by_collapse,
+    enumerate_standard_by_cells,
+    standardize_cells_by_splitting,
+    standardize_with_pairs_by_splitting,
+)
 from webweave.tableau import (
     NotRussellError,
     RowStrictTableau,
     Shape,
     SkewShape,
+    _standardize,
     count_standard,
     enumerate_russell,
     enumerate_standard,
@@ -152,6 +158,35 @@ class TestStandardize:
         assert pairs == (1, 4)
         _, pairs = standardize_with_pairs(T([[1, 2, 3], [1, 4, 5], [3, 6, 7]]))
         assert pairs == (1, 4)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_splitting_oracle(self, k):
+        for h in range(3 * k):
+            for t in enumerate_russell(k, h):
+                assert standardize_with_pairs(t) == standardize_with_pairs_by_splitting(t), t.rows
+
+    def test_rejects_like_splitting_oracle(self):
+        def outcome(fn, t):
+            try:
+                return fn(t)
+            except NotRussellError:
+                return NotRussellError
+
+        fillings = all_row_strict_fillings((2, 2, 2), 5)
+        public = [outcome(standardize_with_pairs, t) for t in fillings]
+        assert public == [outcome(standardize_with_pairs_by_splitting, t) for t in fillings]
+        assert NotRussellError in public and any(out is not NotRussellError for out in public)
+
+        def oracle_kernel(t):
+            cells, starts = standardize_cells_by_splitting(t)
+            return tableau_from_cells(cells), tuple(sorted(starts.values()))
+
+        # without the repetition check in front, a value may appear three
+        # times; a missing value is that check's alone to refuse
+        gapless = [t for t in fillings if set(t.values()) == set(range(1, t.max_entry + 1))]
+        kernel = [outcome(_standardize, t) for t in gapless]
+        assert kernel == [outcome(oracle_kernel, t) for t in gapless]
+        assert NotRussellError in kernel
 
 
 class TestRotateComplement:

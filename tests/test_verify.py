@@ -10,6 +10,7 @@ from webweave.verify import (
     TimeBudgetExceeded,
     run_verification,
 )
+from webweave.tableau import enumerate_russell
 
 
 class TestFamily:
@@ -23,6 +24,18 @@ class TestFamily:
 
     def test_all_repetitions_concatenate(self):
         assert len(Family((1, 1, 1), "all").tableaux()) == 3  # 1 standard + 2 with h=1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_stops_at_the_largest_repetition(self, k):
+        every_h = [t for h in range(3 * k) for t in enumerate_russell(k, h)]
+        assert Family((k, k, k), "all").tableaux() == every_h
+
+    def test_repetition_range(self):
+        # a (k,k,k) filling has at most 3k // 2 doubled values
+        assert len(Family((3, 3, 3), 4).tableaux()) > 0
+        for h in (-1, 5, 8):
+            with pytest.raises(ValueError, match="out of range 0..4"):
+                Family((3, 3, 3), h)
 
     def test_bounds(self):
         with pytest.raises(FamilyBoundError):

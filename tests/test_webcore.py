@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import expand_white, reflect_web_by_expansion
+from oracles import contract_pairs_one_by_one, expand_white, reflect_web_by_expansion
 from webweave.bijection import russell_web, tymoczko_web
 from webweave.tableau import Shape, enumerate_russell, enumerate_standard
 from webweave.webcore import (
@@ -212,6 +212,31 @@ class TestExpandContract:
     def test_contract_seam_position(self):
         contracted = contract_pair(tripod(), 3)
         assert contracted.boundary_colors == (BLACK, WHITE)
+
+    def test_one_pass_matches_one_by_one_oracle(self):
+        def outcome(fn, web, positions):
+            try:
+                return web_to_json(fn(web, positions))
+            except ValueError:
+                return ValueError
+
+        # structurally sound webs that each break a condition of a contraction
+        odd = (
+            Web((BLACK,) * 3, (WHITE,), ((3, 0), (3, 1), (3, 2)), ((0,), (1,), (2,), (0, 2, 1))),  # clockwise
+            Web((BLACK,) * 3, (BLACK,), ((3, 0), (3, 1), (3, 2)), ((0,), (1,), (2,), (0, 1, 2))),  # black center
+            Web((WHITE, BLACK), (WHITE,), ((2, 0), (2, 1)), ((0,), (1,), (0, 1))),  # white leg
+            Web((BLACK, BLACK, WHITE), (), ((2, 0), (2, 1)), ((0,), (1,), (1, 0))),  # white on the boundary
+            Web((BLACK, BLACK), (WHITE,), ((2, 0), (2, 1), (2, 0)), ((0, 2), (1,), (0, 1, 2))),  # double leg
+            Web((BLACK,), (WHITE,), ((1, 0),), ((0,), (0,))),  # one boundary vertex, paired with itself
+            # a white of degree 4, shared by the pairs (1,2) and (3,4)
+            Web((BLACK,) * 4, (WHITE,), tuple((4, v) for v in range(4)), ((0,), (1,), (2,), (3,), (0, 1, 2, 3))),
+        )
+        for web in (tripod(), contract_pair(tripod(), 1), square_face_web(), *odd):
+            labels = range(web.n_boundary + 2)
+            for size in range(4):
+                for positions in itertools.combinations_with_replacement(labels, size):
+                    want = outcome(contract_pairs_one_by_one, web, positions)
+                    assert outcome(contract_pairs, web, positions) == want, positions
 
 
 class TestReflectWeb:
