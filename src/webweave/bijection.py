@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .tableau import (
     RowStrictTableau,
@@ -26,6 +26,7 @@ from .webcore import (
     Matching,
     Web,
     _contract,
+    _parts_key,
     canonicalize,
 )
 
@@ -105,17 +106,56 @@ class ArcDiagram:
                 raise ValueError(f"middle point {p} carries {count} designated ends, expected 2")
 
 
+_NOT_STANDARD = "expected a standard tableau of shape (k, k, k)"
+
+
+def _arc_ends(rows) -> list[tuple[int, int]]:
+    """The m-diagram's arcs as (left, right) endpoints, two per middle-row
+    value in increasing order: first the arc to its partner in the top row,
+    whose middle end is on the right, then the arc to its partner in the
+    bottom row, whose middle end is on the left.
+
+    `rows` must hold each of 1..3k once in three rows of k.  One pass over the
+    values, with a stack of unpaired entries per row pair, finds the Catalan
+    partners and checks the lattice condition.
+    """
+    if len(rows) != 3 or not len(rows[0]) == len(rows[1]) == len(rows[2]):
+        raise ValueError(_NOT_STANDARD)
+    m = 3 * len(rows[1])
+    row_of = [-1] * (m + 1)
+    for r, row in enumerate(rows):
+        for v in row:
+            if not 0 < v <= m or row_of[v] >= 0:
+                raise ValueError(_NOT_STANDARD)
+            row_of[v] = r
+    ends: list[tuple[int, int]] = []
+    unpaired_top: list[int] = []
+    unpaired_middle: list[int] = []  # index in `ends` of each one's bottom arc
+    for v in range(1, m + 1):
+        r = row_of[v]
+        if r == 0:
+            unpaired_top.append(v)
+        elif r == 1:
+            if not unpaired_top:
+                raise ValueError(f"middle value {v} precedes every unpaired top value")
+            ends.append((unpaired_top.pop(), v))
+            unpaired_middle.append(len(ends))
+            ends.append((v, 0))
+        else:
+            if not unpaired_middle:
+                raise ValueError(f"bottom value {v} precedes every unpaired middle value")
+            arc = unpaired_middle.pop()
+            ends[arc] = (ends[arc][0], v)
+    return ends
+
+
 def m_diagram(u: RowStrictTableau) -> ArcDiagram:
     """Join each middle-row entry to its partners in the rows above and below."""
     if not (u.is_rectangular and len(u.rows) == 3 and is_standard(u)):
-        raise ValueError("expected a standard tableau of shape (k, k, k)")
-    top_partner = {b: t for t, b in catalan_pairing(u.rows[0], u.rows[1])}
-    bottom_partner = {t: b for t, b in catalan_pairing(u.rows[1], u.rows[2])}
-    arcs = []
-    for mid in u.rows[1]:
-        arcs.append(Arc(top_partner[mid], mid, middle=mid))
-        arcs.append(Arc(mid, bottom_partner[mid], middle=mid))
-    return ArcDiagram(u.size, tuple(arcs))
+        raise ValueError(_NOT_STANDARD)
+    ends = _arc_ends(u.rows)
+    arcs = tuple(Arc(left, right, middle=left if a % 2 else right) for a, (left, right) in enumerate(ends))
+    return ArcDiagram(u.size, arcs)
 
 
 @dataclass(frozen=True)
@@ -128,41 +168,43 @@ class Crossing:
     x: Fraction
 
 
+def _by_abscissa(c, d) -> int:
+    """Compare crossings (arc_a, arc_b, num, den) by abscissa num/den,
+    cross-multiplying (both denominators are positive)."""
+    return c[2] * d[3] - d[2] * c[3]
+
+
+def _crossings(ends) -> list[tuple[int, int, int, int]]:
+    """Every pair of interleaving arcs a = (i, j), b = (k, l), i < k < j < l,
+    as (a, b, num, den): the semicircles meet at abscissa num/den.  Sorted by
+    (a, abscissa, b), all in integers."""
+    out = []
+    for a, (i, j) in enumerate(ends):
+        row = []
+        for b, (k, l) in enumerate(ends):
+            if i < k < j < l:
+                num, den = k * l - i * j, (k + l) - (i + j)
+                assert k * den < num < j * den
+                row.append((a, b, num, den))
+        if len(row) > 1:
+            row.sort(key=cmp_to_key(_by_abscissa))  # stable: ties stay in b order
+        out += row
+    return out
+
+
 def find_crossings(diagram: ArcDiagram) -> tuple[Crossing, ...]:
     """Every interleaving arc pair with its exact semicircle intersection,
-    sorted by (first-opening arc, abscissa)."""
-    out = []
-    for a, arc_a in enumerate(diagram.arcs):
-        for b, arc_b in enumerate(diagram.arcs):
-            i, j = arc_a.left, arc_a.right
-            k, l = arc_b.left, arc_b.right
-            if i < k < j < l:
-                x = Fraction(k * l - i * j, (k + l) - (i + j))
-                assert k < x < j
-                out.append(Crossing(a, b, x))
-    return tuple(sorted(out, key=lambda c: (c.arc_a, c.x, c.arc_b)))
+    sorted by (first-opening arc, abscissa, other arc)."""
+    ends = [(arc.left, arc.right) for arc in diagram.arcs]
+    return tuple(Crossing(a, b, Fraction(num, den)) for a, b, num, den in _crossings(ends))
 
 
-class _WebBuilder:
-    def __init__(self, n_boundary: int):
-        self.boundary_colors = [BLACK] * n_boundary
-        self.internal_colors: list[str] = []
-        self.edges: list[tuple[int, int]] = []
-        self.rotation: dict[int, tuple[int, ...]] = {}
-        self._n_boundary = n_boundary
-
-    def internal(self, color: str) -> int:
-        self.internal_colors.append(color)
-        return self._n_boundary + len(self.internal_colors) - 1
-
-    def edge(self, a: int, b: int) -> int:
-        self.edges.append((a, b))
-        return len(self.edges) - 1
-
-    def parts(self) -> tuple[list[str], list[str], list[tuple[int, int]], list[tuple[int, ...]]]:
-        """Boundary colors, internal colors, edges and rotation, the fields of a Web."""
-        rotation = [self.rotation[v] for v in range(self._n_boundary + len(self.internal_colors))]
-        return self.boundary_colors, self.internal_colors, self.edges, rotation
+# At a crossing of arcs a and b the counterclockwise germs are (a rightward,
+# b rightward, a leftward, b leftward).  One germ of each arc points at its
+# tripod, leftward iff the arc's middle end is its left end, and the two are
+# cyclically adjacent.  Indexed by 2 * (a's middle end is left) + (b's middle
+# end is left), this gives the position of the first of them.
+_FIRST_TOWARD_MIDDLE = (0, 3, 1, 2)
 
 
 def tymoczko_web(u: RowStrictTableau) -> Web:
@@ -174,93 +216,81 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
     vertex joins them, the new white vertex joins the other two, and the H bar
     joins black to white.
     """
-    return Web(*_tymoczko_parts(u))
+    return Web(*_standard_parts(u))
 
 
-def _tymoczko_parts(u: RowStrictTableau):
+def _standard_parts(u: RowStrictTableau):
     """The fields of tymoczko_web(u) as plain lists, before any Web is built."""
-    diagram = m_diagram(u)
-    crossings = find_crossings(diagram)
-    builder = _WebBuilder(diagram.points)
+    if not u.is_rectangular:
+        raise ValueError(_NOT_STANDARD)
+    return _tymoczko_parts(u.rows)
 
-    tripod = {}
-    arc_at: dict[tuple[int, str], int] = {}  # (point, "top" | "bottom" | "boundary") -> arc
-    for idx, arc in enumerate(diagram.arcs):
-        if arc.middle not in tripod:
-            tripod[arc.middle] = builder.internal(WHITE)
-        arc_at[arc.middle, "bottom" if arc.middle == arc.left else "top"] = idx
-        arc_at[arc.boundary_end, "boundary"] = idx
-    legs = {mid: builder.edge(w, mid - 1) for mid, w in tripod.items()}
-    cross_nodes = {}
+
+def _tymoczko_parts(rows):
+    """The fields of the Tymoczko web of a standard (k, k, k) tableau, given
+    its rows, as lists of integers and colors in one pass.
+
+    Vertices: the 3k boundary points, then the tripod white of each middle
+    value, then a black and a white per crossing.  Edges: the tripod legs,
+    then each arc's segments left to right, arc by arc, then the H bars.
+    """
+    ends = _arc_ends(rows)
+    crossings = _crossings(ends)
+    k = len(ends) // 2
+    m = 3 * k
+    hits: list[list[tuple]] = [[] for _ in ends]  # each arc's crossings, left to right
     for c in crossings:
-        cross_nodes[c] = (builder.internal(BLACK), builder.internal(WHITE))
+        hits[c[0]].append(c)
+        hits[c[1]].append(c)
+    for on_arc in hits:
+        if len(on_arc) > 1:
+            on_arc.sort(key=cmp_to_key(_by_abscissa))
 
-    # split each arc at its crossings, walking left to right
-    per_arc: dict[int, list[Crossing]] = {i: [] for i in range(len(diagram.arcs))}
+    edges = [(m + i, ends[2 * i][1] - 1) for i in range(k)]
+    first = []  # each arc's first segment
+    at: dict[tuple, list[int]] = {c: [] for c in crossings}  # segment left of c on arcs a, b
+    vertex = {c: m + k + 2 * n for n, c in enumerate(crossings)}  # its black; white is next
+    for a, (left, right) in enumerate(ends):
+        first.append(len(edges))
+        middle_left = a % 2
+        node = m + a // 2 if middle_left else left - 1
+        for c in hits[a]:
+            at[c].append(len(edges))
+            black = vertex[c]
+            edges.append((node, black if middle_left else black + 1))
+            node = black + 1 if middle_left else black
+        edges.append((node, right - 1 if middle_left else m + a // 2))
+
+    rotation: list[tuple[int, ...]] = [()] * (m + k + 2 * len(crossings))
     for c in crossings:
-        per_arc[c.arc_a].append(c)
-        per_arc[c.arc_b].append(c)
-    for hits in per_arc.values():
-        hits.sort(key=lambda c: c.x)
-    segments: dict[int, list[int]] = {}
-    for idx, arc in enumerate(diagram.arcs):
-        white_is_left = arc.middle == arc.left
-        nodes = [tripod[arc.middle] if white_is_left else arc.boundary_end - 1]
-        for c in per_arc[idx]:
-            u_c, v_c = cross_nodes[c]
-            nodes.extend((u_c, v_c) if white_is_left else (v_c, u_c))
-        nodes.append(arc.boundary_end - 1 if white_is_left else tripod[arc.middle])
-        segments[idx] = [builder.edge(nodes[s], nodes[s + 1]) for s in range(0, len(nodes) - 1, 2)]
-
-    def germ_edge(arc_idx: int, c: Crossing, direction: str) -> int:
-        r = per_arc[arc_idx].index(c)
-        return segments[arc_idx][r] if direction == "L" else segments[arc_idx][r + 1]
-
-    for c in crossings:
-        u_c, v_c = cross_nodes[c]
-        bar = builder.edge(u_c, v_c)
-        germs = [(c.arc_a, "R"), (c.arc_b, "R"), (c.arc_a, "L"), (c.arc_b, "L")]
-
-        def toward_white(germ):
-            arc = diagram.arcs[germ[0]]
-            return germ[1] == ("L" if arc.middle == arc.left else "R")
-
-        start = next(
-            i for i in range(4) if toward_white(germs[i]) and toward_white(germs[(i + 1) % 4])
-        )
-        ordered = [germs[(start + d) % 4] for d in range(4)]
-        builder.rotation[u_c] = (
-            germ_edge(ordered[0][0], c, ordered[0][1]),
-            germ_edge(ordered[1][0], c, ordered[1][1]),
-            bar,
-        )
-        builder.rotation[v_c] = (
-            bar,
-            germ_edge(ordered[2][0], c, ordered[2][1]),
-            germ_edge(ordered[3][0], c, ordered[3][1]),
-        )
-
-    for mid, w in tripod.items():
-        top, bottom = segments[arc_at[mid, "top"]], segments[arc_at[mid, "bottom"]]
-        builder.rotation[w] = (top[-1], legs[mid], bottom[0])
-
-    for p in range(diagram.points):
-        point = p + 1
-        if point in tripod:
-            builder.rotation[p] = (legs[point],)
-        else:
-            arc_idx = arc_at[point, "boundary"]
-            white_is_left = diagram.arcs[arc_idx].middle == diagram.arcs[arc_idx].left
-            builder.rotation[p] = (segments[arc_idx][-1] if white_is_left else segments[arc_idx][0],)
-    return builder.parts()
+        a, b = c[0], c[1]
+        left_a, left_b = at[c] if a < b else at[c][::-1]
+        germs = (left_a + 1, left_b + 1, left_a, left_b) * 2
+        s = _FIRST_TOWARD_MIDDLE[2 * (a % 2) + b % 2]
+        black, bar = vertex[c], len(edges)
+        edges.append((black, black + 1))
+        rotation[black] = (germs[s], germs[s + 1], bar)
+        rotation[black + 1] = (bar, germs[s + 2], germs[s + 3])
+    for i in range(k):
+        top, bottom = 2 * i, 2 * i + 1
+        rotation[ends[top][0] - 1] = (first[top],)
+        rotation[ends[top][1] - 1] = (i,)
+        rotation[ends[bottom][1] - 1] = (first[bottom] + len(hits[bottom]),)
+        rotation[m + i] = (first[top] + len(hits[top]), i, first[bottom])
+    return [BLACK] * m, [WHITE] * k + [BLACK, WHITE] * len(crossings), edges, rotation
 
 
 def russell_web(t: RowStrictTableau) -> Web:
     """Web of a 3-row once-or-twice filling: build the standardization's web,
     then contract the boundary pair (j, j+1) of each doubled value.  The pairs
     are contracted on the builder's lists, so one Web is built."""
+    return Web(*_russell_parts(t))
+
+
+def _russell_parts(t: RowStrictTableau):
+    """The fields of russell_web(t) as tuples, before any Web is built."""
     u, pair_starts = standardize_with_pairs(t)
-    return Web(*_contract(*_tymoczko_parts(u), pair_starts))
+    return _contract(*_tymoczko_parts(u.rows), pair_starts)
 
 
 # --- table-based inverse ----------------------------------------------------
@@ -276,7 +306,7 @@ def _matching_table(n: int) -> dict[tuple[Pair, ...], RowStrictTableau]:
 
 @lru_cache(maxsize=None)
 def _web_table(k: int, h: int) -> dict[str, RowStrictTableau]:
-    return {canonicalize(russell_web(t)): t for t in enumerate_russell(k, h)}
+    return {_parts_key(_russell_parts(t)): t for t in enumerate_russell(k, h)}
 
 
 def tableau_of_web(web, shape) -> RowStrictTableau:

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .bijection import russell_web, tymoczko_web, web_of_2row
+from .bijection import _russell_parts, _standard_parts, web_of_2row
 from .jdt import evacuate, reading_word
 from .tableau import (
     RowStrictTableau,
@@ -18,7 +18,7 @@ from .tableau import (
     format_tableau,
     rotate_complement,
 )
-from .webcore import Matching, canonicalize, reflect_matching, reflect_web, validate_web
+from .webcore import Matching, Web, _parts_key, reflect_matching, validate_web
 
 CHECK_NAMES = ("theorem", "involution", "lemma", "validity", "injectivity")
 
@@ -37,26 +37,30 @@ class TimeBudgetExceeded(RuntimeError):
 
 
 class Pipeline(NamedTuple):
-    """What a kind of family does with each tableau: map it forward to a
-    matching or web, reflect that, key it canonically, and list its defects."""
+    """What a kind of family does with each tableau: build its matching or
+    the plain fields of its web, key those canonically (with mirror=True, the
+    key of the reflection), and list the defects of the matching or web."""
 
-    forward: Callable
-    reflect: Callable
+    parts: Callable
     key: Callable[..., str]
     defects: Callable[..., list[str]]
 
 
-def _pairs_key(m: Matching) -> str:
-    return str(m.pairs)
+def _pairs_key(m: Matching, mirror: bool = False) -> str:
+    return str((reflect_matching(m) if mirror else m).pairs)
 
 
 def _no_defects(m: Matching) -> list[str]:
     return []  # noncrossing is enforced when a Matching is built
 
 
-SL2 = Pipeline(web_of_2row, reflect_matching, _pairs_key, _no_defects)
-SL3_STANDARD = Pipeline(tymoczko_web, reflect_web, canonicalize, validate_web)
-SL3_RUSSELL = Pipeline(russell_web, reflect_web, canonicalize, validate_web)
+def _web_defects(parts) -> list[str]:
+    return validate_web(Web(*parts))
+
+
+SL2 = Pipeline(web_of_2row, _pairs_key, _no_defects)
+SL3_STANDARD = Pipeline(_standard_parts, _parts_key, _web_defects)
+SL3_RUSSELL = Pipeline(_russell_parts, _parts_key, _web_defects)
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,8 @@ def _failure(t: RowStrictTableau, expected: str, actual: str) -> dict:
 
 def _check_theorem(family: Family, t: RowStrictTableau) -> dict | None:
     p = family.pipeline
-    actual = p.key(p.reflect(p.forward(t)))
-    expected = p.key(p.forward(evacuate(t)))
+    actual = p.key(p.parts(t), mirror=True)
+    expected = p.key(p.parts(evacuate(t)))
     if actual != expected:
         return _failure(t, expected, actual)
     return None
@@ -192,7 +196,7 @@ def _check_lemma(family: Family, t: RowStrictTableau) -> dict | None:
 
 def _check_validity(family: Family, t: RowStrictTableau) -> dict | None:
     p = family.pipeline
-    report = p.defects(p.forward(t))
+    report = p.defects(p.parts(t))
     if report:
         return _failure(t, "", "; ".join(report))
     return None
@@ -239,7 +243,7 @@ def _collision_check() -> Callable[[Family, RowStrictTableau], dict | None]:
 
     def check(family: Family, t: RowStrictTableau) -> dict | None:
         p = family.pipeline
-        key = p.key(p.forward(t))
+        key = p.key(p.parts(t))
         if key in seen:
             return _failure(t, "distinct web", f"collides with {format_tableau(seen[key])}")
         seen[key] = t
@@ -268,15 +272,15 @@ def run_verification(
     """Run one named property exhaustively over a family.
 
     Families beyond the desk-scale bounds are refused unless a time budget is
-    given; exceeding a given budget aborts with TimeBudgetExceeded, and a NaN
-    budget is refused with ValueError.
+    given; exceeding a given budget aborts with TimeBudgetExceeded, and a
+    negative or NaN budget is refused with ValueError before enumeration.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
     if max_seconds is None:
         family.check_bounds()
-    elif math.isnan(max_seconds):
-        raise ValueError("max_seconds must be a number, got nan")
+    elif not max_seconds >= 0:  # also NaN
+        raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds}")
     start = time.monotonic()
 
     def seconds_left() -> float:

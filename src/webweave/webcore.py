@@ -10,7 +10,6 @@ touches coordinates.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 BLACK = "black"
@@ -65,9 +64,7 @@ class Web:
         object.__setattr__(self, "internal_colors", tuple(self.internal_colors))
         object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
         object.__setattr__(self, "rotation", tuple(tuple(int(e) for e in rot) for rot in self.rotation))
-        for c in self.boundary_colors + self.internal_colors:
-            if c not in (BLACK, WHITE):
-                raise ValueError(f"bad color {c!r}")
+        _check_colors(self.boundary_colors, self.internal_colors)
 
     @property
     def n_boundary(self) -> int:
@@ -86,17 +83,31 @@ class Web:
         return v < self.n_boundary
 
 
-def _check_structure(web: Web) -> None:
-    nv = web.n_vertices
-    if len(web.rotation) != nv:
-        raise WebStructureError(f"rotation lists {len(web.rotation)} vertices, web has {nv}")
-    seen_at: dict[int, list[int]] = {e: [] for e in range(len(web.edges))}
-    for v, rot in enumerate(web.rotation):
+def _fields(web: Web):
+    """The four fields of a Web, in the order Web takes them."""
+    return web.boundary_colors, web.internal_colors, web.edges, web.rotation
+
+
+def _check_colors(boundary_colors, internal_colors) -> None:
+    for colors in (boundary_colors, internal_colors):
+        for c in colors:
+            if c not in (BLACK, WHITE):
+                raise ValueError(f"bad color {c!r}")
+
+
+def _check_structure(boundary_colors, internal_colors, edges, rotation) -> None:
+    """Check that the rotation lists one entry per vertex and that each edge
+    appears exactly at its two distinct, existing endpoints."""
+    nv = len(boundary_colors) + len(internal_colors)
+    if len(rotation) != nv:
+        raise WebStructureError(f"rotation lists {len(rotation)} vertices, web has {nv}")
+    seen_at: dict[int, list[int]] = {e: [] for e in range(len(edges))}
+    for v, rot in enumerate(rotation):
         for e in rot:
-            if not 0 <= e < len(web.edges):
+            if not 0 <= e < len(edges):
                 raise WebStructureError(f"vertex {v} lists unknown edge {e}")
             seen_at[e].append(v)
-    for e, (a, b) in enumerate(web.edges):
+    for e, (a, b) in enumerate(edges):
         if not (0 <= a < nv and 0 <= b < nv):
             raise WebStructureError(f"edge {e} endpoint out of range")
         if a == b:
@@ -174,7 +185,7 @@ def validate_web(web: Web) -> list[str]:
     """Check every web invariant; returns the list of violations (empty iff
     the web is a valid non-elliptic diagram).  Malformed half-edge data raises
     WebStructureError instead of being reported."""
-    _check_structure(web)
+    _check_structure(*_fields(web))
     report: list[str] = []
     b = web.n_boundary
     for v in range(web.n_vertices):
@@ -210,38 +221,50 @@ def canonicalize(web: Web) -> str:
     vertex's rotation is read counterclockwise starting from its discovery
     edge, so internal vertex names and rotation phases wash out.
     """
-    _check_structure(web)
-    b = web.n_boundary
-    order: dict[int, int] = {v: v for v in range(b)}
-    anchor: dict[int, int] = {}
-    queue = deque(range(b))
-    nxt = b
+    _check_structure(*_fields(web))
+    return _canonical(*_fields(web))
 
-    def anchored(v: int) -> tuple[int, ...]:
-        rot = web.rotation[v]
-        if v < b or v not in anchor:
-            return rot
-        i = rot.index(anchor[v])
-        return rot[i:] + rot[:i]
 
-    while queue:
-        v = queue.popleft()
-        for e in anchored(v):
-            w = _other(web.edges, e, v)
-            if w not in order:
-                order[w] = nxt
-                nxt += 1
-                anchor[w] = e
-                queue.append(w)
-    if len(order) != web.n_vertices:
+def _canonical(boundary_colors, internal_colors, edges, rotation, mirror=False) -> str:
+    """canonicalize on the plain fields of a structurally sound web.
+
+    With mirror, the key of the web's reflection (see reflect_web): label i
+    is read as b+1-i and every rotation is read reversed, so the reflected
+    web need not be built.
+    """
+    b = len(boundary_colors)
+    marks = ["B" if c == BLACK else "W" for c in boundary_colors]
+    marks += ["B" if c == BLACK else "W" for c in internal_colors]
+    order = list(range(b - 1, -1, -1) if mirror else range(b))  # vertex of each name
+    name: list[str | None] = [None] * len(marks)
+    for i, v in enumerate(order):
+        name[v] = str(i)
+    reading = [rotation[v][::-1] if mirror else rotation[v] for v in order]
+    chunks = ["".join(marks[v] for v in order)]
+    for v, rot in zip(order, reading):  # both grow as vertices are discovered
+        nbrs = []
+        for e in rot:
+            x, y = edges[e]
+            w = y if x == v else x
+            if name[w] is None:
+                name[w] = str(len(order))
+                order.append(w)
+                r = rotation[w][::-1] if mirror else rotation[w]
+                i = r.index(e)
+                reading.append(r[i:] + r[:i])
+            nbrs.append(name[w])
+        chunks.append(f"{marks[v]}({','.join(nbrs)})")
+    if len(order) != len(marks):
         raise ValueError("web has vertices unreachable from the boundary")
-    by_id = sorted(order, key=order.get)
-    chunks = ["".join("B" if c == BLACK else "W" for c in web.boundary_colors)]
-    for v in by_id:
-        mark = "B" if web.color(v) == BLACK else "W"
-        nbrs = ",".join(str(order[_other(web.edges, e, v)]) for e in anchored(v))
-        chunks.append(f"{mark}({nbrs})")
     return "|".join(chunks)
+
+
+def _parts_key(parts, mirror=False) -> str:
+    """canonicalize(Web(*parts)), or with mirror the key of its reflection,
+    after the same color and structure checks, without building a Web."""
+    _check_colors(parts[0], parts[1])
+    _check_structure(*parts)
+    return _canonical(*parts, mirror=mirror)
 
 
 def webs_equal(a: Web, b: Web) -> bool:
@@ -329,8 +352,8 @@ def contract_pairs(web: Web, positions) -> Web:
     positions = tuple(positions)
     if not positions:
         return web
-    _check_structure(web)
-    return Web(*_contract(web.boundary_colors, web.internal_colors, web.edges, web.rotation, positions))
+    _check_structure(*_fields(web))
+    return Web(*_contract(*_fields(web), positions))
 
 
 def reflect_web(web: Web) -> Web:
@@ -341,7 +364,7 @@ def reflect_web(web: Web) -> Web:
     colors reverse, internal vertices keep their ids, and every rotation
     reverses (a mirror image reverses orientation).
     """
-    _check_structure(web)
+    _check_structure(*_fields(web))
     b = web.n_boundary
     remap = [b - 1 - v if v < b else v for v in range(web.n_vertices)]
     edges = tuple((remap[a], remap[bb]) for a, bb in web.edges)
@@ -365,6 +388,14 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _field(doc: dict, key: str, what: str):
+    """doc[key], or a ValueError naming the missing field."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} field") from None
+
+
 def _typed_items(value, kind: type, what: str) -> list:
     return [_typed(item, kind, f"each entry of {what}") for item in _typed(value, list, what)]
 
@@ -377,10 +408,11 @@ def matching_from_json(doc: dict | str) -> Matching:
     if isinstance(doc, str):
         doc = json.loads(doc)
     doc = _typed(doc, dict, "a matching document")
-    pairs = tuple(tuple(_typed_items(p, int, "each pair")) for p in _typed_items(doc["pairs"], list, "pairs"))
+    pair_docs = _typed_items(_field(doc, "pairs", "a matching document"), list, "pairs")
+    pairs = tuple(tuple(_typed_items(p, int, "each pair")) for p in pair_docs)
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("each pair must have two points")
-    return Matching(_typed(doc["n"], int, "n"), pairs)
+    return Matching(_typed(_field(doc, "n", "a matching document"), int, "n"), pairs)
 
 
 def _endpoint_name(web: Web, v: int) -> str:
@@ -408,9 +440,12 @@ def web_from_json(doc: dict | str) -> Web:
     if isinstance(doc, str):
         doc = json.loads(doc)
     doc = _typed(doc, dict, "a web document")
-    boundary_colors = tuple(item["color"] for item in _typed_items(doc["boundary"], dict, "boundary"))
-    internal_colors = tuple(_typed(doc["internal_colors"], list, "internal_colors"))
-    if len(internal_colors) != _typed(doc["internal_count"], int, "internal_count"):
+    boundary_colors = tuple(
+        _field(item, "color", "each entry of boundary")
+        for item in _typed_items(_field(doc, "boundary", "a web document"), dict, "boundary")
+    )
+    internal_colors = tuple(_typed(_field(doc, "internal_colors", "a web document"), list, "internal_colors"))
+    if len(internal_colors) != _typed(_field(doc, "internal_count", "a web document"), int, "internal_count"):
         raise WebStructureError("internal_count disagrees with internal_colors")
     b = len(boundary_colors)
 
@@ -426,12 +461,12 @@ def web_from_json(doc: dict | str) -> Web:
             return b + idx
         raise WebStructureError(f"bad endpoint {name!r}")
 
-    edge_docs = _typed_items(doc["edges"], list, "edges")
+    edge_docs = _typed_items(_field(doc, "edges", "a web document"), list, "edges")
     if any(len(ends) != 2 for ends in edge_docs):
         raise WebStructureError("each edge must have two endpoints")
     edges = tuple((endpoint(x), endpoint(y)) for x, y in edge_docs)
     rotation = []
-    for v, halves in enumerate(_typed_items(doc["rotation"], list, "rotation")):
+    for v, halves in enumerate(_typed_items(_field(doc, "rotation", "a web document"), list, "rotation")):
         rot = []
         for h in _typed_items(halves, int, f"rotation[{v}]"):
             e, side = divmod(h, 2)
@@ -442,5 +477,5 @@ def web_from_json(doc: dict | str) -> Web:
             rot.append(e)
         rotation.append(tuple(rot))
     web = Web(boundary_colors, internal_colors, edges, tuple(rotation))
-    _check_structure(web)
+    _check_structure(*_fields(web))
     return web

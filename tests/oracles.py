@@ -3,19 +3,23 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
+from webweave.bijection import Arc, ArcDiagram, Crossing, catalan_pairing
 from webweave.jdt import delta, jdt_slide, slide_targets
 from webweave.tableau import (
     EMPTY_TABLEAU,
     NotRussellError,
     RowStrictTableau,
     Shape,
+    is_standard,
     russell_repetition,
     standardize_with_pairs,
     tableau_from_cells,
 )
-from webweave.webcore import BLACK, WHITE, Web, _check_structure, validate_web
+from webweave.webcore import BLACK, WHITE, Web, _check_structure, _contract, validate_web
 
 
 def all_row_strict_fillings(shape, max_entry) -> list[RowStrictTableau]:
@@ -239,7 +243,7 @@ def _other(web: Web, e: int, v: int) -> int:
 def _contract_one(web: Web, p: int) -> Web:
     """Delete the black boundary pair (p, p+1) and move their shared white
     neighbor onto the boundary in their place, building a new Web."""
-    _check_structure(web)
+    _check_structure(web.boundary_colors, web.internal_colors, web.edges, web.rotation)
     b = web.n_boundary
     u, ep, eq = _common_white_neighbor(web, p)
     if web.is_boundary(u):
@@ -379,3 +383,182 @@ def reflect_web_by_expansion(web: Web) -> Web:
     m = exp.web.n_boundary
     mirrored = _mirror_all_black(exp.web)
     return contract_pairs_one_by_one(mirrored, [m - p for p in exp.contractible])
+
+
+# --- the m-diagram, its crossings and the web, by objects and Fractions -----
+
+def m_diagram_by_pairing(u: RowStrictTableau) -> ArcDiagram:
+    """Join each middle-row entry to its catalan_pairing partners in the rows
+    above and below.  The reference for webweave.bijection.m_diagram."""
+    if not (u.is_rectangular and len(u.rows) == 3 and is_standard(u)):
+        raise ValueError("expected a standard tableau of shape (k, k, k)")
+    top_partner = {b: t for t, b in catalan_pairing(u.rows[0], u.rows[1])}
+    bottom_partner = {t: b for t, b in catalan_pairing(u.rows[1], u.rows[2])}
+    arcs = []
+    for mid in u.rows[1]:
+        arcs.append(Arc(top_partner[mid], mid, middle=mid))
+        arcs.append(Arc(mid, bottom_partner[mid], middle=mid))
+    return ArcDiagram(u.size, tuple(arcs))
+
+
+def find_crossings_by_fraction(diagram: ArcDiagram) -> tuple[Crossing, ...]:
+    """Every interleaving arc pair with its intersection abscissa as a
+    Fraction, sorted by (first-opening arc, abscissa, other arc).  The
+    reference for webweave.bijection.find_crossings."""
+    out = []
+    for a, arc_a in enumerate(diagram.arcs):
+        for b, arc_b in enumerate(diagram.arcs):
+            i, j = arc_a.left, arc_a.right
+            k, l = arc_b.left, arc_b.right
+            if i < k < j < l:
+                x = Fraction(k * l - i * j, (k + l) - (i + j))
+                assert k < x < j
+                out.append(Crossing(a, b, x))
+    return tuple(sorted(out, key=lambda c: (c.arc_a, c.x, c.arc_b)))
+
+
+class _WebBuilder:
+    def __init__(self, n_boundary: int):
+        self.boundary_colors = [BLACK] * n_boundary
+        self.internal_colors: list[str] = []
+        self.edges: list[tuple[int, int]] = []
+        self.rotation: dict[int, tuple[int, ...]] = {}
+        self._n_boundary = n_boundary
+
+    def internal(self, color: str) -> int:
+        self.internal_colors.append(color)
+        return self._n_boundary + len(self.internal_colors) - 1
+
+    def edge(self, a: int, b: int) -> int:
+        self.edges.append((a, b))
+        return len(self.edges) - 1
+
+    def parts(self):
+        rotation = [self.rotation[v] for v in range(self._n_boundary + len(self.internal_colors))]
+        return self.boundary_colors, self.internal_colors, self.edges, rotation
+
+
+def tymoczko_parts_by_diagram(u: RowStrictTableau):
+    """The fields of tymoczko_web(u) built from the ArcDiagram, its Crossing
+    objects and Crossing-keyed dicts.  The reference for the integer builder
+    webweave.bijection._tymoczko_parts."""
+    diagram = m_diagram_by_pairing(u)
+    crossings = find_crossings_by_fraction(diagram)
+    builder = _WebBuilder(diagram.points)
+
+    tripod = {}
+    arc_at: dict[tuple[int, str], int] = {}  # (point, "top" | "bottom" | "boundary") -> arc
+    for idx, arc in enumerate(diagram.arcs):
+        if arc.middle not in tripod:
+            tripod[arc.middle] = builder.internal(WHITE)
+        arc_at[arc.middle, "bottom" if arc.middle == arc.left else "top"] = idx
+        arc_at[arc.boundary_end, "boundary"] = idx
+    legs = {mid: builder.edge(w, mid - 1) for mid, w in tripod.items()}
+    cross_nodes = {}
+    for c in crossings:
+        cross_nodes[c] = (builder.internal(BLACK), builder.internal(WHITE))
+
+    # split each arc at its crossings, walking left to right
+    per_arc: dict[int, list[Crossing]] = {i: [] for i in range(len(diagram.arcs))}
+    for c in crossings:
+        per_arc[c.arc_a].append(c)
+        per_arc[c.arc_b].append(c)
+    for hits in per_arc.values():
+        hits.sort(key=lambda c: c.x)
+    segments: dict[int, list[int]] = {}
+    for idx, arc in enumerate(diagram.arcs):
+        white_is_left = arc.middle == arc.left
+        nodes = [tripod[arc.middle] if white_is_left else arc.boundary_end - 1]
+        for c in per_arc[idx]:
+            u_c, v_c = cross_nodes[c]
+            nodes.extend((u_c, v_c) if white_is_left else (v_c, u_c))
+        nodes.append(arc.boundary_end - 1 if white_is_left else tripod[arc.middle])
+        segments[idx] = [builder.edge(nodes[s], nodes[s + 1]) for s in range(0, len(nodes) - 1, 2)]
+
+    def germ_edge(arc_idx: int, c: Crossing, direction: str) -> int:
+        r = per_arc[arc_idx].index(c)
+        return segments[arc_idx][r] if direction == "L" else segments[arc_idx][r + 1]
+
+    for c in crossings:
+        u_c, v_c = cross_nodes[c]
+        bar = builder.edge(u_c, v_c)
+        germs = [(c.arc_a, "R"), (c.arc_b, "R"), (c.arc_a, "L"), (c.arc_b, "L")]
+
+        def toward_white(germ):
+            arc = diagram.arcs[germ[0]]
+            return germ[1] == ("L" if arc.middle == arc.left else "R")
+
+        start = next(
+            i for i in range(4) if toward_white(germs[i]) and toward_white(germs[(i + 1) % 4])
+        )
+        ordered = [germs[(start + d) % 4] for d in range(4)]
+        builder.rotation[u_c] = (
+            germ_edge(ordered[0][0], c, ordered[0][1]),
+            germ_edge(ordered[1][0], c, ordered[1][1]),
+            bar,
+        )
+        builder.rotation[v_c] = (
+            bar,
+            germ_edge(ordered[2][0], c, ordered[2][1]),
+            germ_edge(ordered[3][0], c, ordered[3][1]),
+        )
+
+    for mid, w in tripod.items():
+        top, bottom = segments[arc_at[mid, "top"]], segments[arc_at[mid, "bottom"]]
+        builder.rotation[w] = (top[-1], legs[mid], bottom[0])
+
+    for p in range(diagram.points):
+        point = p + 1
+        if point in tripod:
+            builder.rotation[p] = (legs[point],)
+        else:
+            arc_idx = arc_at[point, "boundary"]
+            white_is_left = diagram.arcs[arc_idx].middle == diagram.arcs[arc_idx].left
+            builder.rotation[p] = (segments[arc_idx][-1] if white_is_left else segments[arc_idx][0],)
+    return builder.parts()
+
+
+def russell_parts_by_diagram(t: RowStrictTableau):
+    """The fields of russell_web(t) on the reference builder."""
+    u, starts = standardize_with_pairs(t)
+    return _contract(*tymoczko_parts_by_diagram(u), starts)
+
+
+# --- the canonical key by breadth-first search on a Web ---------------------
+
+def canonicalize_by_bfs(web: Web) -> str:
+    """Breadth-first from the boundary vertices in label order, reading each
+    internal vertex's rotation from its discovery edge, with dict-based names.
+    The reference for webweave.webcore.canonicalize and its kernel."""
+    _check_structure(web.boundary_colors, web.internal_colors, web.edges, web.rotation)
+    b = web.n_boundary
+    order: dict[int, int] = {v: v for v in range(b)}
+    anchor: dict[int, int] = {}
+    queue = deque(range(b))
+    nxt = b
+
+    def anchored(v: int) -> tuple[int, ...]:
+        rot = web.rotation[v]
+        if v < b or v not in anchor:
+            return rot
+        i = rot.index(anchor[v])
+        return rot[i:] + rot[:i]
+
+    while queue:
+        v = queue.popleft()
+        for e in anchored(v):
+            w = _other(web, e, v)
+            if w not in order:
+                order[w] = nxt
+                nxt += 1
+                anchor[w] = e
+                queue.append(w)
+    if len(order) != web.n_vertices:
+        raise ValueError("web has vertices unreachable from the boundary")
+    by_id = sorted(order, key=order.get)
+    chunks = ["".join("B" if c == BLACK else "W" for c in web.boundary_colors)]
+    for v in by_id:
+        mark = "B" if web.color(v) == BLACK else "W"
+        nbrs = ",".join(str(order[_other(web, e, v)]) for e in anchored(v))
+        chunks.append(f"{mark}({nbrs})")
+    return "|".join(chunks)

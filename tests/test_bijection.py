@@ -3,10 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import contract_pairs_one_by_one, expand_white
+from oracles import (
+    canonicalize_by_bfs,
+    contract_pairs_one_by_one,
+    expand_white,
+    find_crossings_by_fraction,
+    m_diagram_by_pairing,
+    russell_parts_by_diagram,
+    tymoczko_parts_by_diagram,
+)
 from webweave.bijection import (
     Arc,
     ArcDiagram,
+    _russell_parts,
+    _tymoczko_parts,
     catalan_pairing,
     find_crossings,
     m_diagram,
@@ -27,6 +37,8 @@ from webweave.webcore import (
     BLACK,
     WHITE,
     Matching,
+    Web,
+    _parts_key,
     canonicalize,
     reflect_matching,
     reflect_web,
@@ -168,6 +180,66 @@ class TestMDiagram:
         d = m_diagram(T([[1, 2], [3, 4], [5, 6]]))
         got = {(a.left, a.right) for a in d.arcs}
         assert got == {(2, 3), (1, 4), (3, 6), (4, 5)}
+
+
+class TestGeometryAgainstOracle:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_m_diagram_and_crossings_match_fraction_oracle(self, k):
+        for t in enumerate_standard(Shape((k, k, k))):
+            diagram = m_diagram(t)
+            assert diagram == m_diagram_by_pairing(t)
+            assert find_crossings(diagram) == find_crossings_by_fraction(diagram)
+
+    def test_m_diagram_keeps_its_checks(self):
+        skew = T([[1], [2], [3]], inner=(1, 1, 1))
+        for bad in (T([[1, 2], [3, 4]]), T([[1], [2], [4]]), T([[1, 2], [3], [4]]), T([[1], [1], [2]]), skew):
+            with pytest.raises(ValueError, match="standard tableau"):
+                m_diagram(bad)
+            with pytest.raises(ValueError, match="standard tableau"):
+                tymoczko_web(bad)
+
+
+def _as_tuples(parts):
+    boundary_colors, internal_colors, edges, rotation = parts
+    return tuple(boundary_colors), tuple(internal_colors), tuple(map(tuple, edges)), tuple(map(tuple, rotation))
+
+
+def _builder_inputs():
+    """Every SYT with k <= 4, and every Russell tableau with k <= 3 at every h."""
+    standard = [(t, False) for k in range(1, 5) for t in enumerate_standard(Shape((k, k, k)))]
+    russell = [(t, True) for k in range(1, 4) for h in range(3 * k) for t in enumerate_russell(k, h)]
+    return standard + russell
+
+
+class TestIntegerBuilderAgainstOracle:
+    def test_parts_equal(self):
+        for t, is_russell in _builder_inputs():
+            u = standardize_with_pairs(t)[0] if is_russell else t
+            assert _as_tuples(_tymoczko_parts(u.rows)) == _as_tuples(tymoczko_parts_by_diagram(u)), t.rows
+            if is_russell:
+                assert _as_tuples(_russell_parts(t)) == _as_tuples(russell_parts_by_diagram(t)), t.rows
+
+    def test_plain_and_mirrored_keys_equal(self):
+        for t, is_russell in _builder_inputs():
+            parts = _russell_parts(t) if is_russell else _tymoczko_parts(t.rows)
+            old = Web(*(russell_parts_by_diagram(t) if is_russell else tymoczko_parts_by_diagram(t)))
+            assert _parts_key(parts) == canonicalize(old) == canonicalize_by_bfs(old), t.rows
+            mirrored = canonicalize_by_bfs(reflect_web(old))
+            assert _parts_key(parts, mirror=True) == canonicalize(reflect_web(old)) == mirrored, t.rows
+
+    def test_web_json_equal(self):
+        for t, is_russell in _builder_inputs():
+            if is_russell:
+                assert web_to_json(russell_web(t)) == web_to_json(Web(*russell_parts_by_diagram(t))), t.rows
+            else:
+                assert web_to_json(tymoczko_web(t)) == web_to_json(Web(*tymoczko_parts_by_diagram(t))), t.rows
+
+    def test_rejects_a_non_lattice_filling(self):
+        # each of 1..3 once, but a value precedes every unpaired entry of the row above
+        with pytest.raises(ValueError, match="precedes"):
+            _tymoczko_parts(((2,), (1,), (3,)))
+        with pytest.raises(ValueError, match="precedes"):
+            _tymoczko_parts(((1,), (3,), (2,)))
 
 
 class TestFindCrossings:

@@ -127,11 +127,25 @@ class TestReflectCommand:
         assert err.startswith("error:") and "degree 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("doc", ['{"n":2,"pairs":5}', "[1,2]", "null", '{"boundary":3}'])
-    def test_malformed_document_exits_2(self, doc):
+    @pytest.mark.parametrize(
+        "doc, says",
+        [
+            pytest.param(doc, says, id=doc)
+            for doc, says in (
+                ('{"n":2,"pairs":5}', "pairs must be an array"),
+                ("[1,2]", "must be an object"),
+                ("null", "must be an object"),
+                ('{"boundary":3}', "boundary must be an array"),
+                ('{"n":2}', "no 'boundary' field"),
+                ('{"pairs":[[1,2]]}', "no 'n' field"),
+                ('{"boundary":[{}]}', "no 'color' field"),
+            )
+        ],
+    )
+    def test_malformed_document_exits_2(self, doc, says):
         code, _, err = run_process(["reflect"], doc)
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and says in err
         assert "Traceback" not in err
 
 
@@ -204,6 +218,15 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "nan" in err
+
+    def test_negative_budget_exits_2(self, capsys, monkeypatch):
+        code, _, err = run(
+            capsys,
+            ["verify", "--shape", "10,10", "--check", "theorem", "--max-seconds", "-1"],
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "max_seconds" in err and "enumeration" not in err
 
     def test_bad_check_name(self, capsys, monkeypatch):
         code, _, _ = run(

@@ -3,14 +3,17 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import canonicalize_by_bfs, russell_parts_by_diagram, tymoczko_parts_by_diagram
 from webweave import verify
+from webweave.jdt import reading_word
 from webweave.verify import (
     Family,
     FamilyBoundError,
     TimeBudgetExceeded,
     run_verification,
 )
-from webweave.tableau import enumerate_russell
+from webweave.tableau import enumerate_russell, format_tableau
+from webweave.webcore import Web, reflect_web
 
 
 class TestFamily:
@@ -93,6 +96,14 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="nan"):
             run_verification(Family((9, 9)), "lemma", max_seconds=float("nan"))
 
+    def test_negative_budget_rejected_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(family):
+            raise AssertionError("the family was enumerated")
+
+        monkeypatch.setattr(Family, "tableaux", enumerate_nothing)
+        with pytest.raises(ValueError, match="-1"):
+            run_verification(Family((10, 10)), "theorem", max_seconds=-1)
+
     def test_parallel_matches_serial(self):
         family = Family((3, 3, 3))
         serial = run_verification(family, "theorem", jobs=1)
@@ -109,3 +120,24 @@ class TestRunVerification:
         monkeypatch.setenv("WEBWEAVE_THREADS", "x")
         with pytest.raises(ValueError, match="WEBWEAVE_THREADS"):
             run_verification(Family((3, 3, 3)), "theorem", jobs=2)
+
+
+class TestFailureRecords:
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_seeded_theorem_failures_match_web_oracle(self, family, monkeypatch):
+        # with evacuation the identity, the theorem fails wherever a web is
+        # not its own reflection; the records must be those of the Web path
+        monkeypatch.setattr(verify, "evacuate", lambda t: t)
+        oracle_parts = russell_parts_by_diagram if family.is_russell else tymoczko_parts_by_diagram
+        want = []
+        for t in family.tableaux():
+            web = Web(*oracle_parts(t))
+            actual, expected = canonicalize_by_bfs(reflect_web(web)), canonicalize_by_bfs(web)
+            if actual != expected:
+                want.append(
+                    {"tableau": format_tableau(t), "reading_word": list(reading_word(t)), "expected": expected,
+                     "actual": actual}
+                )
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+        got = run_verification(family, "theorem").to_json()["failures"]
+        assert want and got == want

@@ -11,6 +11,7 @@ from webweave.webcore import (
     Matching,
     Web,
     WebStructureError,
+    _parts_key,
     canonicalize,
     contract_pair,
     contract_pairs,
@@ -181,6 +182,28 @@ class TestCanonicalize:
         )
         with pytest.raises(ValueError, match="unreachable"):
             canonicalize(web)
+
+
+class TestPartsKey:
+    def test_refuses_what_web_and_canonicalize_refuse(self):
+        base = tripod()
+        bad_color = ((BLACK, BLACK, "red"), base.internal_colors, base.edges, base.rotation)
+        loop = ((BLACK,), (), ((0, 0),), ((0, 0),))
+        unknown_edge = (base.boundary_colors, base.internal_colors, base.edges, ((5,),) + base.rotation[1:])
+        for mirror in (False, True):
+            with pytest.raises(ValueError, match="bad color"):
+                _parts_key(bad_color, mirror=mirror)
+            for parts in (loop, unknown_edge):
+                with pytest.raises(WebStructureError):
+                    _parts_key(parts, mirror=mirror)
+                with pytest.raises(WebStructureError):
+                    canonicalize(Web(*parts))
+
+    def test_mirror_is_the_key_of_the_reflection(self):
+        for web in (tripod(), contract_pair(tripod(), 1), square_face_web()):
+            parts = (web.boundary_colors, web.internal_colors, web.edges, web.rotation)
+            assert _parts_key(parts) == canonicalize(web)
+            assert _parts_key(parts, mirror=True) == canonicalize(reflect_web(web))
 
 
 class TestExpandContract:
