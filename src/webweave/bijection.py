@@ -10,24 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 
-from .tableau import (
-    RowStrictTableau,
-    Shape,
-    enumerate_russell,
-    enumerate_standard,
-    is_standard,
-    standardize_with_pairs,
-)
+from .tableau import RowStrictTableau, _standardize, is_standard, russell_repetition
 from .webcore import (
     BLACK,
     WHITE,
     Matching,
     Web,
+    _augmented_faces,
+    _check_colors,
+    _check_structure,
     _contract,
+    _fields,
     _parts_key,
-    canonicalize,
+    webs_equal,
 )
 
 Pair = tuple[int, int]
@@ -288,54 +285,83 @@ def russell_web(t: RowStrictTableau) -> Web:
 
 
 def _russell_parts(t: RowStrictTableau):
-    """The fields of russell_web(t) as tuples, before any Web is built."""
-    u, pair_starts = standardize_with_pairs(t)
-    return _contract(*_tymoczko_parts(u.rows), pair_starts)
+    """The fields of russell_web(t) as tuples, before any Web is built.  The
+    standardized rows need no validation: standardizing a valid tableau keeps
+    rows strict and columns weak, and _arc_ends checks the values."""
+    russell_repetition(t)
+    rows, pair_starts = _standardize(t)
+    return _contract(*_tymoczko_parts(rows), pair_starts)
 
 
-# --- table-based inverse ----------------------------------------------------
+# --- the inverse, by face depth ----------------------------------------------
 
-MAX_2ROW = 10
-MAX_3ROW = 5
-
-
-@lru_cache(maxsize=None)
-def _matching_table(n: int) -> dict[tuple[Pair, ...], RowStrictTableau]:
-    return {web_of_2row(t).pairs: t for t in enumerate_standard(Shape((n, n)))}
+def _matching_rows(m: Matching) -> tuple[tuple[int, ...], ...]:
+    """The rows of the 2-row tableau of a matching: openers on top."""
+    return tuple(i for i, _ in m.pairs), tuple(sorted(j for _, j in m.pairs))
 
 
-@lru_cache(maxsize=None)
-def _web_table(k: int, h: int) -> dict[str, RowStrictTableau]:
-    return {_parts_key(_russell_parts(t)): t for t in enumerate_russell(k, h)}
+# The rows (0 = top) that a boundary vertex's value fills, by its color and
+# state: the depth of the disk face after it minus that of the face before.
+_ROWS_OF_STATE = {
+    (BLACK, 1): (0,), (BLACK, 0): (1,), (BLACK, -1): (2,),
+    (WHITE, 1): (0, 1), (WHITE, 0): (0, 2), (WHITE, -1): (1, 2),
+}
+
+
+def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
+    """The rows of the 3-row filling whose web has these plain fields, after
+    the same color and structure checks as _parts_key.  A face's depth is the
+    number of web edges crossed on a shortest way to it from the disk face
+    between labels b and 1, and label i places the value i by its state.  A
+    state outside -1..1 raises LookupError; any other web outside the family
+    gives rows that the forward map does not send back to it."""
+    _check_colors(parts[0], parts[1])
+    _check_structure(*parts)
+    boundary_colors, _, edges, _ = parts
+    if not boundary_colors:
+        raise LookupError("a web without boundary vertices has no tableau")
+    arc_base = 2 * len(edges)
+    faces, face_of = _augmented_faces(*parts)
+    depth = [-1] * len(faces)
+    depth[face_of[-1]] = 0  # the last half-edge is the odd half of arc b-1
+    queue = [face_of[-1]]
+    for f in queue:
+        for h in faces[f]:
+            g = face_of[h ^ 1]
+            if h < arc_base and depth[g] < 0:
+                depth[g] = depth[f] + 1
+                queue.append(g)
+    after = [depth[f] for f in face_of[arc_base + 1 :: 2]]  # the disk face after each label
+    rows: tuple[list[int], ...] = ([], [], [])
+    for i, color in enumerate(boundary_colors):
+        state = after[i] - after[i - 1]
+        if (color, state) not in _ROWS_OF_STATE:
+            raise LookupError(f"boundary vertex {i + 1} has state {state}, outside -1..1")
+        for r in _ROWS_OF_STATE[color, state]:
+            rows[r].append(i + 1)
+    return tuple(tuple(row) for row in rows)
 
 
 def tableau_of_web(web, shape) -> RowStrictTableau:
-    """Invert the Catalan or Russell map by lookup over the enumerated family.
-
-    `shape` is (n, n) for matchings or (k, k, k) for webs; for webs the
-    repetition is read off the number of white boundary vertices.
-    """
+    """Invert the Catalan or Russell map directly, at any size: a matching's
+    openers form the top row, and a web's rows are read off its face depths
+    (see _tableau_rows).  `shape` is (n, n) for matchings or (k, k, k) for
+    webs.  The result must map forward to the input again, so a matching or
+    web outside the family raises LookupError."""
     shape = tuple(shape)
     if isinstance(web, Matching):
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"matching families have shape (n, n), got {shape}")
-        if shape[0] > MAX_2ROW:
-            raise ValueError(f"n={shape[0]} beyond the desk-scale bound {MAX_2ROW}")
-        if shape[0] != web.n:
-            raise LookupError(f"matching on {2 * web.n} points is not in the {shape} family")
-        try:
-            return _matching_table(web.n)[web.pairs]
-        except KeyError:
-            raise LookupError("matching is not in the image of the 2-row family") from None
-    if len(shape) != 3 or len(set(shape)) != 1:
-        raise ValueError(f"web families have shape (k, k, k), got {shape}")
-    k = shape[0]
-    if k > MAX_3ROW:
-        raise ValueError(f"k={k} beyond the desk-scale bound {MAX_3ROW}")
-    h = sum(1 for c in web.boundary_colors if c == WHITE)
-    if web.n_boundary != 3 * k - h:
-        raise LookupError(f"web has {web.n_boundary} boundary vertices, family wants {3 * k - h}")
+        rows = _matching_rows(web)
+    else:
+        if len(shape) != 3 or len(set(shape)) != 1:
+            raise ValueError(f"web families have shape (k, k, k), got {shape}")
+        rows = _tableau_rows(_fields(web))
     try:
-        return _web_table(k, h)[canonicalize(web)]
-    except KeyError:
-        raise LookupError(f"web is not in the image of the (k={k}, h={h}) family") from None
+        t = RowStrictTableau.from_rows(rows)
+        back = web_of_2row(t) == web if isinstance(web, Matching) else webs_equal(russell_web(t), web)
+        if back and all(len(row) == shape[0] for row in rows):
+            return t
+    except ValueError:
+        pass
+    raise LookupError(f"not in the image of the {shape} family")

@@ -257,12 +257,12 @@ def russell_repetition(t: RowStrictTableau) -> int:
     return sum(1 for n in counts.values() if n == 2)
 
 
-def _standardize(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
+def _standardize(t: RowStrictTableau) -> tuple[list[list[int]], tuple[int, ...]]:
     """Split each doubled value of a straight filling into consecutive entries
     in one pass: a box's new value is the number of entries with a smaller
     original value, plus 1, plus 1 more in the lower copy of a doubled value.
     Also return, in increasing order, the start j of the pair (j, j+1) that
-    each doubled value became."""
+    each doubled value became.  The rows come back as plain lists."""
     boxes: dict[int, list[tuple[int, int]]] = {}
     for r, row in enumerate(t.rows):  # row by row, so each list runs top down
         for c, v in enumerate(row):
@@ -283,7 +283,7 @@ def _standardize(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]
         r, c = spots[0]
         rows[r][c] = smaller + 1
         smaller += len(spots)
-    return RowStrictTableau(t.shape, rows), tuple(starts)
+    return rows, tuple(starts)
 
 
 def standardize(t: RowStrictTableau) -> RowStrictTableau:
@@ -293,14 +293,14 @@ def standardize(t: RowStrictTableau) -> RowStrictTableau:
     with larger entries shifted up to make room; the result is a standard
     Young tableau of the same shape.
     """
-    russell_repetition(t)
-    return _standardize(t)[0]
+    return standardize_with_pairs(t)[0]
 
 
 def standardize_with_pairs(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
     """Standardize and also return the sorted pair starts j (doubled value -> j, j+1)."""
     russell_repetition(t)
-    return _standardize(t)
+    rows, starts = _standardize(t)
+    return RowStrictTableau(t.shape, rows), starts
 
 
 def rotate_complement(t: RowStrictTableau, n: int) -> RowStrictTableau:
@@ -408,8 +408,13 @@ def parse_tableau(text: str) -> RowStrictTableau:
     return RowStrictTableau.from_rows(rows)
 
 
+def _format_rows(rows) -> str:
+    """The text form of a tableau given by its rows."""
+    return "\n".join(" ".join(str(v) for v in row) for row in rows)
+
+
 def format_tableau(t: RowStrictTableau) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in t.rows)
+    return _format_rows(t.rows)
 
 
 def tableau_to_json(t: RowStrictTableau) -> dict:

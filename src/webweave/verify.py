@@ -8,19 +8,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .bijection import _russell_parts, _standard_parts, web_of_2row
+from .bijection import _matching_rows, _russell_parts, _standard_parts, _tableau_rows, web_of_2row
 from .jdt import evacuate, reading_word
 from .tableau import (
     RowStrictTableau,
     Shape,
+    _format_rows,
     enumerate_russell,
     enumerate_standard,
     format_tableau,
     rotate_complement,
 )
 from .webcore import Matching, Web, _parts_key, reflect_matching, validate_web
-
-CHECK_NAMES = ("theorem", "involution", "lemma", "validity", "injectivity")
 
 # desk-scale defaults; larger families need an explicit time budget
 MAX_2ROW_N = 8
@@ -39,11 +38,13 @@ class TimeBudgetExceeded(RuntimeError):
 class Pipeline(NamedTuple):
     """What a kind of family does with each tableau: build its matching or
     the plain fields of its web, key those canonically (with mirror=True, the
-    key of the reflection), and list the defects of the matching or web."""
+    key of the reflection), list the defects of the matching or web, and read
+    the tableau's rows back off it."""
 
     parts: Callable
     key: Callable[..., str]
     defects: Callable[..., list[str]]
+    inverse: Callable[..., tuple]
 
 
 def _pairs_key(m: Matching, mirror: bool = False) -> str:
@@ -58,9 +59,9 @@ def _web_defects(parts) -> list[str]:
     return validate_web(Web(*parts))
 
 
-SL2 = Pipeline(web_of_2row, _pairs_key, _no_defects)
-SL3_STANDARD = Pipeline(_standard_parts, _parts_key, _web_defects)
-SL3_RUSSELL = Pipeline(_russell_parts, _parts_key, _web_defects)
+SL2 = Pipeline(web_of_2row, _pairs_key, _no_defects, _matching_rows)
+SL3_STANDARD = Pipeline(_standard_parts, _parts_key, _web_defects, _tableau_rows)
+SL3_RUSSELL = Pipeline(_russell_parts, _parts_key, _web_defects, _tableau_rows)
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,24 @@ def _check_validity(family: Family, t: RowStrictTableau) -> dict | None:
     return None
 
 
+def _check_injectivity(family: Family, t: RowStrictTableau) -> dict | None:
+    """The inverse gives t back from its web, so no other tableau of the
+    family has that web: of two tableaux with one web, one fails here."""
+    p = family.pipeline
+    rows = p.inverse(p.parts(t))
+    if rows != t.rows:
+        return _failure(t, format_tableau(t), _format_rows(rows))
+    return None
+
+
 _PER_TABLEAU = {
     "theorem": _check_theorem,
     "involution": _check_involution,
     "lemma": _check_lemma,
     "validity": _check_validity,
+    "injectivity": _check_injectivity,
 }
+CHECK_NAMES = tuple(_PER_TABLEAU)
 
 
 def _check_all(
@@ -234,22 +247,6 @@ def _check_all(
 def _check_batch(args) -> list[dict]:
     check, family, tableaux, max_seconds, seconds_left = args
     return _check_all(_PER_TABLEAU[check], family, tableaux, max_seconds, seconds_left)
-
-
-def _collision_check() -> Callable[[Family, RowStrictTableau], dict | None]:
-    """A per-tableau injectivity check: it remembers the canonical key of
-    every tableau it has passed and fails a tableau whose key it has seen."""
-    seen: dict[str, RowStrictTableau] = {}
-
-    def check(family: Family, t: RowStrictTableau) -> dict | None:
-        p = family.pipeline
-        key = p.key(p.parts(t))
-        if key in seen:
-            return _failure(t, "distinct web", f"collides with {format_tableau(seen[key])}")
-        seen[key] = t
-        return None
-
-    return check
 
 
 def _worker_count(jobs: int | None) -> int:
@@ -290,12 +287,9 @@ def run_verification(
     if seconds_left() < 0:
         raise TimeBudgetExceeded(f"enumeration alone exceeded {max_seconds}s")
 
-    if check == "injectivity":
-        fn, jobs = _collision_check(), 1
-    else:
-        fn, jobs = _PER_TABLEAU[check], _worker_count(jobs)
+    jobs = _worker_count(jobs)
     if jobs == 1 or len(tableaux) < 4 * jobs:
-        failures = _check_all(fn, family, tableaux, max_seconds, seconds_left())
+        failures = _check_all(_PER_TABLEAU[check], family, tableaux, max_seconds, seconds_left())
     else:
         chunks = [tableaux[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -121,64 +121,41 @@ def _other(edges, e: int, v: int) -> int:
     return b if v == a else a
 
 
-def _augmented_faces(web: Web) -> list[list[tuple[int, bool]]]:
-    """Faces of the map augmented with the boundary circle.
-
-    Returns each face as a list of (edge index, is_arc) half-edge steps, where
-    arc edges are the added boundary arcs between consecutive boundary labels.
-    """
-    b = web.n_boundary
-    n_edges = len(web.edges)
-    # half-edge h = 2e+side; vertex and rotations built explicitly so that
-    # parallel arcs (b == 2) and the arc loop (b == 1) stay well-formed
-    half_at: dict[int, int] = {}
-    rot_half: list[list[int]] = [[] for _ in range(web.n_vertices)]
-    for e, (a, bb) in enumerate(web.edges):
-        half_at[2 * e] = a
-        half_at[2 * e + 1] = bb
-    for v, rot in enumerate(web.rotation):
-        for e in rot:
-            a, bb = web.edges[e]
-            rot_half[v].append(2 * e if v == a else 2 * e + 1)
-    arc_base = 2 * n_edges
-    for i in range(b):
-        nxt = (i + 1) % b
-        half_at[arc_base + 2 * i] = i
-        half_at[arc_base + 2 * i + 1] = nxt
-    for i in range(b):
-        prev = (i - 1) % b
-        # ccw at a boundary vertex: arc toward the next label, the web edge
-        # into the disk, arc back toward the previous label
-        rot_half[i] = [arc_base + 2 * i] + rot_half[i] + [arc_base + 2 * prev + 1]
-
-    position = {}
-    for v, halves in enumerate(rot_half):
-        for idx, h in enumerate(halves):
-            position[h] = (v, idx)
-
-    def face_next(h: int) -> int:
-        opp = h ^ 1
-        v, idx = position[opp]
-        return rot_half[v][(idx + 1) % len(rot_half[v])]
-
-    faces = []
-    visited: set[int] = set()
-    for h0 in sorted(position):
-        if h0 in visited:
-            continue
-        face = []
-        h = h0
-        while True:
-            visited.add(h)
-            if h >= arc_base:
-                face.append(((h - arc_base) // 2, True))
-            else:
-                face.append((h // 2, False))
-            h = face_next(h)
-            if h == h0:
-                break
-        faces.append(face)
-    return faces
+def _augmented_faces(boundary_colors, internal_colors, edges, rotation):
+    """Faces of the map augmented with the boundary circle, given the plain
+    fields of a structurally sound web: each face as its list of half-edges in
+    order, and the face of each half-edge.  Half-edge 2e starts at edges[e][0]
+    and 2e+1 at edges[e][1]; with E edges, arc i from boundary vertex i to
+    i+1 (mod b) has the halves 2E+2i and 2E+2i+1.  The even arc halves make
+    the face outside the disk; the odd half of arc i lies in the disk face
+    between labels i+1 and i+2."""
+    b = len(boundary_colors)
+    arc_base = 2 * len(edges)
+    # succ[h] follows h around its face: the half-edge after h's twin, ccw at
+    # the twin's start.  Half-edges are named, not found by their endpoints,
+    # so parallel arcs (b == 2) and the arc loop (b == 1) stay well-formed.
+    succ = [0] * (arc_base + 2 * b)
+    for v, rot in enumerate(rotation):
+        halves = [2 * e + (edges[e][0] != v) for e in rot]
+        if v < b:
+            # ccw at a boundary vertex: arc toward the next label, the web
+            # edge into the disk, arc back toward the previous label
+            halves = [arc_base + 2 * v, *halves, arc_base + 2 * ((v - 1) % b) + 1]
+        prev = halves[-1] if halves else 0
+        for h in halves:
+            succ[prev ^ 1] = h
+            prev = h
+    faces: list[list[int]] = []
+    face_of = [-1] * len(succ)
+    for start in range(len(succ)):
+        if face_of[start] < 0:
+            face, h = [], start
+            while face_of[h] < 0:
+                face_of[h] = len(faces)
+                face.append(h)
+                h = succ[h]
+            faces.append(face)
+    return faces, face_of
 
 
 def validate_web(web: Web) -> list[str]:
@@ -201,15 +178,13 @@ def validate_web(web: Web) -> list[str]:
         if web.n_vertices or web.edges:
             report.append("web without boundary vertices is not embeddable in the disk model")
         return report
-    faces = _augmented_faces(web)
+    faces, _ = _augmented_faces(*_fields(web))
     euler = web.n_vertices - (len(web.edges) + b) + len(faces)
     if euler != 2:
         report.append(f"rotation system is not a planar disk embedding (V-E+F = {euler}, expected 2)")
         return report
     for face in faces:
-        if any(is_arc for _, is_arc in face):
-            continue
-        if len(face) < 6:
+        if len(face) < 6 and max(face) < 2 * len(web.edges):  # no arc half: internal
             report.append(f"internal face of size {len(face)} < 6")
     return report
 

@@ -6,20 +6,35 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from webweave.bijection import Arc, ArcDiagram, Crossing, catalan_pairing
+from webweave.bijection import Arc, ArcDiagram, Crossing, _russell_parts, catalan_pairing, web_of_2row
 from webweave.jdt import delta, jdt_slide, slide_targets
 from webweave.tableau import (
     EMPTY_TABLEAU,
     NotRussellError,
     RowStrictTableau,
     Shape,
+    enumerate_russell,
+    enumerate_standard,
+    format_tableau,
     is_standard,
     russell_repetition,
     standardize_with_pairs,
     tableau_from_cells,
 )
-from webweave.webcore import BLACK, WHITE, Web, _check_structure, _contract, validate_web
+from webweave.verify import _failure
+from webweave.webcore import (
+    BLACK,
+    WHITE,
+    Matching,
+    Web,
+    _check_structure,
+    _contract,
+    _parts_key,
+    canonicalize,
+    validate_web,
+)
 
 
 def all_row_strict_fillings(shape, max_entry) -> list[RowStrictTableau]:
@@ -69,6 +84,27 @@ def random_skew_tableau(rng: random.Random, max_boxes: int = 10) -> RowStrictTab
                 cells[(r, c)] = lo + rng.randint(0, 2)
         if 0 < len(cells) <= max_boxes and any(v > 0 for v in inner):
             return tableau_from_cells(cells)
+
+
+def random_filling(rng: random.Random, n_rows: int, k: int, doubled: int = 0) -> RowStrictTableau:
+    """A random filling of the n_rows x k rectangle, grown value by value: each
+    value takes an addable box and, while fewer than `doubled` values have,
+    maybe a second one in a lower row.  Standard when doubled is 0."""
+    rows: list[list[int]] = [[] for _ in range(n_rows)]
+
+    def addable(r: int) -> bool:
+        return len(rows[r]) < k and (r == 0 or len(rows[r - 1]) > len(rows[r]))
+
+    v = 1
+    while sum(map(len, rows)) < n_rows * k:
+        r = rng.choice([r for r in range(n_rows) if addable(r)])
+        rows[r].append(v)
+        lower = [s for s in range(r + 1, n_rows) if addable(s)]
+        if doubled and lower and rng.random() < 0.5:
+            rows[rng.choice(lower)].append(v)
+            doubled -= 1
+        v += 1
+    return RowStrictTableau.from_rows(rows)
 
 
 def rectify_random_order(t: RowStrictTableau, rng: random.Random) -> RowStrictTableau:
@@ -562,3 +598,58 @@ def canonicalize_by_bfs(web: Web) -> str:
         nbrs = ",".join(str(order[_other(web, e, v)]) for e in anchored(v))
         chunks.append(f"{mark}({nbrs})")
     return "|".join(chunks)
+
+
+# --- the inverse by table lookup, and injectivity by remembered keys ---------
+
+@lru_cache(maxsize=None)
+def _matching_table(n: int) -> dict:
+    return {web_of_2row(t).pairs: t for t in enumerate_standard(Shape((n, n)))}
+
+
+@lru_cache(maxsize=None)
+def _web_table(k: int, h: int) -> dict:
+    return {_parts_key(_russell_parts(t)): t for t in enumerate_russell(k, h)}
+
+
+def tableau_of_web_by_table(web, shape) -> RowStrictTableau:
+    """Invert the Catalan or Russell map by lookup over the enumerated family
+    (the repetition is read off the number of white boundary vertices).  The
+    reference for webweave.bijection.tableau_of_web."""
+    shape = tuple(shape)
+    if isinstance(web, Matching):
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"matching families have shape (n, n), got {shape}")
+        if shape[0] != web.n:
+            raise LookupError(f"matching on {2 * web.n} points is not in the {shape} family")
+        try:
+            return _matching_table(web.n)[web.pairs]
+        except KeyError:
+            raise LookupError("matching is not in the image of the 2-row family") from None
+    if len(shape) != 3 or len(set(shape)) != 1:
+        raise ValueError(f"web families have shape (k, k, k), got {shape}")
+    k = shape[0]
+    h = sum(1 for c in web.boundary_colors if c == WHITE)
+    if web.n_boundary != 3 * k - h:
+        raise LookupError(f"web has {web.n_boundary} boundary vertices, family wants {3 * k - h}")
+    try:
+        return _web_table(k, h)[canonicalize(web)]
+    except KeyError:
+        raise LookupError(f"web is not in the image of the (k={k}, h={h}) family") from None
+
+
+def collision_check():
+    """A per-tableau injectivity check that remembers the canonical key of
+    every tableau it has passed and fails a tableau whose key it has seen.
+    The reference for verify's left-inverse injectivity check."""
+    seen: dict[str, RowStrictTableau] = {}
+
+    def check(family, t: RowStrictTableau) -> dict | None:
+        p = family.pipeline
+        key = p.key(p.parts(t))
+        if key in seen:
+            return _failure(t, "distinct web", f"collides with {format_tableau(seen[key])}")
+        seen[key] = t
+        return None
+
+    return check

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,13 @@ from oracles import (
     expand_white,
     find_crossings_by_fraction,
     m_diagram_by_pairing,
+    random_filling,
     russell_parts_by_diagram,
+    tableau_of_web_by_table,
     tymoczko_parts_by_diagram,
 )
+from test_webcore import square_face_web
+from webweave import bijection
 from webweave.bijection import (
     Arc,
     ArcDiagram,
@@ -340,6 +345,55 @@ class TestTableauOfWeb:
     def test_not_in_family(self):
         with pytest.raises(LookupError):
             tableau_of_web(Matching(2, ((1, 2), (3, 4))), (3, 3))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matching_matches_table_oracle(self, n):
+        for t in enumerate_standard(Shape((n, n))):
+            m = web_of_2row(t)
+            assert tableau_of_web(m, (n, n)) == tableau_of_web_by_table(m, (n, n)) == t
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_standard_matches_table_oracle(self, k):
+        for t in enumerate_standard(Shape((k, k, k))):
+            web = tymoczko_web(t)
+            assert tableau_of_web(web, (k, k, k)) == tableau_of_web_by_table(web, (k, k, k)) == t
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_russell_matches_table_oracle(self, k):
+        for h in range(3 * k // 2 + 1):
+            for t in enumerate_russell(k, h):
+                web = russell_web(t)
+                assert tableau_of_web(web, (k, k, k)) == tableau_of_web_by_table(web, (k, k, k)) == t, t.rows
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+    def test_web_outside_family_raises_lookup_error(self, shape):
+        # its states give the (2,2,2) filling 1 2 / 2 4 / 3 4, whose web has
+        # no square face, so only the round trip refuses it
+        with pytest.raises(LookupError):
+            tableau_of_web(square_face_web(), shape)
+        # boundary vertex 1 has two edges, to vertices 2 and 3, so the face
+        # after it is two edges deep
+        fan = Web((BLACK,) * 3, (), ((0, 1), (0, 2)), ((0, 1), (0,), (1,)))
+        with pytest.raises(LookupError, match="boundary vertex 1 has state 2"):
+            tableau_of_web(fan, shape)
+
+    def test_result_is_checked_by_round_trip(self, monkeypatch):
+        t, other = T([[1, 3], [2, 5], [4, 6]]), T([[1, 2], [3, 4], [5, 6]])
+        monkeypatch.setattr(bijection, "_tableau_rows", lambda parts: other.rows)
+        with pytest.raises(LookupError):
+            tableau_of_web(tymoczko_web(t), (2, 2, 2))
+        assert tableau_of_web(tymoczko_web(other), (2, 2, 2)) == other
+
+    def test_round_trip_beyond_the_desk_scale(self):
+        # the table inverse refused k = 6 and n = 12 as beyond its bounds
+        rng = random.Random(12)
+        for _ in range(3):
+            t = random_filling(rng, 3, 6)
+            assert tableau_of_web(tymoczko_web(t), (6, 6, 6)) == t
+            t = random_filling(rng, 3, 6, doubled=5)
+            assert tableau_of_web(russell_web(t), (6, 6, 6)) == t
+            t = random_filling(rng, 2, 12)
+            assert tableau_of_web(web_of_2row(t), (12, 12)) == t
 
 
 class TestMainTheoremSmall:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import canonicalize_by_bfs, russell_parts_by_diagram, tymoczko_parts_by_diagram
+from oracles import canonicalize_by_bfs, collision_check, russell_parts_by_diagram, tymoczko_parts_by_diagram
 from webweave import verify
 from webweave.jdt import reading_word
 from webweave.verify import (
@@ -141,3 +141,33 @@ class TestFailureRecords:
         want.sort(key=lambda f: tuple(f["reading_word"]))
         got = run_verification(family, "theorem").to_json()["failures"]
         assert want and got == want
+
+    def test_seeded_collision_is_flagged(self, monkeypatch):
+        # one tableau is given another's web; pool workers are forked, so
+        # they see the patched pipeline too
+        family = Family((3, 3, 3))
+        tableaux = family.tableaux()
+        victim, other = tableaux[5], tableaux[17]
+        real = verify.SL3_STANDARD
+
+        def parts(t):
+            return real.parts(other if t == victim else t)
+
+        monkeypatch.setattr(verify, "SL3_STANDARD", real._replace(parts=parts))
+        want = [
+            {"tableau": format_tableau(victim), "reading_word": list(reading_word(victim)),
+             "expected": format_tableau(victim), "actual": format_tableau(other)}
+        ]
+        serial = run_verification(family, "injectivity", jobs=1).to_json()["failures"]
+        parallel = run_verification(family, "injectivity", jobs=2).to_json()["failures"]
+        assert serial == parallel == want
+        # the key-remembering oracle flags the later of the two
+        check = collision_check()
+        flagged = [bad for bad in (check(family, t) for t in tableaux) if bad is not None]
+        assert [bad["tableau"] for bad in flagged] == [format_tableau(other)]
+
+    def test_wrong_inverse_fails_every_tableau(self, monkeypatch):
+        # a wrong inverse fails every tableau instead of passing unnoticed
+        monkeypatch.setattr(verify, "SL2", verify.SL2._replace(inverse=lambda m: ((), ())))
+        report = run_verification(Family((3, 3)), "injectivity")
+        assert len(report.failures) == report.total == 5
