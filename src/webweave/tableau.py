@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, inf
 
 
 class NotRussellError(ValueError):
@@ -325,54 +325,67 @@ def count_standard(shape: Shape) -> int:
     return factorial(shape.size) // hooks
 
 
-def _grow(shape: Shape, doubled: int) -> list[RowStrictTableau]:
-    """Fill a straight shape with the values 1, 2, ... in turn, sorted by
-    column word.
+def _fill(parts, rows: list[list[int]], v: int, left: int, remaining: int, last: float = inf):
+    """Place the values v, v+1, ... in turn into the filled top-left part
+    `rows` of a straight shape, and yield `rows` each time the shape is full
+    or the value `last` is placed.  The rows are yielded live: a caller copies
+    what it keeps before it resumes the generator.
 
-    Each value takes one addable box or, for exactly `doubled` of the values,
+    Each value takes one addable box or, for exactly `left` of the values,
     an addable box plus a box in a lower row that is addable once the first
     is placed (never right of the first, since the filled boxes form a
     partition).  Rows then strictly and columns weakly increase.
     """
-    parts = shape.parts
-    skew = SkewShape(shape)
-    rows: list[list[int]] = [[] for _ in parts]
-    results: list[RowStrictTableau] = []
+    if 2 * left > remaining:
+        return
+    if remaining == 0 or v > last:
+        yield rows
+        return
 
     def addable(r: int) -> bool:
         n = len(rows[r])
         return n < parts[r] and (r == 0 or len(rows[r - 1]) > n)
 
-    def grow(v: int, left: int, remaining: int) -> None:
-        if 2 * left > remaining:
-            return
-        if remaining == 0:
-            results.append(RowStrictTableau(skew, rows))
-            return
-        for r in range(len(parts)):
-            if not addable(r):
-                continue
-            rows[r].append(v)
-            grow(v + 1, left, remaining - 1)
-            if left:
-                for s in range(r + 1, len(parts)):
-                    if addable(s):
-                        rows[s].append(v)
-                        grow(v + 1, left - 1, remaining - 2)
-                        rows[s].pop()
-            rows[r].pop()
+    for r in range(len(parts)):
+        if not addable(r):
+            continue
+        rows[r].append(v)
+        yield from _fill(parts, rows, v + 1, left, remaining - 1, last)
+        if left:
+            for s in range(r + 1, len(parts)):
+                if addable(s):
+                    rows[s].append(v)
+                    yield from _fill(parts, rows, v + 1, left - 1, remaining - 2, last)
+                    rows[s].pop()
+        rows[r].pop()
 
-    grow(1, doubled, shape.size)
-    # `grow` refers to itself through its closure; unless that cycle is cut
-    # here, it keeps `results` alive after the caller drops it, until a GC pass
-    del grow
-    results.sort(key=RowStrictTableau.column_word)
-    return results
+
+def _prefixes(shape: Shape, doubled: int, depth: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The growth tree of `_grow(shape, doubled)` cut after the value `depth`:
+    the rows of each node there, in growth order, or of a full tableau where
+    the shape fills up with fewer values.  Every tableau grows from exactly
+    one of them."""
+    parts = shape.parts
+    return [tuple(map(tuple, rows)) for rows in _fill(parts, [[] for _ in parts], 1, doubled, shape.size, depth)]
+
+
+def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = ()):
+    """Yield, in growth order, every tableau of a straight shape filled with
+    the values 1, 2, ..., exactly `doubled` of them in two boxes, whose
+    values 1..d fill the boxes of `prefix` as there (d its largest entry;
+    the empty prefix starts from the empty shape)."""
+    parts = shape.parts
+    skew = SkewShape(shape)
+    rows = [list(row) for row in prefix] or [[] for _ in parts]
+    placed = sum(map(len, rows))
+    top = max(map(max, filter(None, rows)), default=0)
+    for full in _fill(parts, rows, top + 1, doubled - (placed - top), shape.size - placed):
+        yield RowStrictTableau(skew, full)
 
 
 def enumerate_standard(shape: Shape) -> list[RowStrictTableau]:
     """All standard Young tableaux of a straight shape, sorted by column word."""
-    return _grow(shape, 0)
+    return sorted(_grow(shape, 0), key=RowStrictTableau.column_word)
 
 
 def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
@@ -387,7 +400,7 @@ def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
         raise ValueError("k must be at least 1")
     if h < 0 or h > 3 * k - 1:
         raise ValueError(f"repetition {h} out of range for k={k}")
-    return _grow(Shape((k, k, k)), h)
+    return sorted(_grow(Shape((k, k, k)), h), key=RowStrictTableau.column_word)
 
 
 # --- text and JSON forms ------------------------------------------------

@@ -6,7 +6,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .bijection import _matching_rows, _russell_parts, _standard_parts, _tableau_rows, web_of_2row
 from .jdt import evacuate, reading_word
@@ -14,6 +14,8 @@ from .tableau import (
     RowStrictTableau,
     Shape,
     _format_rows,
+    _grow,
+    _prefixes,
     enumerate_russell,
     enumerate_standard,
     format_tableau,
@@ -121,16 +123,34 @@ class Family:
         if self.is_russell and side > MAX_RUSSELL_K:
             raise FamilyBoundError(f"Russell families are bounded at k <= {MAX_RUSSELL_K}")
 
+    @property
+    def repetitions(self) -> range:
+        """The numbers of doubled values the family's tableaux have."""
+        if self.repetition is None:
+            return range(1)
+        if self.repetition == "all":
+            return range(self.max_repetition + 1)
+        return range(self.repetition, self.repetition + 1)
+
+    def shards(self) -> list[tuple[int, tuple]]:
+        """The family's growth trees, h by h, cut after the value 10, or 5
+        for a Russell family, whose values branch into more boxes: one
+        (h, prefix rows) per node there, in growth order.  That is a few
+        hundred to a few thousand shards however large the family, and each
+        tableau of the family grows from exactly one of them."""
+        shape, depth = Shape(self.shape), 5 if self.is_russell else 10
+        return [(h, prefix) for h in self.repetitions for prefix in _prefixes(shape, h, depth)]
+
+    def grow(self, shard: tuple[int, tuple]) -> Iterator[RowStrictTableau]:
+        """Stream the tableaux of one shard, in growth order."""
+        h, prefix = shard
+        return _grow(Shape(self.shape), h, prefix)
+
     def tableaux(self) -> list[RowStrictTableau]:
+        """Every tableau of the family, h by h, each h sorted by column word."""
         if self.repetition is None:
             return enumerate_standard(Shape(self.shape))
-        k = self.shape[0]
-        if self.repetition == "all":
-            out = []
-            for h in range(self.max_repetition + 1):
-                out.extend(enumerate_russell(k, h))
-            return out
-        return enumerate_russell(k, int(self.repetition))
+        return [t for h in self.repetitions for t in enumerate_russell(self.shape[0], h)]
 
 
 @dataclass
@@ -223,30 +243,26 @@ _PER_TABLEAU = {
 CHECK_NAMES = tuple(_PER_TABLEAU)
 
 
-def _check_all(
-    fn: Callable[[Family, RowStrictTableau], dict | None],
-    family: Family,
-    tableaux: list[RowStrictTableau],
-    max_seconds: float | None,
-    seconds_left: float,
-) -> list[dict]:
-    """Check each tableau in turn, raising TimeBudgetExceeded once this call
-    has run longer than `seconds_left` (inf: no budget).  The budget is a
-    duration, so a pool worker can measure it on its own clock."""
+def _check_batch(args) -> tuple[int, list[dict]]:
+    """Grow each shard of a batch and check each tableau in turn; return the
+    number checked and the failures.  Raise TimeBudgetExceeded once this call
+    has run longer than `seconds_left` (inf: no budget), growing included.
+    The budget is a duration, so a pool worker can measure it on its own
+    clock."""
+    check, family, shards, max_seconds, seconds_left = args
+    fn = _PER_TABLEAU[check]
     start = time.monotonic()
+    count = 0
     failures = []
-    for t in tableaux:
-        bad = fn(family, t)
-        if bad is not None:
-            failures.append(bad)
-        if time.monotonic() - start > seconds_left:
-            raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
-    return failures
-
-
-def _check_batch(args) -> list[dict]:
-    check, family, tableaux, max_seconds, seconds_left = args
-    return _check_all(_PER_TABLEAU[check], family, tableaux, max_seconds, seconds_left)
+    for shard in shards:
+        for t in family.grow(shard):
+            count += 1
+            bad = fn(family, t)
+            if bad is not None:
+                failures.append(bad)
+            if time.monotonic() - start > seconds_left:
+                raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
+    return count, failures
 
 
 def _worker_count(jobs: int | None) -> int:
@@ -269,8 +285,11 @@ def run_verification(
     """Run one named property exhaustively over a family.
 
     Families beyond the desk-scale bounds are refused unless a time budget is
-    given; exceeding a given budget aborts with TimeBudgetExceeded, and a
-    negative or NaN budget is refused with ValueError before enumeration.
+    given; exceeding a given budget, growing included, aborts with
+    TimeBudgetExceeded, and a negative or NaN budget is refused with
+    ValueError before anything is grown.  Each tableau is grown where it is
+    checked: in-process, or with `jobs` workers in a pool worker that grows
+    every `jobs`-th shard of the family.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
@@ -283,22 +302,19 @@ def run_verification(
     def seconds_left() -> float:
         return math.inf if max_seconds is None else max_seconds - (time.monotonic() - start)
 
-    tableaux = family.tableaux()
-    if seconds_left() < 0:
-        raise TimeBudgetExceeded(f"enumeration alone exceeded {max_seconds}s")
-
+    shards = family.shards()
     jobs = _worker_count(jobs)
-    if jobs == 1 or len(tableaux) < 4 * jobs:
-        failures = _check_all(_PER_TABLEAU[check], family, tableaux, max_seconds, seconds_left())
+    if jobs == 1 or len(shards) < 4 * jobs:
+        total, failures = _check_batch((check, family, shards, max_seconds, seconds_left()))
     else:
-        chunks = [tableaux[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = [(check, family, chunk, max_seconds, seconds_left()) for chunk in chunks]
-            results = pool.map(_check_batch, batches)
-            failures = [bad for batch in results for bad in batch]
+            batches = [(check, family, shards[i::jobs], max_seconds, seconds_left()) for i in range(jobs)]
+            results = list(pool.map(_check_batch, batches))
+        total = sum(count for count, _ in results)
+        failures = [bad for _, batch in results for bad in batch]
         if seconds_left() < 0:
             raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
 
     failures.sort(key=lambda f: tuple(f["reading_word"]))
     elapsed = (time.monotonic() - start) * 1000.0
-    return VerifyReport(family.describe(), check, len(tableaux), failures, elapsed)
+    return VerifyReport(family.describe(), check, total, failures, elapsed)

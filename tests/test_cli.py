@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,17 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "max_seconds" in err and "enumeration" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_budget_covers_growing(self, jobs):
+        # (12,12) has 208,012 tableaux; the budget trips while they are grown
+        start = time.monotonic()
+        code, out, err = run_process(
+            ["verify", "--shape", "12,12", "--check", "involution", "--max-seconds", "0.2", "--jobs", jobs], ""
+        )
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert "exceeded 0.2s" in err and "Traceback" not in err
 
     def test_bad_check_name(self, capsys, monkeypatch):
         code, _, _ = run(

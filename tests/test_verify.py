@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import canonicalize_by_bfs, collision_check, russell_parts_by_diagram, tymoczko_parts_by_diagram
-from webweave import verify
+from webweave import tableau, verify
 from webweave.jdt import reading_word
 from webweave.verify import (
     Family,
@@ -88,7 +88,7 @@ class TestRunVerification:
         clock = itertools.count()
         monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
         family = Family((3, 3))
-        batch = ("involution", family, family.tableaux(), 0.5, 0.0)
+        batch = ("involution", family, family.shards(), 0.5, 0.0)
         with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 0\.5s$"):
             verify._check_batch(batch)
 
@@ -97,10 +97,11 @@ class TestRunVerification:
             run_verification(Family((9, 9)), "lemma", max_seconds=float("nan"))
 
     def test_negative_budget_rejected_before_enumeration(self, monkeypatch):
-        def enumerate_nothing(family):
-            raise AssertionError("the family was enumerated")
+        # every enumerator, shard listing included, grows through `_fill`
+        def grow_nothing(*args):
+            raise AssertionError("the family was grown")
 
-        monkeypatch.setattr(Family, "tableaux", enumerate_nothing)
+        monkeypatch.setattr(tableau, "_fill", grow_nothing)
         with pytest.raises(ValueError, match="-1"):
             run_verification(Family((10, 10)), "theorem", max_seconds=-1)
 
@@ -120,6 +121,75 @@ class TestRunVerification:
         monkeypatch.setenv("WEBWEAVE_THREADS", "x")
         with pytest.raises(ValueError, match="WEBWEAVE_THREADS"):
             run_verification(Family((3, 3, 3)), "theorem", jobs=2)
+
+
+class TestShards:
+    def test_budget_covers_growing(self, monkeypatch):
+        # with a clock that ticks a second per reading, a 5.5 s budget trips
+        # after the fifth tableau of a (12,12) campaign, and a batch given
+        # 3.5 s after the fourth, so nothing beyond them is grown
+        grown = []
+        real_grow = tableau._grow
+
+        def counting_grow(*args):
+            for t in real_grow(*args):
+                grown.append(t)
+                yield t
+
+        monkeypatch.setattr(tableau, "_grow", counting_grow)
+        monkeypatch.setattr(verify, "_grow", counting_grow)
+        family = Family((12, 12))
+        clock = itertools.count()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 5\.5s$"):
+            run_verification(family, "involution", max_seconds=5.5)
+        assert len(grown) == 5
+        grown.clear()
+        clock = itertools.count()
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 3\.5s$"):
+            verify._check_batch(("involution", family, family.shards(), 3.5, 3.5))
+        assert len(grown) == 4
+
+    @pytest.mark.parametrize("family", [Family((4, 4, 4)), Family((3, 3, 3), "all")], ids=Family.describe)
+    def test_output_does_not_depend_on_jobs(self, family, monkeypatch):
+        # with evacuation the identity the theorem fails on many tableaux;
+        # the pool is recorded, so the jobs=2 run is known to be sharded
+        monkeypatch.setattr(verify, "evacuate", lambda t: t)
+        batches = []
+
+        class RecordingPool(verify.ProcessPoolExecutor):
+            def map(self, fn, sent):
+                sent = list(sent)
+                batches.extend(sent)
+                return super().map(fn, sent)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        docs = [run_verification(family, "theorem", jobs=jobs).to_json() for jobs in (1, 2)]
+        for doc in docs:
+            del doc["elapsed_ms"]
+        serial, parallel = docs
+        assert serial == parallel
+        assert serial["total"] == len(family.tableaux())
+        words = [f["reading_word"] for f in serial["failures"]]
+        assert words and words == sorted(words)
+        # two workers, between them the whole shard list
+        assert len(batches) == 2
+        assert sorted(shard for batch in batches for shard in batch[2]) == sorted(family.shards())
+
+    @pytest.mark.parametrize(
+        "family",
+        [Family((n, n)) for n in range(1, 9)]
+        + [Family((k, k, k)) for k in range(1, 5)]
+        + [Family((k, k, k), h) for k in range(1, 4) for h in [*range(3 * k // 2 + 1), "all"]],
+        ids=Family.describe,
+    )
+    def test_shards_partition_the_family(self, family):
+        streams = [list(family.grow(shard)) for shard in family.shards()]
+        grown = [t for stream in streams for t in stream]
+        assert len(set(grown)) == len(grown)
+        # h = size - largest entry, so this is the order of Family.tableaux()
+        grown.sort(key=lambda t: (t.size - t.max_entry, t.column_word()))
+        assert grown == family.tableaux()
 
 
 class TestFailureRecords:
