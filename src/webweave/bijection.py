@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import inf
 
-from .tableau import RowStrictTableau, _standardize, is_standard, russell_repetition
+from .tableau import RowStrictTableau, _russell_rows, _standardize, is_standard
 from .webcore import (
     BLACK,
     WHITE,
@@ -20,6 +21,7 @@ from .webcore import (
     Web,
     _augmented_faces,
     _check_colors,
+    _check_pairs,
     _check_structure,
     _contract,
     _fields,
@@ -28,6 +30,35 @@ from .webcore import (
 )
 
 Pair = tuple[int, int]
+
+
+_NOT_2ROW = "expected a standard tableau of shape (n, n)"
+
+
+def _stack_pairs(top, bottom) -> tuple[Pair, ...]:
+    """Pair each bottom value with the largest unpaired smaller top value, in
+    one stack pass that merges the two rows in increasing order; the pairs
+    come sorted by their top values.  Raises ValueError unless every bottom
+    value finds a partner (the lattice condition), and ValueError(_NOT_2ROW)
+    unless the merged values strictly increase, as the rows of a standard
+    tableau do (catalan_pairing checks that first, with its own messages)."""
+    partner = [0] * len(top)
+    unpaired: list[int] = []  # indices into top
+    i, n, last = 0, len(top), -inf
+    for v in bottom:
+        while i < n and top[i] < v:
+            if top[i] <= last:
+                raise ValueError(_NOT_2ROW)
+            last = top[i]
+            unpaired.append(i)
+            i += 1
+        if v <= last:
+            raise ValueError(_NOT_2ROW)
+        last = v
+        if not unpaired:
+            raise ValueError(f"bottom value {v} precedes every unpaired top value")
+        partner[unpaired.pop()] = v
+    return tuple(zip(top, partner))
 
 
 def catalan_pairing(top_row, bottom_row) -> tuple[Pair, ...]:
@@ -46,24 +77,27 @@ def catalan_pairing(top_row, bottom_row) -> tuple[Pair, ...]:
         raise ValueError("rows differ in length")
     if set(top) & set(bottom):
         raise ValueError("rows are not disjoint")
-    openers = set(top)
-    stack: list[int] = []
-    pairs = []
-    for v in sorted(top + bottom):
-        if v in openers:
-            stack.append(v)
-        else:
-            if not stack:
-                raise ValueError(f"bottom value {v} precedes every unpaired top value")
-            pairs.append((stack.pop(), v))
-    return tuple(sorted(pairs))
+    return _stack_pairs(top, bottom)
+
+
+def _catalan_pairs(rows) -> tuple[Pair, ...]:
+    """The pairs, sorted, of the noncrossing matching of a standard (n, n)
+    tableau given by its rows: one stack pass (_stack_pairs), which also
+    checks that the rows hold 1..2n each once and the lattice condition."""
+    if len(rows) != 2 or len(rows[0]) != len(rows[1]):
+        raise ValueError(_NOT_2ROW)
+    pairs = _stack_pairs(*rows)
+    if pairs and (pairs[0][0] < 1 or rows[1][-1] > 2 * len(pairs)):
+        raise ValueError(_NOT_2ROW)
+    return pairs
 
 
 def web_of_2row(t: RowStrictTableau) -> Matching:
     """The noncrossing matching of a 2-row rectangular standard tableau."""
-    if not (t.is_rectangular and len(t.rows) == 2 and is_standard(t)):
-        raise ValueError("expected a standard tableau of shape (n, n)")
-    return Matching(t.shape.outer.row(1), catalan_pairing(t.rows[0], t.rows[1]))
+    if not t.is_straight:
+        raise ValueError(_NOT_2ROW)
+    pairs = _catalan_pairs(t.rows)
+    return Matching(len(pairs), pairs)
 
 
 @dataclass(frozen=True)
@@ -213,14 +247,9 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
     vertex joins them, the new white vertex joins the other two, and the H bar
     joins black to white.
     """
-    return Web(*_standard_parts(u))
-
-
-def _standard_parts(u: RowStrictTableau):
-    """The fields of tymoczko_web(u) as plain lists, before any Web is built."""
     if not u.is_rectangular:
         raise ValueError(_NOT_STANDARD)
-    return _tymoczko_parts(u.rows)
+    return Web(*_tymoczko_parts(u.rows))
 
 
 def _tymoczko_parts(rows):
@@ -281,23 +310,26 @@ def russell_web(t: RowStrictTableau) -> Web:
     """Web of a 3-row once-or-twice filling: build the standardization's web,
     then contract the boundary pair (j, j+1) of each doubled value.  The pairs
     are contracted on the builder's lists, so one Web is built."""
-    return Web(*_russell_parts(t))
+    rows, pair_starts = _russell_rows(t)
+    return Web(*_contract(*_tymoczko_parts(rows), pair_starts))
 
 
-def _russell_parts(t: RowStrictTableau):
-    """The fields of russell_web(t) as tuples, before any Web is built.  The
-    standardized rows need no validation: standardizing a valid tableau keeps
-    rows strict and columns weak, and _arc_ends checks the values."""
-    russell_repetition(t)
-    rows, pair_starts = _standardize(t)
+def _russell_parts(rows):
+    """The fields of the Russell web of a filling given by its rows, as
+    tuples, before any Web is built.  _standardize makes russell_repetition's
+    checks on the rows, and the standardized rows need no more: standardizing
+    keeps rows strict and columns weak, and _arc_ends checks the values."""
+    rows, pair_starts = _standardize(rows)
     return _contract(*_tymoczko_parts(rows), pair_starts)
 
 
 # --- the inverse, by face depth ----------------------------------------------
 
-def _matching_rows(m: Matching) -> tuple[tuple[int, ...], ...]:
-    """The rows of the 2-row tableau of a matching: openers on top."""
-    return tuple(i for i, _ in m.pairs), tuple(sorted(j for _, j in m.pairs))
+def _matching_rows(pairs) -> tuple[tuple[int, ...], ...]:
+    """The rows of the 2-row tableau of a matching given by its sorted pairs,
+    after the partition and noncrossing check: openers on top."""
+    _check_pairs(len(pairs), pairs)
+    return tuple(i for i, _ in pairs), tuple(sorted(j for _, j in pairs))
 
 
 # The rows (0 = top) that a boundary vertex's value fills, by its color and
@@ -352,7 +384,7 @@ def tableau_of_web(web, shape) -> RowStrictTableau:
     if isinstance(web, Matching):
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"matching families have shape (n, n), got {shape}")
-        rows = _matching_rows(web)
+        rows = _matching_rows(web.pairs)
     else:
         if len(shape) != 3 or len(set(shape)) != 1:
             raise ValueError(f"web families have shape (k, k, k), got {shape}")

@@ -242,48 +242,54 @@ def russell_repetition(t: RowStrictTableau) -> int:
     Rejects (NotRussellError) tableaux of the wrong shape and fillings where
     some value in 1..max is missing or appears three or more times.
     """
-    parts = t.shape.outer.parts
-    if not t.is_straight or len(parts) != 3 or not t.shape.outer.is_rectangular:
-        raise NotRussellError(f"shape {parts} is not a 3-row rectangle")
-    counts: dict[int, int] = {}
-    for v in t.values():
-        counts[v] = counts.get(v, 0) + 1
-    for v in range(1, t.max_entry + 1):
-        got = counts.get(v, 0)
-        if got == 0:
-            raise NotRussellError(f"value {v} is missing")
-        if got > 2:
-            raise NotRussellError(f"value {v} appears {got} times")
-    return sum(1 for n in counts.values() if n == 2)
+    return len(_russell_rows(t)[1])
 
 
-def _standardize(t: RowStrictTableau) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Split each doubled value of a straight filling into consecutive entries
-    in one pass: a box's new value is the number of entries with a smaller
+def _russell_rows(t: RowStrictTableau) -> tuple[list[list[int]], tuple[int, ...]]:
+    """_standardize(t.rows), after the one check that rows cannot make:
+    that t is straight."""
+    if not t.is_straight:
+        raise NotRussellError(f"shape {t.shape.outer.parts} is not a 3-row rectangle")
+    return _standardize(t.rows)
+
+
+def _standardize(rows) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Standardize the rows of a 3-row rectangular once-or-twice filling in
+    one pass: a box's new value is the number of entries with a smaller
     original value, plus 1, plus 1 more in the lower copy of a doubled value.
     Also return, in increasing order, the start j of the pair (j, j+1) that
-    each doubled value became.  The rows come back as plain lists."""
+    each doubled value became.  The rows come back as plain lists.
+
+    The pass makes russell_repetition's checks on the rows (NotRussellError):
+    three rows of one length, and each of 1..max once or twice, the two
+    copies of a doubled value in different rows.
+    """
+    parts = tuple(map(len, rows))
+    if len(parts) != 3 or not parts[0] == parts[1] == parts[2]:
+        raise NotRussellError(f"shape {parts} is not a 3-row rectangle")
     boxes: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(t.rows):  # row by row, so each list runs top down
+    for r, row in enumerate(rows):  # row by row, so each list runs top down
         for c, v in enumerate(row):
             boxes.setdefault(v, []).append((r, c))
-    rows = [list(row) for row in t.rows]
+    out = [list(row) for row in rows]
     starts = []
     smaller = 0
-    for v in sorted(boxes):
-        spots = boxes[v]
+    for v in range(1, max(boxes, default=0) + 1):
+        spots = boxes.get(v)
+        if spots is None:
+            raise NotRussellError(f"value {v} is missing")
         if len(spots) > 2:
             raise NotRussellError(f"value {v} appears {len(spots)} times")
         if len(spots) == 2:
             (upper, _), (lower, c) = spots
             if upper == lower:
                 raise NotRussellError(f"doubled value {v} appears twice in row {upper + 1}")
-            rows[lower][c] = smaller + 2
+            out[lower][c] = smaller + 2
             starts.append(smaller + 1)
         r, c = spots[0]
-        rows[r][c] = smaller + 1
+        out[r][c] = smaller + 1
         smaller += len(spots)
-    return rows, tuple(starts)
+    return out, tuple(starts)
 
 
 def standardize(t: RowStrictTableau) -> RowStrictTableau:
@@ -298,9 +304,14 @@ def standardize(t: RowStrictTableau) -> RowStrictTableau:
 
 def standardize_with_pairs(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
     """Standardize and also return the sorted pair starts j (doubled value -> j, j+1)."""
-    russell_repetition(t)
-    rows, starts = _standardize(t)
+    rows, starts = _russell_rows(t)
     return RowStrictTableau(t.shape, rows), starts
+
+
+def _rotate_complement(rows, n: int) -> list[list[int]]:
+    """The rows of a straight filling turned 180 degrees, each entry x sent to
+    n+1-x."""
+    return [[n + 1 - v for v in reversed(row)] for row in reversed(rows)]
 
 
 def rotate_complement(t: RowStrictTableau, n: int) -> RowStrictTableau:
@@ -309,8 +320,7 @@ def rotate_complement(t: RowStrictTableau, n: int) -> RowStrictTableau:
         raise ValueError(f"shape {t.shape.outer.parts} is not rectangular")
     if t.size and n < t.max_entry:
         raise ValueError(f"alphabet size {n} is below max entry {t.max_entry}")
-    rows = tuple(tuple(n + 1 - v for v in reversed(row)) for row in reversed(t.rows))
-    return RowStrictTableau.from_rows(rows)
+    return RowStrictTableau.from_rows(_rotate_complement(t.rows, n))
 
 
 def count_standard(shape: Shape) -> int:

@@ -8,20 +8,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
-from .bijection import _matching_rows, _russell_parts, _standard_parts, _tableau_rows, web_of_2row
-from .jdt import evacuate, reading_word
+from .bijection import _catalan_pairs, _matching_rows, _russell_parts, _tableau_rows, _tymoczko_parts
+from .jdt import _evacuate_rows, reading_word
 from .tableau import (
     RowStrictTableau,
     Shape,
     _format_rows,
     _grow,
     _prefixes,
+    _rotate_complement,
     enumerate_russell,
     enumerate_standard,
     format_tableau,
-    rotate_complement,
 )
-from .webcore import Matching, Web, _parts_key, reflect_matching, validate_web
+from .webcore import Web, _check_pairs, _pairs_key, _parts_key, validate_web
 
 # desk-scale defaults; larger families need an explicit time budget
 MAX_2ROW_N = 8
@@ -38,10 +38,12 @@ class TimeBudgetExceeded(RuntimeError):
 
 
 class Pipeline(NamedTuple):
-    """What a kind of family does with each tableau: build its matching or
-    the plain fields of its web, key those canonically (with mirror=True, the
-    key of the reflection), list the defects of the matching or web, and read
-    the tableau's rows back off it."""
+    """What a kind of family does with the rows of each tableau: build the
+    sorted pairs of its matching or the plain fields of its web, key those
+    canonically (with mirror=True, the key of the reflection), list the
+    defects of the matching or web, and read the tableau's rows back off it.
+    The key, the defects and the inverse each check what they are given, so
+    each matching or web that a check builds is checked once."""
 
     parts: Callable
     key: Callable[..., str]
@@ -49,20 +51,20 @@ class Pipeline(NamedTuple):
     inverse: Callable[..., tuple]
 
 
-def _pairs_key(m: Matching, mirror: bool = False) -> str:
-    return str((reflect_matching(m) if mirror else m).pairs)
-
-
-def _no_defects(m: Matching) -> list[str]:
-    return []  # noncrossing is enforced when a Matching is built
+def _pairs_defects(pairs) -> list[str]:
+    try:
+        _check_pairs(len(pairs), pairs)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
 
 
 def _web_defects(parts) -> list[str]:
     return validate_web(Web(*parts))
 
 
-SL2 = Pipeline(web_of_2row, _pairs_key, _no_defects, _matching_rows)
-SL3_STANDARD = Pipeline(_standard_parts, _parts_key, _web_defects, _tableau_rows)
+SL2 = Pipeline(_catalan_pairs, _pairs_key, _pairs_defects, _matching_rows)
+SL3_STANDARD = Pipeline(_tymoczko_parts, _parts_key, _web_defects, _tableau_rows)
 SL3_RUSSELL = Pipeline(_russell_parts, _parts_key, _web_defects, _tableau_rows)
 
 
@@ -193,31 +195,31 @@ def _failure(t: RowStrictTableau, expected: str, actual: str) -> dict:
 
 def _check_theorem(family: Family, t: RowStrictTableau) -> dict | None:
     p = family.pipeline
-    actual = p.key(p.parts(t), mirror=True)
-    expected = p.key(p.parts(evacuate(t)))
+    actual = p.key(p.parts(t.rows), mirror=True)
+    expected = p.key(p.parts(_evacuate_rows(t.rows)))
     if actual != expected:
         return _failure(t, expected, actual)
     return None
 
 
 def _check_involution(family: Family, t: RowStrictTableau) -> dict | None:
-    back = evacuate(evacuate(t))
-    if back != t:
-        return _failure(t, format_tableau(t), format_tableau(back))
+    back = _evacuate_rows(_evacuate_rows(t.rows))
+    if tuple(map(tuple, back)) != t.rows:
+        return _failure(t, format_tableau(t), _format_rows(back))
     return None
 
 
 def _check_lemma(family: Family, t: RowStrictTableau) -> dict | None:
-    actual = evacuate(t)
-    expected = rotate_complement(t, t.max_entry)
+    actual = _evacuate_rows(t.rows)
+    expected = _rotate_complement(t.rows, t.max_entry)
     if actual != expected:
-        return _failure(t, format_tableau(expected), format_tableau(actual))
+        return _failure(t, _format_rows(expected), _format_rows(actual))
     return None
 
 
 def _check_validity(family: Family, t: RowStrictTableau) -> dict | None:
     p = family.pipeline
-    report = p.defects(p.parts(t))
+    report = p.defects(p.parts(t.rows))
     if report:
         return _failure(t, "", "; ".join(report))
     return None
@@ -227,7 +229,7 @@ def _check_injectivity(family: Family, t: RowStrictTableau) -> dict | None:
     """The inverse gives t back from its web, so no other tableau of the
     family has that web: of two tableaux with one web, one fails here."""
     p = family.pipeline
-    rows = p.inverse(p.parts(t))
+    rows = p.inverse(p.parts(t.rows))
     if rows != t.rows:
         return _failure(t, format_tableau(t), _format_rows(rows))
     return None
@@ -266,14 +268,17 @@ def _check_batch(args) -> tuple[int, list[dict]]:
 
 
 def _worker_count(jobs: int | None) -> int:
-    jobs = jobs or 1
+    if jobs is None:
+        jobs = 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cap = os.environ.get("WEBWEAVE_THREADS")
     if cap:
         try:
             jobs = min(jobs, max(1, int(cap)))
         except ValueError:
             raise ValueError(f"WEBWEAVE_THREADS must be an integer, got {cap!r}") from None
-    return max(1, jobs)
+    return jobs
 
 
 def run_verification(
@@ -286,10 +291,10 @@ def run_verification(
 
     Families beyond the desk-scale bounds are refused unless a time budget is
     given; exceeding a given budget, growing included, aborts with
-    TimeBudgetExceeded, and a negative or NaN budget is refused with
-    ValueError before anything is grown.  Each tableau is grown where it is
-    checked: in-process, or with `jobs` workers in a pool worker that grows
-    every `jobs`-th shard of the family.
+    TimeBudgetExceeded, and a negative or NaN budget or fewer than one job
+    is refused with ValueError before anything is grown.  Each tableau is
+    grown where it is checked: in-process, or with `jobs` workers in a pool
+    worker that grows every `jobs`-th shard of the family.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
@@ -297,13 +302,13 @@ def run_verification(
         family.check_bounds()
     elif not max_seconds >= 0:  # also NaN
         raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds}")
+    jobs = _worker_count(jobs)
     start = time.monotonic()
 
     def seconds_left() -> float:
         return math.inf if max_seconds is None else max_seconds - (time.monotonic() - start)
 
     shards = family.shards()
-    jobs = _worker_count(jobs)
     if jobs == 1 or len(shards) < 4 * jobs:
         total, failures = _check_batch((check, family, shards, max_seconds, seconds_left()))
     else:

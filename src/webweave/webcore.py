@@ -30,13 +30,39 @@ class Matching:
     def __post_init__(self) -> None:
         norm = tuple(sorted((min(i, j), max(i, j)) for i, j in self.pairs))
         object.__setattr__(self, "pairs", norm)
-        cover = sorted(x for pair in norm for x in pair)
-        if cover != list(range(1, 2 * self.n + 1)):
-            raise ValueError(f"pairs do not partition 1..{2 * self.n}")
-        for (i, j) in norm:
-            for (k, l) in norm:
-                if i < k < j < l:
-                    raise ValueError(f"pairs ({i},{j}) and ({k},{l}) cross")
+        _check_pairs(self.n, norm)
+
+
+def _check_pairs(n: int, pairs) -> None:
+    """Raise ValueError unless the pairs (i, j), i < j, partition 1..2n and
+    no two cross.  One pass over the points with a stack of open pairs: a
+    pair must close the one opened last."""
+    if 2 * len(pairs) != max(2 * n, 0):
+        raise ValueError(f"pairs do not partition 1..{2 * n}")
+    partner = [0] * (2 * n + 1)
+    for i, j in pairs:
+        if not 0 < i < j <= 2 * n or partner[i] or partner[j]:
+            raise ValueError(f"pairs do not partition 1..{2 * n}")
+        partner[i], partner[j] = j, i
+    opened: list[int] = []
+    for v, i in enumerate(partner):
+        if i > v:
+            opened.append(v)
+        elif v:
+            k = opened.pop()
+            if k != i:
+                raise ValueError(f"pairs ({i},{v}) and ({k},{partner[k]}) cross")
+
+
+def _pairs_key(pairs, mirror=False) -> str:
+    """The key of a matching given by its sorted pairs, after the partition
+    and noncrossing check; with mirror=True, the key of its reflection: the
+    pair (i, j) of 2n points becomes (2n+1-j, 2n+1-i)."""
+    _check_pairs(len(pairs), pairs)
+    if mirror:
+        size = 2 * len(pairs) + 1
+        pairs = tuple(sorted((size - j, size - i) for i, j in pairs))
+    return str(pairs)
 
 
 def reflect_matching(m: Matching) -> Matching:
@@ -425,16 +451,20 @@ def web_from_json(doc: dict | str) -> Web:
     b = len(boundary_colors)
 
     def endpoint(name: str) -> int:
-        kind, idx = _typed(name, str, "each edge endpoint")[0], int(name[1:])
+        kind, digits = _typed(name, str, "each edge endpoint")[:1], name[1:]
+        if kind not in ("b", "i"):
+            raise WebStructureError(f"bad endpoint {name!r}")
+        try:
+            idx = int(digits)
+        except ValueError:
+            raise WebStructureError(f"bad endpoint {name!r}") from None
         if kind == "b":
             if not 0 <= idx < b:
                 raise WebStructureError(f"unknown boundary vertex {name}")
             return idx
-        if kind == "i":
-            if not 0 <= idx < len(internal_colors):
-                raise WebStructureError(f"unknown internal vertex {name}")
-            return b + idx
-        raise WebStructureError(f"bad endpoint {name!r}")
+        if not 0 <= idx < len(internal_colors):
+            raise WebStructureError(f"unknown internal vertex {name}")
+        return b + idx
 
     edge_docs = _typed_items(_field(doc, "edges", "a web document"), list, "edges")
     if any(len(ends) != 2 for ends in edge_docs):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from webweave.bijection import Arc, ArcDiagram, Crossing, _russell_parts, catalan_pairing, web_of_2row
-from webweave.jdt import delta, jdt_slide, slide_targets
+from webweave.jdt import _slide, delta, jdt_slide, slide_targets
 from webweave.tableau import (
     EMPTY_TABLEAU,
     NotRussellError,
@@ -33,6 +33,7 @@ from webweave.webcore import (
     _contract,
     _parts_key,
     canonicalize,
+    reflect_matching,
     validate_web,
 )
 
@@ -137,6 +138,34 @@ def evacuate_by_delta(t: RowStrictTableau) -> RowStrictTableau:
         for cell in shapes[i - 1] - shapes[i]:
             cells[cell] = n + 1 - i
     return tableau_from_cells(cells)
+
+
+def evacuate_by_cells(t: RowStrictTableau) -> RowStrictTableau:
+    """Evacuation: the n delta steps on one cell map, where the boxes that
+    step i vacates receive n+1-i; the result is built once from its cells.
+    The reference for webweave.jdt._evacuate_rows, which it preceded.
+
+    The filling stays straight, so its least value i heads column 1 in rows
+    1, 2, ...; those boxes are deleted and their holes slid closed from the
+    bottom one up, each stopping box taking n+1-i.  A missing value vacates
+    nothing.
+    """
+    if not t.is_straight:
+        raise ValueError("evacuate requires a straight shape")
+    n = t.max_entry
+    cells = t.entries
+    out: dict[tuple[int, int], int] = {}
+    for i in range(1, n + 1):
+        r = 1
+        while cells.get((r, 1)) == i:
+            r += 1
+        for hole in range(r - 1, 0, -1):
+            del cells[(hole, 1)]
+            out[_slide(cells, (hole, 1))] = n + 1 - i
+    result = tableau_from_cells(out)
+    if result.shape != t.shape:
+        raise AssertionError("evacuate changed the shape")
+    return result
 
 
 # --- enumeration by box-by-box growth and by collapsing pairs --------------
@@ -600,6 +629,41 @@ def canonicalize_by_bfs(web: Web) -> str:
     return "|".join(chunks)
 
 
+# --- matchings by all pairs and by reflected objects -------------------------
+
+def check_pairs_by_all_pairs(n: int, pairs) -> None:
+    """Raise ValueError unless the pairs partition 1..2n and no two cross,
+    comparing every pair with every other.  The reference for
+    webweave.webcore._check_pairs."""
+    norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
+    cover = sorted(x for pair in norm for x in pair)
+    if cover != list(range(1, 2 * n + 1)):
+        raise ValueError(f"pairs do not partition 1..{2 * n}")
+    for (i, j) in norm:
+        for (k, l) in norm:
+            if i < k < j < l:
+                raise ValueError(f"pairs ({i},{j}) and ({k},{l}) cross")
+
+
+def pairs_key_by_reflection(m: Matching, mirror: bool = False) -> str:
+    """The key of a Matching, reflecting it as a Matching when mirrored.  The
+    reference for webweave.webcore._pairs_key."""
+    return str((reflect_matching(m) if mirror else m).pairs)
+
+
+def all_perfect_matchings(points: int):
+    """Every perfect matching of 1..points, crossing or not, as sorted pairs."""
+    if points == 0:
+        yield ()
+        return
+    rest = list(range(2, points + 1))
+    for j in rest:
+        others = [v for v in rest if v != j]
+        relabel = dict(enumerate(others, start=1))
+        for sub in all_perfect_matchings(points - 2):
+            yield tuple(sorted(((1, j), *((relabel[a], relabel[b]) for a, b in sub))))
+
+
 # --- the inverse by table lookup, and injectivity by remembered keys ---------
 
 @lru_cache(maxsize=None)
@@ -609,7 +673,7 @@ def _matching_table(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _web_table(k: int, h: int) -> dict:
-    return {_parts_key(_russell_parts(t)): t for t in enumerate_russell(k, h)}
+    return {_parts_key(_russell_parts(t.rows)): t for t in enumerate_russell(k, h)}
 
 
 def tableau_of_web_by_table(web, shape) -> RowStrictTableau:
@@ -646,7 +710,7 @@ def collision_check():
 
     def check(family, t: RowStrictTableau) -> dict | None:
         p = family.pipeline
-        key = p.key(p.parts(t))
+        key = p.key(p.parts(t.rows))
         if key in seen:
             return _failure(t, "distinct web", f"collides with {format_tableau(seen[key])}")
         seen[key] = t

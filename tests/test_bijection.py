@@ -10,6 +10,7 @@ from oracles import (
     expand_white,
     find_crossings_by_fraction,
     m_diagram_by_pairing,
+    pairs_key_by_reflection,
     random_filling,
     russell_parts_by_diagram,
     tableau_of_web_by_table,
@@ -20,6 +21,7 @@ from webweave import bijection
 from webweave.bijection import (
     Arc,
     ArcDiagram,
+    _catalan_pairs,
     _russell_parts,
     _tymoczko_parts,
     catalan_pairing,
@@ -43,6 +45,7 @@ from webweave.webcore import (
     WHITE,
     Matching,
     Web,
+    _pairs_key,
     _parts_key,
     canonicalize,
     reflect_matching,
@@ -153,6 +156,36 @@ class TestCatalanPairing:
                     assert not (i < k < j < l) and not (k < i < l < j)
 
 
+class TestCatalanPairsOfRows:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_plain_and_mirrored_keys_equal(self, n):
+        for t in enumerate_standard(Shape((n, n))):
+            pairs = _catalan_pairs(t.rows)
+            m = web_of_2row(t)
+            assert pairs == m.pairs == catalan_pairing(*t.rows)
+            for mirror in (False, True):
+                assert _pairs_key(pairs, mirror=mirror) == pairs_key_by_reflection(m, mirror=mirror), t.rows
+
+    def test_lists_and_tuples_give_one_key(self):
+        rows = ((1, 2, 4), (3, 5, 6))
+        assert _pairs_key(_catalan_pairs([list(r) for r in rows]), True) == _pairs_key(_catalan_pairs(rows), True)
+        assert _pairs_key(_catalan_pairs(rows)) == "((1, 6), (2, 3), (4, 5))"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((1, 2), (2, 3)), ((1, 3), (2, 5)), ((0, 1), (2, 3)), ((1, 2), (3,)), ((2, 1), (3, 4)), ((1,), (2,), (3,)),
+         ((1, 4), (3, 2))],
+    )
+    def test_rejects_non_standard(self, rows):
+        with pytest.raises(ValueError, match=r"standard tableau of shape \(n, n\)"):
+            _catalan_pairs(rows)
+
+    @pytest.mark.parametrize("rows", [((2, 3), (1, 4)), ((1, 4), (2, 3)), ((3, 4), (1, 2))])
+    def test_rejects_non_lattice(self, rows):
+        with pytest.raises(ValueError, match="precedes"):
+            _catalan_pairs(rows)
+
+
 class TestWebOf2Row:
     def test_nested(self):
         assert web_of_2row(T([[1, 2], [3, 4]])) == Matching(2, ((2, 3), (1, 4)))
@@ -222,11 +255,11 @@ class TestIntegerBuilderAgainstOracle:
             u = standardize_with_pairs(t)[0] if is_russell else t
             assert _as_tuples(_tymoczko_parts(u.rows)) == _as_tuples(tymoczko_parts_by_diagram(u)), t.rows
             if is_russell:
-                assert _as_tuples(_russell_parts(t)) == _as_tuples(russell_parts_by_diagram(t)), t.rows
+                assert _as_tuples(_russell_parts(t.rows)) == _as_tuples(russell_parts_by_diagram(t)), t.rows
 
     def test_plain_and_mirrored_keys_equal(self):
         for t, is_russell in _builder_inputs():
-            parts = _russell_parts(t) if is_russell else _tymoczko_parts(t.rows)
+            parts = _russell_parts(t.rows) if is_russell else _tymoczko_parts(t.rows)
             old = Web(*(russell_parts_by_diagram(t) if is_russell else tymoczko_parts_by_diagram(t)))
             assert _parts_key(parts) == canonicalize(old) == canonicalize_by_bfs(old), t.rows
             mirrored = canonicalize_by_bfs(reflect_web(old))

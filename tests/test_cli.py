@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import evacuate_by_cells, random_filling
 from webweave.cli import main
 from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, parse_tableau
-from webweave.webcore import web_from_json, web_to_json, webs_equal
-from webweave.bijection import russell_web
+from webweave.webcore import matching_to_json, web_from_json, web_to_json, webs_equal
+from webweave.bijection import russell_web, web_of_2row
 from webweave.verify import Family
 
 T = RowStrictTableau.from_rows
@@ -140,6 +145,10 @@ class TestReflectCommand:
                 ('{"n":2}', "no 'boundary' field"),
                 ('{"pairs":[[1,2]]}', "no 'n' field"),
                 ('{"boundary":[{}]}', "no 'color' field"),
+                ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["","b0"]]}',
+                 "bad endpoint ''"),
+                ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b","b0"]]}',
+                 "bad endpoint 'b'"),
             )
         ],
     )
@@ -240,6 +249,14 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "exceeded 0.2s" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, monkeypatch, jobs):
+        code, out, err = run(
+            capsys, ["verify", "--shape", "3,3", "--check", "theorem", "--jobs", jobs], monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
     def test_bad_check_name(self, capsys, monkeypatch):
         code, _, _ = run(
             capsys, ["verify", "--shape", "2,2", "--check", "nonsense"], monkeypatch=monkeypatch
@@ -274,3 +291,109 @@ class TestRenderCommand:
         code, _, err = run(capsys, ["render", "--format", "png"], "1\n2", monkeypatch)
         assert code == 2
         assert "format" in err
+
+
+# --- the CLI contract on any input -------------------------------------------
+
+def _text_of_rows(rows) -> str:
+    return "\n".join(" ".join(map(str, row)) for row in rows)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of small integers, tableaux or not."""
+    return draw(st.lists(st.lists(st.integers(-2, 14), max_size=5), max_size=4))
+
+
+@st.composite
+def straight_fillings(draw):
+    """Row-strict, column-weak fillings of a random straight shape, gaps and
+    values repeated down a column included: what evacuate accepts."""
+    parts = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)), reverse=True)
+    rows: list[list[int]] = []
+    for r, length in enumerate(parts):
+        row: list[int] = []
+        for c in range(length):
+            least = max(row[-1] + 1 if row else 1, rows[r - 1][c] if r else 1)
+            row.append(least + draw(st.integers(0, 2)))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def web_documents(draw):
+    """The JSON of the web or matching of a random filling, possibly with one
+    field, item or value replaced by arbitrary JSON."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        doc = matching_to_json(web_of_2row(random_filling(rng, 2, draw(st.integers(1, 5)))))
+    else:
+        k = draw(st.integers(1, 3))
+        doc = web_to_json(russell_web(random_filling(rng, 3, k, draw(st.integers(0, k)))))
+    if draw(st.booleans()):
+        junk = st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 30) | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        )
+        key = draw(st.sampled_from(sorted(doc)))
+        value = doc[key]
+        if isinstance(value, list) and value and draw(st.booleans()):
+            value = list(value)
+            index = draw(st.integers(0, len(value) - 1))
+            item = value[index]
+            if isinstance(item, list) and item and draw(st.booleans()):
+                item = list(item)
+                item[draw(st.integers(0, len(item) - 1))] = draw(junk)
+                value[index] = item
+            else:
+                value[index] = draw(junk)
+        else:
+            value = draw(junk)
+        doc = {**doc, key: value}
+    return json.dumps(doc)
+
+
+_FUZZED_COMMANDS = (
+    ["evacuate"], ["standardize"], ["to-web"], ["to-web", "--canonical"], ["reflect"], ["render"],
+    ["render", "--stage", "mdiagram"],
+)
+
+
+class TestCliContract:
+    @given(
+        st.sampled_from(_FUZZED_COMMANDS),
+        st.one_of(
+            st.text(max_size=40),
+            row_lists().map(_text_of_rows),
+            straight_fillings().map(_text_of_rows),
+            web_documents(),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_input_exits_0_1_or_2_without_a_traceback(self, argv, stdin):
+        # in-process, so an escaping exception fails the example outright
+        out, err = io.StringIO(), io.StringIO()
+        real_stdin = sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = real_stdin
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")
+
+    @given(straight_fillings())
+    @settings(max_examples=150, deadline=None)
+    def test_evacuate_matches_the_cell_map_oracle(self, rows):
+        out = io.StringIO()
+        real_stdin = sys.stdin
+        sys.stdin = io.StringIO(_text_of_rows(rows))
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(["evacuate"]) == 0
+        finally:
+            sys.stdin = real_stdin
+        assert parse_tableau(out.getvalue()) == evacuate_by_cells(T(rows))

@@ -183,11 +183,12 @@ class TestStandardize:
 
         def kernel_tableau(t):
             # the kernel's plain rows must make a valid tableau unchecked
-            rows, starts = _standardize(t)
+            rows, starts = _standardize(t.rows)
             return RowStrictTableau(t.shape, rows), starts
 
-        # without the repetition check in front, a value may appear three
-        # times; a missing value is that check's alone to refuse
+        # the kernel makes the repetition checks on the rows, so it refuses
+        # a value that appears three times as the oracle does; gapped
+        # fillings are compared through the public function above
         gapless = [t for t in fillings if set(t.values()) == set(range(1, t.max_entry + 1))]
         kernel = [outcome(kernel_tableau, t) for t in gapless]
         assert kernel == [outcome(oracle_kernel, t) for t in gapless]

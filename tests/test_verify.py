@@ -12,8 +12,10 @@ from webweave.verify import (
     TimeBudgetExceeded,
     run_verification,
 )
-from webweave.tableau import enumerate_russell, format_tableau
+from webweave.tableau import RowStrictTableau, enumerate_russell, format_tableau, rotate_complement
 from webweave.webcore import Web, reflect_web
+
+T = RowStrictTableau.from_rows
 
 
 class TestFamily:
@@ -154,7 +156,7 @@ class TestShards:
     def test_output_does_not_depend_on_jobs(self, family, monkeypatch):
         # with evacuation the identity the theorem fails on many tableaux;
         # the pool is recorded, so the jobs=2 run is known to be sharded
-        monkeypatch.setattr(verify, "evacuate", lambda t: t)
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
         batches = []
 
         class RecordingPool(verify.ProcessPoolExecutor):
@@ -197,7 +199,7 @@ class TestFailureRecords:
     def test_seeded_theorem_failures_match_web_oracle(self, family, monkeypatch):
         # with evacuation the identity, the theorem fails wherever a web is
         # not its own reflection; the records must be those of the Web path
-        monkeypatch.setattr(verify, "evacuate", lambda t: t)
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
         oracle_parts = russell_parts_by_diagram if family.is_russell else tymoczko_parts_by_diagram
         want = []
         for t in family.tableaux():
@@ -212,6 +214,28 @@ class TestFailureRecords:
         got = run_verification(family, "theorem").to_json()["failures"]
         assert want and got == want
 
+    @pytest.mark.parametrize("family", [Family((3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_seeded_lemma_and_involution_failures_match_tableau_records(self, family, monkeypatch):
+        # evacuation seeded as the identity fails the lemma wherever t is not
+        # its own rotate-complement, and seeded as a shift by one fails the
+        # involution everywhere; the records must be those the tableau
+        # path wrote
+        def record(t, expected, actual):
+            return {"tableau": format_tableau(t), "reading_word": list(reading_word(t)),
+                    "expected": format_tableau(expected), "actual": format_tableau(actual)}
+
+        tableaux = family.tableaux()
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: [list(row) for row in rows])
+        want = [record(t, rotate_complement(t, t.max_entry), t) for t in tableaux
+                if t != rotate_complement(t, t.max_entry)]
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+        assert want and run_verification(family, "lemma").to_json()["failures"] == want
+
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: [[v + 1 for v in row] for row in rows])
+        want = [record(t, t, T([[v + 2 for v in row] for row in t.rows])) for t in tableaux]
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+        assert run_verification(family, "involution").to_json()["failures"] == want
+
     def test_seeded_collision_is_flagged(self, monkeypatch):
         # one tableau is given another's web; pool workers are forked, so
         # they see the patched pipeline too
@@ -220,8 +244,8 @@ class TestFailureRecords:
         victim, other = tableaux[5], tableaux[17]
         real = verify.SL3_STANDARD
 
-        def parts(t):
-            return real.parts(other if t == victim else t)
+        def parts(rows):
+            return real.parts(other.rows if rows == victim.rows else rows)
 
         monkeypatch.setattr(verify, "SL3_STANDARD", real._replace(parts=parts))
         want = [

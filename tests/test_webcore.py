@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from oracles import contract_pairs_one_by_one, expand_white, reflect_web_by_expansion
+from oracles import (
+    all_perfect_matchings,
+    check_pairs_by_all_pairs,
+    contract_pairs_one_by_one,
+    expand_white,
+    reflect_web_by_expansion,
+)
 from webweave.bijection import russell_web, tymoczko_web
 from webweave.tableau import Shape, enumerate_russell, enumerate_standard
 from webweave.webcore import (
@@ -11,6 +17,7 @@ from webweave.webcore import (
     Matching,
     Web,
     WebStructureError,
+    _check_pairs,
     _parts_key,
     canonicalize,
     contract_pair,
@@ -104,6 +111,43 @@ class TestMatching:
     def test_json_roundtrip(self):
         m = Matching(3, ((2, 3), (1, 4), (5, 6)))
         assert matching_from_json(matching_to_json(m)) == m
+
+
+def _rejects(check, n, pairs) -> bool:
+    try:
+        check(n, pairs)
+    except ValueError:
+        return False
+    return True
+
+
+class TestOnePassMatchingCheck:
+    @pytest.mark.parametrize("points", range(0, 11, 2))
+    def test_rejects_what_all_pairs_rejects(self, points):
+        n = points // 2
+        verdicts = []
+        for pairs in all_perfect_matchings(points):
+            verdict = _rejects(_check_pairs, n, pairs)
+            assert verdict == _rejects(check_pairs_by_all_pairs, n, pairs), pairs
+            verdicts.append(verdict)
+        # exactly the Catalan number of them is noncrossing
+        assert verdicts.count(True) == [1, 1, 2, 5, 14, 42][n]
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(2, ((1, 2),)), (1, ((1, 2), (3, 4))), (2, ((1, 2), (3, 3))), (2, ((1, 2), (2, 4))), (2, ((0, 1), (2, 3))),
+         (2, ((1, 2), (3, 5))), (-1, ()), (0, ()), (3, ((1, 3), (2, 6), (4, 5)))],
+    )
+    def test_rejects_what_all_pairs_rejects_off_partitions(self, n, pairs):
+        assert _rejects(_check_pairs, n, pairs) == _rejects(check_pairs_by_all_pairs, n, pairs)
+
+    def test_names_a_crossing_pair(self):
+        with pytest.raises(ValueError, match=r"pairs \(1,3\) and \(2,6\) cross"):
+            _check_pairs(3, ((1, 3), (2, 6), (4, 5)))
+
+    def test_huge_n_is_refused_before_allocating(self):
+        with pytest.raises(ValueError, match="partition"):
+            Matching(10**12, ((1, 2),))
 
 
 class TestValidateWeb:
