@@ -310,8 +310,7 @@ def russell_web(t: RowStrictTableau) -> Web:
     """Web of a 3-row once-or-twice filling: build the standardization's web,
     then contract the boundary pair (j, j+1) of each doubled value.  The pairs
     are contracted on the builder's lists, so one Web is built."""
-    rows, pair_starts = _russell_rows(t)
-    return Web(*_contract(*_tymoczko_parts(rows), pair_starts))
+    return Web(*_russell_parts(_russell_rows(t)))
 
 
 def _russell_parts(rows):

@@ -24,6 +24,7 @@ from .tableau import (
 from .verify import CHECK_NAMES, Family, FamilyBoundError, TimeBudgetExceeded, run_verification
 from .webcore import (
     Matching,
+    _pairs_key,
     canonicalize,
     matching_from_json,
     matching_to_json,
@@ -93,7 +94,7 @@ def _cmd_to_web(args) -> int:
     t = parse_tableau(_read_input(args.input))
     obj = _object_from_tableau(t)
     if args.canonical:
-        _emit(str(obj.pairs) if isinstance(obj, Matching) else canonicalize(obj), None)
+        _emit(_pairs_key(obj.pairs) if isinstance(obj, Matching) else canonicalize(obj), None)
         return 0
     doc = matching_to_json(obj) if isinstance(obj, Matching) else web_to_json(obj)
     _emit(json.dumps(doc, separators=(",", ":")), None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import factorial, inf
 
 
@@ -155,16 +156,15 @@ class RowStrictTableau:
 
     def column_word(self) -> tuple[int, ...]:
         """Column reading word: columns right to left, each top to bottom."""
-        ent = self.entries
-        if not ent:
-            return ()
-        max_col = max(c for _, c in ent)
-        word: list[int] = []
-        for c in range(max_col, 0, -1):
-            for r in range(1, len(self.rows) + 1):
-                if (r, c) in ent:
-                    word.append(ent[(r, c)])
-        return tuple(word)
+        return _column_word(self.rows, self.shape.inner.parts)
+
+
+def _column_word(rows, inner=()) -> tuple[int, ...]:
+    """The column reading word of a filling given by its rows, row r+1
+    starting right of inner[r] boxes: columns right to left, each top to
+    bottom."""
+    padded = [(None,) * (inner[r] if r < len(inner) else 0) + tuple(row) for r, row in enumerate(rows)]
+    return tuple(v for column in reversed(list(zip_longest(*padded))) for v in column if v is not None)
 
 
 EMPTY_TABLEAU = RowStrictTableau(SkewShape(EMPTY_SHAPE, EMPTY_SHAPE), ())
@@ -242,15 +242,15 @@ def russell_repetition(t: RowStrictTableau) -> int:
     Rejects (NotRussellError) tableaux of the wrong shape and fillings where
     some value in 1..max is missing or appears three or more times.
     """
-    return len(_russell_rows(t)[1])
+    return len(_standardize(_russell_rows(t))[1])
 
 
-def _russell_rows(t: RowStrictTableau) -> tuple[list[list[int]], tuple[int, ...]]:
-    """_standardize(t.rows), after the one check that rows cannot make:
-    that t is straight."""
+def _russell_rows(t: RowStrictTableau) -> tuple[tuple[int, ...], ...]:
+    """t.rows, after the one Russell check that rows cannot make: that t is
+    straight."""
     if not t.is_straight:
         raise NotRussellError(f"shape {t.shape.outer.parts} is not a 3-row rectangle")
-    return _standardize(t.rows)
+    return t.rows
 
 
 def _standardize(rows) -> tuple[list[list[int]], tuple[int, ...]]:
@@ -304,7 +304,7 @@ def standardize(t: RowStrictTableau) -> RowStrictTableau:
 
 def standardize_with_pairs(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:
     """Standardize and also return the sorted pair starts j (doubled value -> j, j+1)."""
-    rows, starts = _russell_rows(t)
+    rows, starts = _standardize(_russell_rows(t))
     return RowStrictTableau(t.shape, rows), starts
 
 
@@ -370,32 +370,33 @@ def _fill(parts, rows: list[list[int]], v: int, left: int, remaining: int, last:
         rows[r].pop()
 
 
-def _prefixes(shape: Shape, doubled: int, depth: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The growth tree of `_grow(shape, doubled)` cut after the value `depth`:
-    the rows of each node there, in growth order, or of a full tableau where
-    the shape fills up with fewer values.  Every tableau grows from exactly
-    one of them."""
+def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = (), last: float = inf):
+    """Yield, in growth order, the rows of every filling of a straight shape
+    with the values 1, 2, ..., exactly `doubled` of them in two boxes, whose
+    values 1..d fill the boxes of `prefix` as there (d its largest entry; the
+    empty prefix starts from the empty shape).  A finite `last` cuts the
+    tree after that value: yield each node there, or a full filling where
+    the shape fills up with fewer values; every filling grows from exactly
+    one of them.  The rows are plain tuples, not validated: growth keeps
+    rows strict and columns weak, and only the public enumerators build
+    tableaux."""
     parts = shape.parts
-    return [tuple(map(tuple, rows)) for rows in _fill(parts, [[] for _ in parts], 1, doubled, shape.size, depth)]
-
-
-def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = ()):
-    """Yield, in growth order, every tableau of a straight shape filled with
-    the values 1, 2, ..., exactly `doubled` of them in two boxes, whose
-    values 1..d fill the boxes of `prefix` as there (d its largest entry;
-    the empty prefix starts from the empty shape)."""
-    parts = shape.parts
-    skew = SkewShape(shape)
     rows = [list(row) for row in prefix] or [[] for _ in parts]
     placed = sum(map(len, rows))
     top = max(map(max, filter(None, rows)), default=0)
-    for full in _fill(parts, rows, top + 1, doubled - (placed - top), shape.size - placed):
-        yield RowStrictTableau(skew, full)
+    for full in _fill(parts, rows, top + 1, doubled - (placed - top), shape.size - placed, last):
+        yield tuple(map(tuple, full))
+
+
+def _sorted_tableaux(shape: Shape, doubled: int) -> list[RowStrictTableau]:
+    """The tableaux `_grow(shape, doubled)` grows, sorted by column word."""
+    skew = SkewShape(shape)
+    return [RowStrictTableau(skew, rows) for rows in sorted(_grow(shape, doubled), key=_column_word)]
 
 
 def enumerate_standard(shape: Shape) -> list[RowStrictTableau]:
     """All standard Young tableaux of a straight shape, sorted by column word."""
-    return sorted(_grow(shape, 0), key=RowStrictTableau.column_word)
+    return _sorted_tableaux(shape, 0)
 
 
 def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
@@ -408,9 +409,11 @@ def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if isinstance(h, bool) or not isinstance(h, int):
+        raise ValueError(f"bad repetition {h!r}; expected an integer")
     if h < 0 or h > 3 * k - 1:
         raise ValueError(f"repetition {h} out of range for k={k}")
-    return sorted(_grow(Shape((k, k, k)), h), key=RowStrictTableau.column_word)
+    return _sorted_tableaux(Shape((k, k, k)), h)
 
 
 # --- text and JSON forms ------------------------------------------------

@@ -9,17 +9,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .bijection import _catalan_pairs, _matching_rows, _russell_parts, _tableau_rows, _tymoczko_parts
-from .jdt import _evacuate_rows, reading_word
+from .jdt import _evacuate_rows
 from .tableau import (
     RowStrictTableau,
     Shape,
+    _column_word,
     _format_rows,
     _grow,
-    _prefixes,
     _rotate_complement,
     enumerate_russell,
     enumerate_standard,
-    format_tableau,
 )
 from .webcore import Web, _check_pairs, _pairs_key, _parts_key, validate_web
 
@@ -81,13 +80,12 @@ class Family:
         object.__setattr__(self, "shape", tuple(int(p) for p in self.shape))
         if len(self.shape) not in (2, 3) or len(set(self.shape)) != 1:
             raise ValueError(f"families are rectangles (n,n) or (k,k,k), got {self.shape}")
-        if self.repetition is not None:
-            if len(self.shape) == 2:
-                raise ValueError("2-row families do not take a repetition")
-            if isinstance(self.repetition, str):
-                if self.repetition != "all":
-                    raise ValueError(f"bad repetition {self.repetition!r}")
-            elif not 0 <= self.repetition <= self.max_repetition:
+        if self.repetition is not None and len(self.shape) == 2:
+            raise ValueError("2-row families do not take a repetition")
+        if self.repetition not in (None, "all"):
+            if isinstance(self.repetition, bool) or not isinstance(self.repetition, int):
+                raise ValueError(f"bad repetition {self.repetition!r}; expected an integer or 'all'")
+            if not 0 <= self.repetition <= self.max_repetition:
                 raise ValueError(
                     f"repetition {self.repetition} out of range 0..{self.max_repetition} for k={self.shape[0]}"
                 )
@@ -141,10 +139,11 @@ class Family:
         hundred to a few thousand shards however large the family, and each
         tableau of the family grows from exactly one of them."""
         shape, depth = Shape(self.shape), 5 if self.is_russell else 10
-        return [(h, prefix) for h in self.repetitions for prefix in _prefixes(shape, h, depth)]
+        return [(h, prefix) for h in self.repetitions for prefix in _grow(shape, h, (), depth)]
 
-    def grow(self, shard: tuple[int, tuple]) -> Iterator[RowStrictTableau]:
-        """Stream the tableaux of one shard, in growth order."""
+    def grow(self, shard: tuple[int, tuple]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Stream the rows of one shard's tableaux, in growth order, as
+        unvalidated plain tuples (see `tableau._grow`)."""
         h, prefix = shard
         return _grow(Shape(self.shape), h, prefix)
 
@@ -184,54 +183,51 @@ class VerifyReport:
         )
 
 
-def _failure(t: RowStrictTableau, expected: str, actual: str) -> dict:
+def _failure(rows, expected: str, actual: str) -> dict:
     return {
-        "tableau": format_tableau(t),
-        "reading_word": list(reading_word(t)),
+        "tableau": _format_rows(rows),
+        "reading_word": list(_column_word(rows)),
         "expected": expected,
         "actual": actual,
     }
 
 
-def _check_theorem(family: Family, t: RowStrictTableau) -> dict | None:
-    p = family.pipeline
-    actual = p.key(p.parts(t.rows), mirror=True)
-    expected = p.key(p.parts(_evacuate_rows(t.rows)))
+def _check_theorem(p: Pipeline, rows) -> dict | None:
+    actual = p.key(p.parts(rows), mirror=True)
+    expected = p.key(p.parts(_evacuate_rows(rows)))
     if actual != expected:
-        return _failure(t, expected, actual)
+        return _failure(rows, expected, actual)
     return None
 
 
-def _check_involution(family: Family, t: RowStrictTableau) -> dict | None:
-    back = _evacuate_rows(_evacuate_rows(t.rows))
-    if tuple(map(tuple, back)) != t.rows:
-        return _failure(t, format_tableau(t), _format_rows(back))
+def _check_involution(p: Pipeline, rows) -> dict | None:
+    back = _evacuate_rows(_evacuate_rows(rows))
+    if tuple(map(tuple, back)) != rows:
+        return _failure(rows, _format_rows(rows), _format_rows(back))
     return None
 
 
-def _check_lemma(family: Family, t: RowStrictTableau) -> dict | None:
-    actual = _evacuate_rows(t.rows)
-    expected = _rotate_complement(t.rows, t.max_entry)
+def _check_lemma(p: Pipeline, rows) -> dict | None:
+    actual = _evacuate_rows(rows)
+    expected = _rotate_complement(rows, max(map(max, rows)))
     if actual != expected:
-        return _failure(t, _format_rows(expected), _format_rows(actual))
+        return _failure(rows, _format_rows(expected), _format_rows(actual))
     return None
 
 
-def _check_validity(family: Family, t: RowStrictTableau) -> dict | None:
-    p = family.pipeline
-    report = p.defects(p.parts(t.rows))
+def _check_validity(p: Pipeline, rows) -> dict | None:
+    report = p.defects(p.parts(rows))
     if report:
-        return _failure(t, "", "; ".join(report))
+        return _failure(rows, "", "; ".join(report))
     return None
 
 
-def _check_injectivity(family: Family, t: RowStrictTableau) -> dict | None:
-    """The inverse gives t back from its web, so no other tableau of the
-    family has that web: of two tableaux with one web, one fails here."""
-    p = family.pipeline
-    rows = p.inverse(p.parts(t.rows))
-    if rows != t.rows:
-        return _failure(t, format_tableau(t), _format_rows(rows))
+def _check_injectivity(p: Pipeline, rows) -> dict | None:
+    """The inverse gives the rows back from their web, so no other tableau of
+    the family has that web: of two tableaux with one web, one fails here."""
+    back = p.inverse(p.parts(rows))
+    if back != rows:
+        return _failure(rows, _format_rows(rows), _format_rows(back))
     return None
 
 
@@ -246,20 +242,20 @@ CHECK_NAMES = tuple(_PER_TABLEAU)
 
 
 def _check_batch(args) -> tuple[int, list[dict]]:
-    """Grow each shard of a batch and check each tableau in turn; return the
-    number checked and the failures.  Raise TimeBudgetExceeded once this call
-    has run longer than `seconds_left` (inf: no budget), growing included.
-    The budget is a duration, so a pool worker can measure it on its own
-    clock."""
+    """Grow each shard of a batch and check the rows of each tableau in turn
+    with the family's pipeline; return the number checked and the failures.
+    Raise TimeBudgetExceeded once this call has run longer than
+    `seconds_left` (inf: no budget), growing included.  The budget is a
+    duration, so a pool worker can measure it on its own clock."""
     check, family, shards, max_seconds, seconds_left = args
-    fn = _PER_TABLEAU[check]
+    fn, pipeline = _PER_TABLEAU[check], family.pipeline
     start = time.monotonic()
     count = 0
     failures = []
     for shard in shards:
-        for t in family.grow(shard):
+        for rows in family.grow(shard):
             count += 1
-            bad = fn(family, t)
+            bad = fn(pipeline, rows)
             if bad is not None:
                 failures.append(bad)
             if time.monotonic() - start > seconds_left:

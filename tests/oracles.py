@@ -87,6 +87,22 @@ def random_skew_tableau(rng: random.Random, max_boxes: int = 10) -> RowStrictTab
             return tableau_from_cells(cells)
 
 
+def column_word_by_entries(t: RowStrictTableau) -> tuple[int, ...]:
+    """Column reading word read off the (row, column) -> entry map: columns
+    right to left, each top to bottom.  The reference for the rows-level
+    tableau._column_word."""
+    ent = t.entries
+    if not ent:
+        return ()
+    max_col = max(c for _, c in ent)
+    word: list[int] = []
+    for c in range(max_col, 0, -1):
+        for r in range(1, len(t.rows) + 1):
+            if (r, c) in ent:
+                word.append(ent[(r, c)])
+    return tuple(word)
+
+
 def random_filling(rng: random.Random, n_rows: int, k: int, doubled: int = 0) -> RowStrictTableau:
     """A random filling of the n_rows x k rectangle, grown value by value: each
     value takes an addable box and, while fewer than `doubled` values have,
@@ -712,7 +728,7 @@ def collision_check():
         p = family.pipeline
         key = p.key(p.parts(t.rows))
         if key in seen:
-            return _failure(t, "distinct web", f"collides with {format_tableau(seen[key])}")
+            return _failure(t.rows, "distinct web", f"collides with {format_tableau(seen[key])}")
         seen[key] = t
         return None
 

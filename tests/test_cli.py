@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import evacuate_by_cells, random_filling
 from webweave.cli import main
-from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, parse_tableau
+from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, format_tableau, parse_tableau
 from webweave.webcore import matching_to_json, web_from_json, web_to_json, webs_equal
 from webweave.bijection import russell_web, web_of_2row
 from webweave.verify import Family
@@ -100,6 +100,15 @@ class TestToWebCommand:
         code, out, _ = run(capsys, ["to-web", "--canonical"], "1\n2\n3", monkeypatch)
         assert code == 0
         assert out.startswith("BBB|")
+
+    @pytest.mark.parametrize("family", [Family((4, 4)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_canonical_is_the_pipeline_key(self, family, capsys, monkeypatch):
+        # one key format: the CLI prints what the family's pipeline keys
+        p = family.pipeline
+        for t in family.tableaux():
+            code, out, _ = run(capsys, ["to-web", "--canonical"], format_tableau(t), monkeypatch)
+            assert code == 0
+            assert out == p.key(p.parts(t.rows)) + "\n"
 
     def test_roundtrip_through_json(self, capsys, monkeypatch):
         t = T([[1, 2, 3], [1, 4, 5], [3, 6, 7]])

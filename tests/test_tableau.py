@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    column_word_by_entries,
     enumerate_russell_by_collapse,
     enumerate_standard_by_cells,
+    random_skew_tableau,
     standardize_cells_by_splitting,
     standardize_with_pairs_by_splitting,
 )
@@ -17,6 +20,7 @@ from webweave.tableau import (
     RowStrictTableau,
     Shape,
     SkewShape,
+    _column_word,
     _standardize,
     count_standard,
     enumerate_russell,
@@ -108,6 +112,16 @@ class TestTableauValidation:
         t = tableau_from_cells({(2, 1): 1, (2, 2): 2})
         assert t.shape.outer == Shape((2, 2))
         assert t.shape.inner == Shape((2,))
+
+
+class TestColumnWord:
+    def test_matches_entries_oracle(self):
+        rng = random.Random(10)
+        tableaux = [t for shape in ((2, 2, 1), (3, 2), (3, 2, 1)) for t in all_row_strict_fillings(shape, sum(shape))]
+        tableaux += [random_skew_tableau(rng) for _ in range(300)]
+        for t in tableaux:
+            assert _column_word(t.rows, t.shape.inner.parts) == column_word_by_entries(t), t
+        assert _column_word(()) == ()
 
 
 class TestIsStandard:
@@ -293,6 +307,12 @@ class TestEnumerateRussell:
             by_h.setdefault(h, set()).add(t)
         for h in range(0, 3 * k):
             assert set(enumerate_russell(k, h)) == by_h.get(h, set()), f"h={h}"
+
+    @pytest.mark.parametrize("h", [1.5, True])
+    def test_rejects_non_integer_repetition(self, h):
+        # 1.5 used to give 13 tableaux, and True those of h=1
+        with pytest.raises(ValueError, match=f"bad repetition {h!r}"):
+            enumerate_russell(2, h)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_collapse_oracle(self, k):

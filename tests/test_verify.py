@@ -1,4 +1,5 @@
 import itertools
+from math import inf
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +36,12 @@ class TestFamily:
         every_h = [t for h in range(3 * k) for t in enumerate_russell(k, h)]
         assert Family((k, k, k), "all").tableaux() == every_h
 
+    @pytest.mark.parametrize("h", [2.5, True])
+    def test_rejects_non_integer_repetition(self, h):
+        # 2.5 used to fail later in range(), and True ran as h=1
+        with pytest.raises(ValueError, match=f"bad repetition {h!r}"):
+            Family((3, 3, 3), h)
+
     def test_repetition_range(self):
         # a (k,k,k) filling has at most 3k // 2 doubled values
         assert len(Family((3, 3, 3), 4).tableaux()) > 0
@@ -59,6 +66,22 @@ class TestRunVerification:
             result = run_verification(family, check)
             assert result.ok, result.failures
             assert result.total == len(family.tableaux())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checks_build_no_tableau(self, jobs, monkeypatch):
+        # growth yields plain rows and every check reads them, so a campaign
+        # validates no tableau; pool workers are forked and see the patch
+        families = (Family((3, 3)), Family((2, 2, 2)), Family((2, 2, 2), "all"))
+        totals = [len(family.tableaux()) for family in families]
+
+        def refuse(self):
+            raise AssertionError("a RowStrictTableau was built")
+
+        monkeypatch.setattr(RowStrictTableau, "__post_init__", refuse)
+        for family, total in zip(families, totals):
+            for check in verify.CHECK_NAMES:
+                result = run_verification(family, check, jobs=jobs)
+                assert result.ok and result.total == total, (family, check)
 
     def test_report_json_shape(self):
         result = run_verification(Family((2, 2)), "theorem")
@@ -129,14 +152,16 @@ class TestShards:
     def test_budget_covers_growing(self, monkeypatch):
         # with a clock that ticks a second per reading, a 5.5 s budget trips
         # after the fifth tableau of a (12,12) campaign, and a batch given
-        # 3.5 s after the fourth, so nothing beyond them is grown
+        # 3.5 s after the fourth, so nothing beyond them is grown; listing
+        # the shards (a finite `last`) grows no tableau and is not counted
         grown = []
         real_grow = tableau._grow
 
-        def counting_grow(*args):
-            for t in real_grow(*args):
-                grown.append(t)
-                yield t
+        def counting_grow(shape, doubled, prefix=(), last=inf):
+            for rows in real_grow(shape, doubled, prefix, last):
+                if last == inf:
+                    grown.append(rows)
+                yield rows
 
         monkeypatch.setattr(tableau, "_grow", counting_grow)
         monkeypatch.setattr(verify, "_grow", counting_grow)
@@ -182,12 +207,14 @@ class TestShards:
         "family",
         [Family((n, n)) for n in range(1, 9)]
         + [Family((k, k, k)) for k in range(1, 5)]
-        + [Family((k, k, k), h) for k in range(1, 4) for h in [*range(3 * k // 2 + 1), "all"]],
+        + [Family((k, k, k), h) for k in range(1, 4) for h in [*range(3 * k // 2 + 1), "all"]]
+        + [Family((5, 5, 5)), Family((10, 10)), Family((4, 4, 4), "all")],
         ids=Family.describe,
     )
     def test_shards_partition_the_family(self, family):
-        streams = [list(family.grow(shard)) for shard in family.shards()]
-        grown = [t for stream in streams for t in stream]
+        # growth yields unvalidated rows; each must make a valid tableau,
+        # here at the scale of the benchmark's families too
+        grown = [T(rows) for shard in family.shards() for rows in family.grow(shard)]
         assert len(set(grown)) == len(grown)
         # h = size - largest entry, so this is the order of Family.tableaux()
         grown.sort(key=lambda t: (t.size - t.max_entry, t.column_word()))
