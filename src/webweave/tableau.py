@@ -17,6 +17,11 @@ class NotRussellError(ValueError):
     """Raised when a tableau fails the 3-row once-or-twice condition."""
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer; a bool is not, though it is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Shape:
     """An integer partition, stored as its weakly decreasing positive parts."""
@@ -24,8 +29,10 @@ class Shape:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
         for i, p in enumerate(self.parts):
+            if not _is_int(p):
+                raise ValueError(f"bad shape part {p!r}; expected an integer")
             if p <= 0:
                 raise ValueError(f"shape parts must be positive, got {p}")
             if i > 0 and p > self.parts[i - 1]:
@@ -407,9 +414,11 @@ def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     lower one addable once the upper is placed.  Sorted by column word; for
     h = 0 this is enumerate_standard((k,k,k)).
     """
+    if not _is_int(k):
+        raise ValueError(f"bad k {k!r}; expected an integer")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if isinstance(h, bool) or not isinstance(h, int):
+    if not _is_int(h):
         raise ValueError(f"bad repetition {h!r}; expected an integer")
     if h < 0 or h > 3 * k - 1:
         raise ValueError(f"repetition {h} out of range for k={k}")

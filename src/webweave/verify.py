@@ -16,6 +16,7 @@ from .tableau import (
     _column_word,
     _format_rows,
     _grow,
+    _is_int,
     _rotate_complement,
     enumerate_russell,
     enumerate_standard,
@@ -77,13 +78,14 @@ class Family:
     repetition: int | str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(p) for p in self.shape))
+        object.__setattr__(self, "shape", tuple(self.shape))
         if len(self.shape) not in (2, 3) or len(set(self.shape)) != 1:
             raise ValueError(f"families are rectangles (n,n) or (k,k,k), got {self.shape}")
+        Shape(self.shape)  # refuses sides that are not positive integers
         if self.repetition is not None and len(self.shape) == 2:
             raise ValueError("2-row families do not take a repetition")
         if self.repetition not in (None, "all"):
-            if isinstance(self.repetition, bool) or not isinstance(self.repetition, int):
+            if not _is_int(self.repetition):
                 raise ValueError(f"bad repetition {self.repetition!r}; expected an integer or 'all'")
             if not 0 <= self.repetition <= self.max_repetition:
                 raise ValueError(
@@ -192,43 +194,57 @@ def _failure(rows, expected: str, actual: str) -> dict:
     }
 
 
-def _check_theorem(p: Pipeline, rows) -> dict | None:
-    actual = p.key(p.parts(rows), mirror=True)
-    expected = p.key(p.parts(_evacuate_rows(rows)))
+def _check_theorem(p: Pipeline, rows):
+    """The theorem once per evacuation orbit.  Reflection and evacuation are
+    involutions and a mirrored key mirrors back, so the theorem for t is the
+    mirror image of the theorem for e = evac(t).  t is skipped when e < t, e
+    is a member of the family and evac(e) == t: then e is grown too, is not
+    skipped, and its check covers t, whatever the involution check finds.
+    Otherwise t is checked in full; if it fails and e is its skipped partner,
+    e's record is written too, from the two webs already built."""
+    e = tuple(map(tuple, _evacuate_rows(rows)))
+    if e < rows and _is_partner(e, rows):
+        return
+    parts, e_parts = p.parts(rows), p.parts(e)
+    actual, expected = p.key(parts, mirror=True), p.key(e_parts)
     if actual != expected:
-        return _failure(rows, expected, actual)
-    return None
+        yield _failure(rows, expected, actual)
+        if e > rows and _is_partner(e, rows):
+            yield _failure(e, p.key(parts), p.key(e_parts, mirror=True))
 
 
-def _check_involution(p: Pipeline, rows) -> dict | None:
+def _is_partner(e, rows) -> bool:
+    """Whether e, the evacuation of rows, is a member of rows' family (it has
+    their shape, which evacuation keeps, and their largest entry, so as many
+    doubled values) whose evacuation is rows."""
+    return max(map(max, e)) == max(map(max, rows)) and tuple(map(tuple, _evacuate_rows(e))) == rows
+
+
+def _check_involution(p: Pipeline, rows):
     back = _evacuate_rows(_evacuate_rows(rows))
     if tuple(map(tuple, back)) != rows:
-        return _failure(rows, _format_rows(rows), _format_rows(back))
-    return None
+        yield _failure(rows, _format_rows(rows), _format_rows(back))
 
 
-def _check_lemma(p: Pipeline, rows) -> dict | None:
+def _check_lemma(p: Pipeline, rows):
     actual = _evacuate_rows(rows)
     expected = _rotate_complement(rows, max(map(max, rows)))
     if actual != expected:
-        return _failure(rows, _format_rows(expected), _format_rows(actual))
-    return None
+        yield _failure(rows, _format_rows(expected), _format_rows(actual))
 
 
-def _check_validity(p: Pipeline, rows) -> dict | None:
+def _check_validity(p: Pipeline, rows):
     report = p.defects(p.parts(rows))
     if report:
-        return _failure(rows, "", "; ".join(report))
-    return None
+        yield _failure(rows, "", "; ".join(report))
 
 
-def _check_injectivity(p: Pipeline, rows) -> dict | None:
+def _check_injectivity(p: Pipeline, rows):
     """The inverse gives the rows back from their web, so no other tableau of
     the family has that web: of two tableaux with one web, one fails here."""
     back = p.inverse(p.parts(rows))
     if back != rows:
-        return _failure(rows, _format_rows(rows), _format_rows(back))
-    return None
+        yield _failure(rows, _format_rows(rows), _format_rows(back))
 
 
 _PER_TABLEAU = {
@@ -243,7 +259,10 @@ CHECK_NAMES = tuple(_PER_TABLEAU)
 
 def _check_batch(args) -> tuple[int, list[dict]]:
     """Grow each shard of a batch and check the rows of each tableau in turn
-    with the family's pipeline; return the number checked and the failures.
+    with the family's pipeline; return the number grown and the failure
+    records.  Each check yields the records it finds: the theorem check
+    covers a tableau's evacuation orbit, so it may skip a tableau, or write
+    its skipped partner's record with its own (see `_check_theorem`).
     Raise TimeBudgetExceeded once this call has run longer than
     `seconds_left` (inf: no budget), growing included.  The budget is a
     duration, so a pool worker can measure it on its own clock."""
@@ -255,9 +274,7 @@ def _check_batch(args) -> tuple[int, list[dict]]:
     for shard in shards:
         for rows in family.grow(shard):
             count += 1
-            bad = fn(pipeline, rows)
-            if bad is not None:
-                failures.append(bad)
+            failures.extend(fn(pipeline, rows))
             if time.monotonic() - start > seconds_left:
                 raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
     return count, failures
@@ -290,7 +307,10 @@ def run_verification(
     TimeBudgetExceeded, and a negative or NaN budget or fewer than one job
     is refused with ValueError before anything is grown.  Each tableau is
     grown where it is checked: in-process, or with `jobs` workers in a pool
-    worker that grows every `jobs`-th shard of the family.
+    worker that grows every `jobs`-th shard of the family.  The theorem is
+    checked once per evacuation orbit, and a skipped tableau's failure is
+    recorded by its partner's check, in whichever worker grew it; records
+    are sorted by reading word, so the report does not depend on `jobs`.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")

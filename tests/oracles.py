@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from webweave import verify
 from webweave.bijection import Arc, ArcDiagram, Crossing, _russell_parts, catalan_pairing, web_of_2row
 from webweave.jdt import _slide, delta, jdt_slide, slide_targets
 from webweave.tableau import (
@@ -733,3 +734,22 @@ def collision_check():
         return None
 
     return check
+
+
+def check_theorem_per_tableau(family, t: RowStrictTableau) -> dict | None:
+    """The theorem on one tableau in full: the mirrored key of its web
+    against the key of its evacuation's web.  The reference for verify's
+    check, which checks once per evacuation orbit.  It evacuates with
+    verify's kernel, so a test that patches that kernel patches both."""
+    p = family.pipeline
+    actual = p.key(p.parts(t.rows), mirror=True)
+    expected = p.key(p.parts(verify._evacuate_rows(t.rows)))
+    if actual != expected:
+        return _failure(t.rows, expected, actual)
+    return None
+
+
+def theorem_failures_per_tableau(family) -> list[dict]:
+    """Every tableau's full theorem check, records sorted as verify sorts them."""
+    failures = [bad for bad in (check_theorem_per_tableau(family, t) for t in family.tableaux()) if bad is not None]
+    return sorted(failures, key=lambda f: tuple(f["reading_word"]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_row_strict_fillings,
     column_word_by_entries,
     enumerate_russell_by_collapse,
     enumerate_standard_by_cells,
@@ -40,32 +41,6 @@ from webweave.tableau import (
 T = RowStrictTableau.from_rows
 
 
-def all_row_strict_fillings(shape, max_entry):
-    """Brute-force oracle: every row-strict filling of a straight shape with
-    entries at most max_entry."""
-    cells = Shape(shape).cells()
-    results = []
-    filling = {}
-
-    def fill(i):
-        if i == len(cells):
-            results.append(tableau_from_cells(dict(filling)))
-            return
-        r, c = cells[i]
-        lo = 1
-        if c > 1:
-            lo = max(lo, filling[(r, c - 1)] + 1)
-        if r > 1:
-            lo = max(lo, filling[(r - 1, c)])
-        for v in range(lo, max_entry + 1):
-            filling[(r, c)] = v
-            fill(i + 1)
-        filling.pop((r, c), None)
-
-    fill(0)
-    return results
-
-
 class TestShapes:
     def test_shape_rejects_increase(self):
         with pytest.raises(ValueError):
@@ -74,6 +49,12 @@ class TestShapes:
     def test_shape_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Shape((2, 0))
+
+    @pytest.mark.parametrize("parts, bad", [((2.7, 1.2), 2.7), ((2, True), True)])
+    def test_shape_rejects_non_integer_parts(self, parts, bad):
+        # (2.7, 1.2) used to become (2, 1)
+        with pytest.raises(ValueError, match=f"bad shape part {bad!r}"):
+            Shape(parts)
 
     def test_skew_containment(self):
         with pytest.raises(ValueError):
@@ -313,6 +294,12 @@ class TestEnumerateRussell:
         # 1.5 used to give 13 tableaux, and True those of h=1
         with pytest.raises(ValueError, match=f"bad repetition {h!r}"):
             enumerate_russell(2, h)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_rejects_non_integer_k(self, k):
+        # 2.5 used to give the 15 tableaux of k=2, and True those of k=1
+        with pytest.raises(ValueError, match=f"bad k {k!r}"):
+            enumerate_russell(k, 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_collapse_oracle(self, k):

@@ -4,9 +4,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import canonicalize_by_bfs, collision_check, russell_parts_by_diagram, tymoczko_parts_by_diagram
+from oracles import (
+    canonicalize_by_bfs,
+    collision_check,
+    russell_parts_by_diagram,
+    theorem_failures_per_tableau,
+    tymoczko_parts_by_diagram,
+)
 from webweave import tableau, verify
-from webweave.jdt import reading_word
+from webweave.jdt import _evacuate_rows, reading_word
 from webweave.verify import (
     Family,
     FamilyBoundError,
@@ -41,6 +47,16 @@ class TestFamily:
         # 2.5 used to fail later in range(), and True ran as h=1
         with pytest.raises(ValueError, match=f"bad repetition {h!r}"):
             Family((3, 3, 3), h)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((3.5, 3.5, 3.5), "bad shape part 3.5"), ((True, True), "bad shape part True"), ((0, 0), "positive")],
+    )
+    def test_rejects_sides_that_are_not_positive_integers(self, shape, message):
+        # (3.5, 3.5, 3.5) used to run as (3, 3, 3), and (0, 0) failed only
+        # once the family was grown
+        with pytest.raises(ValueError, match=message):
+            Family(shape)
 
     def test_repetition_range(self):
         # a (k,k,k) filling has at most 3k // 2 doubled values
@@ -292,3 +308,89 @@ class TestFailureRecords:
         monkeypatch.setattr(verify, "SL2", verify.SL2._replace(inverse=lambda m: ((), ())))
         report = run_verification(Family((3, 3)), "injectivity")
         assert len(report.failures) == report.total == 5
+
+
+def _patch_parts(monkeypatch, family, parts):
+    """Give the family's pipeline the forward map parts(real_parts, rows)."""
+    name = "SL2" if family.rows == 2 else "SL3_RUSSELL" if family.is_russell else "SL3_STANDARD"
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, real._replace(parts=lambda rows: parts(real.parts, rows)))
+
+
+def _evacuated(rows):
+    return tuple(map(tuple, _evacuate_rows(rows)))
+
+
+class TestTheoremOrbits:
+    """The theorem is checked once per evacuation orbit; the full check of
+    every tableau is the oracle."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((4, 4)), Family((2, 2, 2), "all")],
+                             ids=Family.describe)
+    def test_seeded_failures_match_oracle(self, family, jobs, monkeypatch):
+        # the forward map is patched on three tableaux and evacuation is not,
+        # so the skip path runs: the tableau on the skipped side of its orbit
+        # fails by its partner's check, which writes both records.  Each
+        # victim is given the web of a tableau that is not self-evacuating,
+        # so that the self-evacuating victim fails too; pool workers are
+        # forked and see the patch
+        rows = [t.rows for t in family.tableaux()]
+        sides = [lambda e, t: e < t, lambda e, t: e > t, lambda e, t: e == t]
+        victims = [next(t for t in rows if side(_evacuated(t), t)) for side in sides]
+        donors = [t for t in rows if _evacuated(t) != t and t not in victims]
+        swap = dict(zip(victims, donors))
+        _patch_parts(monkeypatch, family, lambda real, rows: real(swap.get(tuple(map(tuple, rows)), rows)))
+        want = theorem_failures_per_tableau(family)
+        assert run_verification(family, "theorem", jobs=jobs).to_json()["failures"] == want
+        failed = {f["tableau"] for f in want}
+        assert all(format_tableau(T(rows)) in failed for rows in victims)
+
+    def test_no_skip_without_an_involution(self, monkeypatch):
+        # evacuation seeded to send every tableau to the least one: each of
+        # the others has a smaller partner in the family that does not
+        # evacuate back to it, so each must be checked in full
+        family = Family((3, 3, 3))
+        least = min(t.rows for t in family.tableaux())
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: least)
+        want = theorem_failures_per_tableau(family)
+        assert len(want) == 41
+        assert run_verification(family, "theorem").to_json()["failures"] == want
+
+    def test_no_skip_to_a_partner_outside_the_family(self, monkeypatch):
+        # evacuation seeded to swap each tableau of h=1 with a smaller one of
+        # another h: a partner the family does not grow covers nothing
+        family = Family((2, 2, 2), 1)
+        others = sorted(t.rows for h in (0, 2, 3) for t in Family((2, 2, 2), h).tableaux())
+        swap = {}
+        for rows in sorted(t.rows for t in family.tableaux()):
+            swap[rows] = next(s for s in others if s < rows and s not in swap)
+            swap[swap[rows]] = rows
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: swap[tuple(map(tuple, rows))])
+        want = theorem_failures_per_tableau(family)
+        assert len(want) == 15
+        assert run_verification(family, "theorem").to_json()["failures"] == want
+
+    @pytest.mark.parametrize(
+        "family, skipped",
+        [(Family((5, 5, 5)), 2968), (Family((4, 4, 4), "all"), 6396), (Family((10, 10)), 8272)],
+        ids=lambda x: x.describe() if isinstance(x, Family) else str(x),
+    )
+    def test_each_orbit_is_checked_once(self, family, skipped, monkeypatch):
+        # a checked tableau builds its own web and its evacuation's, and
+        # every member of the family is checked or is the evacuation of one
+        # that is: coverage does not rest on the involution check
+        built = []
+
+        def counting(real, rows):
+            built.append(rows)
+            return real(rows)
+
+        _patch_parts(monkeypatch, family, counting)
+        members = {rows for shard in family.shards() for rows in family.grow(shard)}
+        report = run_verification(family, "theorem", max_seconds=600)
+        assert report.ok and report.total == len(members)
+        checked, partners = built[0::2], built[1::2]
+        assert len(built) == 2 * (len(members) - skipped)
+        assert all(_evacuated(rows) == e for rows, e in zip(checked, partners))
+        assert set(checked) <= members and set(checked) | set(partners) == members
