@@ -13,14 +13,13 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import inf
 
-from .tableau import RowStrictTableau, _russell_rows, _standardize, is_standard
+from .tableau import RowStrictTableau, _check_ints, _russell_rows, _standardize
 from .webcore import (
     BLACK,
     WHITE,
     Matching,
     Web,
     _augmented_faces,
-    _check_colors,
     _check_pairs,
     _check_structure,
     _contract,
@@ -68,8 +67,8 @@ def catalan_pairing(top_row, bottom_row) -> tuple[Pair, ...]:
     The two rows must be strictly increasing, of equal length, and disjoint.
     Rejects inputs where some bottom value precedes every available top value.
     """
-    top = tuple(int(v) for v in top_row)
-    bottom = tuple(int(v) for v in bottom_row)
+    top, bottom = tuple(top_row), tuple(bottom_row)
+    _check_ints(top + bottom, "value")
     for row in (top, bottom):
         if any(a >= b for a, b in zip(row, row[1:])):
             raise ValueError(f"row {row} is not strictly increasing")
@@ -182,9 +181,9 @@ def _arc_ends(rows) -> list[tuple[int, int]]:
 
 def m_diagram(u: RowStrictTableau) -> ArcDiagram:
     """Join each middle-row entry to its partners in the rows above and below."""
-    if not (u.is_rectangular and len(u.rows) == 3 and is_standard(u)):
+    if not (u.is_rectangular and len(u.rows) == 3):
         raise ValueError(_NOT_STANDARD)
-    ends = _arc_ends(u.rows)
+    ends = _arc_ends(u.rows)  # refuses values other than 1..3k each once
     arcs = tuple(Arc(left, right, middle=left if a % 2 else right) for a, (left, right) in enumerate(ends))
     return ArcDiagram(u.size, arcs)
 
@@ -341,12 +340,11 @@ _ROWS_OF_STATE = {
 
 def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
     """The rows of the 3-row filling whose web has these plain fields, after
-    the same color and structure checks as _parts_key.  A face's depth is the
+    the same check of the plain fields as _parts_key.  A face's depth is the
     number of web edges crossed on a shortest way to it from the disk face
     between labels b and 1, and label i places the value i by its state.  A
     state outside -1..1 raises LookupError; any other web outside the family
     gives rows that the forward map does not send back to it."""
-    _check_colors(parts[0], parts[1])
     _check_structure(*parts)
     boundary_colors, _, edges, _ = parts
     if not boundary_colors:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .tableau import (
     RowStrictTableau,
     Shape,
+    _check_ints,
     is_skew_cellset,
     tableau_from_cells,
 )
@@ -64,7 +65,8 @@ def _slide(cells: dict[Cell, int], start: Cell) -> Cell:
 
 def jdt_slide(t: RowStrictTableau, cell: Cell) -> RowStrictTableau:
     """One jeu de taquin slide of t into the empty cell."""
-    cell = (int(cell[0]), int(cell[1]))
+    cell = tuple(cell)
+    _check_ints(cell, "cell coordinate")
     if cell not in slide_targets(t):
         raise ValueError(f"{cell} is not a valid slide target")
     cells = t.entries
@@ -176,7 +178,8 @@ class GKProfile:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(self.values))
+        _check_ints(self.values, "profile value")
         deltas = self.increments()
         for a, b in zip(deltas, deltas[1:]):
             if b > a:
@@ -248,7 +251,8 @@ def gk_profile(word, m: int) -> GKProfile:
     Words longer than 14 letters are out of contract: this is a verification
     oracle, not a performance kernel.
     """
-    word = tuple(int(v) for v in word)
+    word = tuple(word)
+    _check_ints(word, "letter")
     if m < 1:
         raise ValueError("m must be at least 1")
     if len(word) > MAX_GK_WORD:

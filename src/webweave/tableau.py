@@ -22,6 +22,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_ints(values, what: str) -> None:
+    """Raise ValueError naming the first of values that is not an integer."""
+    for value in values:
+        if not _is_int(value):
+            raise ValueError(f"bad {what} {value!r}; expected an integer")
+
+
 @dataclass(frozen=True)
 class Shape:
     """An integer partition, stored as its weakly decreasing positive parts."""
@@ -30,9 +37,8 @@ class Shape:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
+        _check_ints(self.parts, "shape part")
         for i, p in enumerate(self.parts):
-            if not _is_int(p):
-                raise ValueError(f"bad shape part {p!r}; expected an integer")
             if p <= 0:
                 raise ValueError(f"shape parts must be positive, got {p}")
             if i > 0 and p > self.parts[i - 1]:
@@ -107,7 +113,8 @@ class RowStrictTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        _check_ints((v for row in self.rows for v in row), "entry")
         outer, inner = self.shape.outer, self.shape.inner
         if len(self.rows) != len(outer):
             raise ValueError(f"expected {len(outer)} rows, got {len(self.rows)}")
@@ -414,12 +421,10 @@ def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     lower one addable once the upper is placed.  Sorted by column word; for
     h = 0 this is enumerate_standard((k,k,k)).
     """
-    if not _is_int(k):
-        raise ValueError(f"bad k {k!r}; expected an integer")
+    _check_ints((k,), "k")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not _is_int(h):
-        raise ValueError(f"bad repetition {h!r}; expected an integer")
+    _check_ints((h,), "repetition")
     if h < 0 or h > 3 * k - 1:
         raise ValueError(f"repetition {h} out of range for k={k}")
     return _sorted_tableaux(Shape((k, k, k)), h)

@@ -21,7 +21,7 @@ from .tableau import (
     enumerate_russell,
     enumerate_standard,
 )
-from .webcore import Web, _check_pairs, _pairs_key, _parts_key, validate_web
+from .webcore import _check_pairs, _pairs_key, _parts_key, _web_defects
 
 # desk-scale defaults; larger families need an explicit time budget
 MAX_2ROW_N = 8
@@ -57,10 +57,6 @@ def _pairs_defects(pairs) -> list[str]:
     except ValueError as exc:
         return [str(exc)]
     return []
-
-
-def _web_defects(parts) -> list[str]:
-    return validate_web(Web(*parts))
 
 
 SL2 = Pipeline(_catalan_pairs, _pairs_key, _pairs_defects, _matching_rows)

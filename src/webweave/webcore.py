@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .tableau import _check_ints
+
 BLACK = "black"
 WHITE = "white"
 
@@ -28,6 +30,7 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_ints((self.n, *(point for pair in self.pairs for point in pair)), "point")
         norm = tuple(sorted((min(i, j), max(i, j)) for i, j in self.pairs))
         object.__setattr__(self, "pairs", norm)
         _check_pairs(self.n, norm)
@@ -73,11 +76,12 @@ def reflect_matching(m: Matching) -> Matching:
 
 @dataclass(frozen=True)
 class Web:
-    """An sl3 web diagram.
+    """An sl3 web diagram, sound by construction, as a Matching is.
 
     boundary_colors[i] is the color at boundary label i+1; internal_colors
     follow.  Each edge joins two vertex ids; rotation[v] lists v's incident
-    edge ids counterclockwise.
+    edge ids counterclockwise.  Construction refuses ids that are not ints and
+    checks the fields once (_check_structure); what takes a Web trusts it.
     """
 
     boundary_colors: tuple[str, ...]
@@ -88,9 +92,11 @@ class Web:
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundary_colors", tuple(self.boundary_colors))
         object.__setattr__(self, "internal_colors", tuple(self.internal_colors))
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
-        object.__setattr__(self, "rotation", tuple(tuple(int(e) for e in rot) for rot in self.rotation))
-        _check_colors(self.boundary_colors, self.internal_colors)
+        object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
+        object.__setattr__(self, "rotation", tuple(tuple(rot) for rot in self.rotation))
+        _check_ints((v for edge in self.edges for v in edge), "id")
+        _check_ints((e for rot in self.rotation for e in rot), "id")
+        _check_structure(*_fields(self))
 
     @property
     def n_boundary(self) -> int:
@@ -114,16 +120,14 @@ def _fields(web: Web):
     return web.boundary_colors, web.internal_colors, web.edges, web.rotation
 
 
-def _check_colors(boundary_colors, internal_colors) -> None:
+def _check_structure(boundary_colors, internal_colors, edges, rotation) -> None:
+    """The one check of a web's plain fields: every color is black or white
+    (else ValueError), the rotation lists one entry per vertex, and each edge
+    appears exactly at its two distinct, existing endpoints."""
     for colors in (boundary_colors, internal_colors):
         for c in colors:
             if c not in (BLACK, WHITE):
                 raise ValueError(f"bad color {c!r}")
-
-
-def _check_structure(boundary_colors, internal_colors, edges, rotation) -> None:
-    """Check that the rotation lists one entry per vertex and that each edge
-    appears exactly at its two distinct, existing endpoints."""
     nv = len(boundary_colors) + len(internal_colors)
     if len(rotation) != nv:
         raise WebStructureError(f"rotation lists {len(rotation)} vertices, web has {nv}")
@@ -185,32 +189,41 @@ def _augmented_faces(boundary_colors, internal_colors, edges, rotation):
 
 
 def validate_web(web: Web) -> list[str]:
-    """Check every web invariant; returns the list of violations (empty iff
-    the web is a valid non-elliptic diagram).  Malformed half-edge data raises
-    WebStructureError instead of being reported."""
-    _check_structure(*_fields(web))
+    """The violations of the web invariants that construction leaves open
+    (empty iff the web is a valid non-elliptic diagram)."""
+    return _defects(*_fields(web))
+
+
+def _web_defects(parts) -> list[str]:
+    """validate_web(Web(*parts)), after the same check, without building a Web."""
+    _check_structure(*parts)
+    return _defects(*parts)
+
+
+def _defects(boundary_colors, internal_colors, edges, rotation) -> list[str]:
+    """The violations of the plain fields of a structurally sound web."""
     report: list[str] = []
-    b = web.n_boundary
-    for v in range(web.n_vertices):
-        deg = len(web.rotation[v])
+    b = len(boundary_colors)
+    colors = (*boundary_colors, *internal_colors)
+    for v, rot in enumerate(rotation):
         want = 1 if v < b else 3
         where = f"boundary vertex {v + 1}" if v < b else f"internal vertex {v - b}"
-        if deg != want:
-            report.append(f"{where} has degree {deg}, expected {want}")
-    for e, (x, y) in enumerate(web.edges):
-        if web.color(x) == web.color(y):
-            report.append(f"edge {e} joins two {web.color(x)} vertices")
+        if len(rot) != want:
+            report.append(f"{where} has degree {len(rot)}, expected {want}")
+    for e, (x, y) in enumerate(edges):
+        if colors[x] == colors[y]:
+            report.append(f"edge {e} joins two {colors[x]} vertices")
     if b == 0:
-        if web.n_vertices or web.edges:
+        if colors or edges:
             report.append("web without boundary vertices is not embeddable in the disk model")
         return report
-    faces, _ = _augmented_faces(*_fields(web))
-    euler = web.n_vertices - (len(web.edges) + b) + len(faces)
+    faces, _ = _augmented_faces(boundary_colors, internal_colors, edges, rotation)
+    euler = len(colors) - (len(edges) + b) + len(faces)
     if euler != 2:
         report.append(f"rotation system is not a planar disk embedding (V-E+F = {euler}, expected 2)")
         return report
     for face in faces:
-        if len(face) < 6 and max(face) < 2 * len(web.edges):  # no arc half: internal
+        if len(face) < 6 and max(face) < 2 * len(edges):  # no arc half: internal
             report.append(f"internal face of size {len(face)} < 6")
     return report
 
@@ -222,7 +235,6 @@ def canonicalize(web: Web) -> str:
     vertex's rotation is read counterclockwise starting from its discovery
     edge, so internal vertex names and rotation phases wash out.
     """
-    _check_structure(*_fields(web))
     return _canonical(*_fields(web))
 
 
@@ -262,8 +274,7 @@ def _canonical(boundary_colors, internal_colors, edges, rotation, mirror=False) 
 
 def _parts_key(parts, mirror=False) -> str:
     """canonicalize(Web(*parts)), or with mirror the key of its reflection,
-    after the same color and structure checks, without building a Web."""
-    _check_colors(parts[0], parts[1])
+    after the same check of the plain fields, without building a Web."""
     _check_structure(*parts)
     return _canonical(*parts, mirror=mirror)
 
@@ -353,7 +364,6 @@ def contract_pairs(web: Web, positions) -> Web:
     positions = tuple(positions)
     if not positions:
         return web
-    _check_structure(*_fields(web))
     return Web(*_contract(*_fields(web), positions))
 
 
@@ -365,14 +375,11 @@ def reflect_web(web: Web) -> Web:
     colors reverse, internal vertices keep their ids, and every rotation
     reverses (a mirror image reverses orientation).
     """
-    _check_structure(*_fields(web))
     b = web.n_boundary
     remap = [b - 1 - v if v < b else v for v in range(web.n_vertices)]
-    edges = tuple((remap[a], remap[bb]) for a, bb in web.edges)
-    rotation: list[tuple[int, ...]] = [()] * web.n_vertices
-    for v, rot in enumerate(web.rotation):
-        rotation[remap[v]] = rot[::-1]
-    return Web(web.boundary_colors[::-1], web.internal_colors, edges, tuple(rotation))
+    edges = tuple((remap[x], remap[y]) for x, y in web.edges)
+    rotation = tuple(rot[::-1] for rot in web.rotation[:b][::-1] + web.rotation[b:])
+    return Web(web.boundary_colors[::-1], web.internal_colors, edges, rotation)
 
 
 # --- JSON forms -------------------------------------------------------------
@@ -421,13 +428,8 @@ def _endpoint_name(web: Web, v: int) -> str:
 
 
 def web_to_json(web: Web) -> dict:
-    half_rotation = []
-    for v, rot in enumerate(web.rotation):
-        halves = []
-        for e in rot:
-            a, _ = web.edges[e]
-            halves.append(2 * e if v == a else 2 * e + 1)
-        half_rotation.append(halves)
+    # half-edge 2e starts at edges[e][0] and 2e+1 at edges[e][1]
+    half_rotation = [[2 * e + (web.edges[e][0] != v) for e in rot] for v, rot in enumerate(web.rotation)]
     return {
         "boundary": [{"color": c} for c in web.boundary_colors],
         "internal_count": len(web.internal_colors),
@@ -481,6 +483,4 @@ def web_from_json(doc: dict | str) -> Web:
                 raise WebStructureError(f"half-edge {h} does not sit at vertex {v}")
             rot.append(e)
         rotation.append(tuple(rot))
-    web = Web(boundary_colors, internal_colors, edges, tuple(rotation))
-    _check_structure(*_fields(web))
-    return web
+    return Web(boundary_colors, internal_colors, edges, tuple(rotation))

@@ -145,6 +145,12 @@ class TestCatalanPairing:
         with pytest.raises(ValueError, match="disjoint"):
             catalan_pairing([1, 2], [2, 3])
 
+    @pytest.mark.parametrize("top, bottom, bad", [([1.9], [2.2], 1.9), ([1], [True], True)])
+    def test_rejects_non_integer_values(self, top, bottom, bad):
+        # ([1.9], [2.2]) used to give ((1, 2),)
+        with pytest.raises(ValueError, match=f"bad value {bad!r}"):
+            catalan_pairing(top, bottom)
+
     def test_noncrossing_and_order_independent(self):
         for n in range(1, 7):
             for t in enumerate_standard(Shape((n, n))):
@@ -212,6 +218,19 @@ class TestMDiagram:
         d = m_diagram(T([[1], [2], [3]]))
         assert {(a.left, a.right) for a in d.arcs} == {(1, 2), (2, 3)}
         assert {a.middle for a in d.arcs} == {2}
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            T([[1, 2, 3], [4, 5, 6], [7, 8, 10]]),  # a gap in the values
+            T([[1, 2], [2, 3], [3, 4]]),  # doubled values
+            T([[1, 2], [3, 4], [5, 6]], (1, 1, 1)),  # skew (3,3,3)/(1,1,1): equal rows of 1..6
+            T([[1, 2], [3, 4]]),  # two rows
+        ],
+    )
+    def test_rejects_what_is_not_standard_k_k_k(self, t):
+        with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
+            m_diagram(t)
 
     def test_two_column(self):
         # hand-run of both pairings: top pairs (2,3),(1,4); bottom (3,6),(4,5)

@@ -156,6 +156,12 @@ class TestJdtSlide:
         with pytest.raises(ValueError):
             jdt_slide(T([[1, 2]]), (1, 3))
 
+    @pytest.mark.parametrize("cell", [(1.0, 1), (1, True)])
+    def test_rejects_non_integer_cell(self, cell):
+        # (1.0, 1) used to slide into (1, 1)
+        with pytest.raises(ValueError, match="bad cell coordinate"):
+            jdt_slide(skew({(1, 2): 5}), cell)
+
     @given(skew_row_strict())
     @settings(max_examples=80, deadline=None)
     def test_slide_preserves_content_and_validity(self, t):
@@ -343,6 +349,18 @@ class TestGKProfile:
     def test_profile_invariants_enforced(self):
         with pytest.raises(ValueError):
             GKProfile((2, 3, 5))
+
+    def test_rejects_non_integer_letters(self):
+        # used to give the profile (3,) of (1, 2, 3)
+        with pytest.raises(ValueError, match="bad letter 1.5"):
+            gk_profile([1.5, 2.7, "3"], 1)
+        with pytest.raises(ValueError, match="bad letter True"):
+            gk_profile([True, 2], 1)
+
+    @pytest.mark.parametrize("values, bad", [((1.5, 2.5), 1.5), ((True, 2), True)])
+    def test_profile_rejects_non_integer_values(self, values, bad):
+        with pytest.raises(ValueError, match=f"bad profile value {bad!r}"):
+            GKProfile(values)
 
     @given(st.lists(st.integers(1, 4), max_size=9), st.integers(1, 3))
     @settings(max_examples=120, deadline=None)

@@ -85,6 +85,12 @@ class TestTableauValidation:
         t = T([[1, 2], [1, 3], [3, 4]])
         assert tableau_from_cells(t.entries) == t
 
+    @pytest.mark.parametrize("rows, bad", [([[1.5, 2.9], [3.2, 4]], 1.5), ([[True, 2], [3, 4]], True)])
+    def test_rejects_non_integer_entries(self, rows, bad):
+        # [[1.5, 2.9], [3.2, 4]] used to become ((1, 2), (3, 4))
+        with pytest.raises(ValueError, match=f"bad entry {bad!r}"):
+            T(rows)
+
     def test_from_cells_rejects_ragged(self):
         with pytest.raises(ValueError):
             tableau_from_cells({(1, 1): 1, (1, 3): 2})
@@ -327,6 +333,13 @@ class TestTextAndJson:
     def test_json_roundtrip(self):
         t = T([[1, 2, 3], [1, 4, 5], [3, 6, 7]])
         assert tableau_from_json(tableau_to_json(t)) == t
+
+    def test_json_rejects_non_integer_entries(self):
+        # used to give ((1, 2), (3, 4))
+        with pytest.raises(ValueError, match="bad entry 1.7"):
+            tableau_from_json({"rows": [[1.7, "2"], [3, 4]]})
+        with pytest.raises(ValueError, match="bad entry '2'"):
+            tableau_from_json({"rows": [[1, "2"], [3, 4]]})
 
     def test_json_skew(self):
         t = tableau_from_cells({(1, 2): 1, (2, 1): 1, (2, 2): 2})

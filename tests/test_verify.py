@@ -99,6 +99,22 @@ class TestRunVerification:
                 result = run_verification(family, check, jobs=jobs)
                 assert result.ok and result.total == total, (family, check)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checks_build_no_web(self, jobs, monkeypatch):
+        # validity lists the defects of the plain fields (webcore._web_defects),
+        # so no check builds a Web; pool workers are forked and see the patch
+        families = (Family((3, 3, 3)), Family((2, 2, 2), "all"))
+        totals = [len(family.tableaux()) for family in families]
+
+        def refuse(self):
+            raise AssertionError("a Web was built")
+
+        monkeypatch.setattr(Web, "__post_init__", refuse)
+        for family, total in zip(families, totals):
+            for check in verify.CHECK_NAMES:
+                result = run_verification(family, check, jobs=jobs)
+                assert result.ok and result.total == total, (family, check)
+
     def test_report_json_shape(self):
         result = run_verification(Family((2, 2)), "theorem")
         doc = result.to_json()

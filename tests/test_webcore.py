@@ -9,6 +9,7 @@ from oracles import (
     expand_white,
     reflect_web_by_expansion,
 )
+from webweave import bijection, webcore
 from webweave.bijection import russell_web, tymoczko_web
 from webweave.tableau import Shape, enumerate_russell, enumerate_standard
 from webweave.webcore import (
@@ -18,7 +19,9 @@ from webweave.webcore import (
     Web,
     WebStructureError,
     _check_pairs,
+    _fields,
     _parts_key,
+    _web_defects,
     canonicalize,
     contract_pair,
     contract_pairs,
@@ -87,6 +90,12 @@ class TestMatching:
     def test_rejects_bad_cover(self):
         with pytest.raises(ValueError):
             Matching(2, ((1, 2), (3, 3)))
+
+    @pytest.mark.parametrize("n, pairs, bad", [(1, ((1.0, 2.0),), 1.0), (True, ((1, 2),), True)])
+    def test_rejects_non_integer_points(self, n, pairs, bad):
+        # ((1.0, 2.0),) used to raise TypeError from list indexing
+        with pytest.raises(ValueError, match=f"bad point {bad!r}"):
+            Matching(n, pairs)
 
     def test_empty_is_valid_and_reflection_fixed(self):
         m = Matching(0, ())
@@ -346,3 +355,86 @@ class TestWebJson:
         doc["internal_count"] = 2
         with pytest.raises(WebStructureError):
             web_from_json(doc)
+
+
+class TestOneGate:
+    """A Web is checked once, by its constructor; the functions that take a
+    Web trust it, and each kernel on plain fields checks them once."""
+
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        calls = []
+        real = webcore._check_structure
+
+        def counted(*fields):
+            calls.append(fields)
+            return real(*fields)
+
+        for module in (webcore, bijection):
+            monkeypatch.setattr(module, "_check_structure", counted)
+        return calls
+
+    def test_each_built_web_is_checked_once(self, gate_calls):
+        standard, russell = enumerate_standard(Shape((3, 3, 3)))[5], enumerate_russell(3, 2)[7]
+        web, tri = russell_web(russell), tripod()
+        doc = web_to_json(web)
+        builds = {
+            "russell_web": lambda: russell_web(russell),
+            "tymoczko_web": lambda: tymoczko_web(standard),
+            "web_from_json": lambda: web_from_json(doc),
+            "reflect_web": lambda: reflect_web(web),
+            "contract_pairs": lambda: contract_pairs(tri, (1,)),
+        }
+        for name, build in builds.items():
+            gate_calls.clear()
+            built = build()
+            assert gate_calls == [_fields(built)], name
+
+    def test_functions_that_take_a_web_check_nothing(self, gate_calls):
+        web = russell_web(enumerate_russell(3, 2)[7])
+        gate_calls.clear()
+        canonicalize(web)
+        assert validate_web(web) == []
+        assert webs_equal(web, web)
+        assert gate_calls == []
+
+    def test_kernels_on_plain_fields_check_once(self, gate_calls):
+        parts = _fields(russell_web(enumerate_russell(3, 2)[7]))
+        kernels = {
+            "_parts_key": lambda: _parts_key(parts),
+            "_parts_key mirrored": lambda: _parts_key(parts, mirror=True),
+            "_tableau_rows": lambda: bijection._tableau_rows(parts),
+            "_web_defects": lambda: _web_defects(parts),
+        }
+        for name, kernel in kernels.items():
+            gate_calls.clear()
+            kernel()
+            assert gate_calls == [parts], name
+
+    def test_web_defects_is_validate_web_on_plain_fields(self):
+        webs = [tripod(), contract_pair(tripod(), 1), square_face_web()]
+        webs += [russell_web(t) for t in enumerate_russell(2, 1)]
+        for web in webs:
+            assert _web_defects(_fields(web)) == validate_web(web)
+
+    def test_malformed_web_is_refused_at_construction(self):
+        base = tripod()
+        with pytest.raises(WebStructureError, match="loop"):
+            Web((BLACK,), (), ((0, 0),), ((0, 0),))
+        with pytest.raises(WebStructureError, match="unknown edge"):
+            Web(base.boundary_colors, base.internal_colors, base.edges, ((5,),) + base.rotation[1:])
+        with pytest.raises(ValueError, match="bad color 'red'"):
+            Web((BLACK, BLACK, "red"), base.internal_colors, base.edges, base.rotation)
+
+    @pytest.mark.parametrize(
+        "edges, rotation, bad",
+        [
+            (((0.6, 1.2),), ((0.4,), (0,)), 0.6),  # used to become edge (0, 1)
+            (((0, 1),), ((0.0,), (0,)), 0.0),
+            (((False, True),), ((0,), (0,)), False),
+            (((0, 1),), ((0,), (False,)), False),
+        ],
+    )
+    def test_non_integer_ids_are_refused(self, edges, rotation, bad):
+        with pytest.raises(ValueError, match=f"bad id {bad!r}"):
+            Web((BLACK, WHITE), (), edges, rotation)
