@@ -20,12 +20,13 @@ from .webcore import (
     Matching,
     Web,
     _augmented_faces,
+    _canonical,
     _check_pairs,
     _check_structure,
     _contract,
     _fields,
     _parts_key,
-    webs_equal,
+    canonicalize,
 )
 
 Pair = tuple[int, int]
@@ -376,7 +377,8 @@ def tableau_of_web(web, shape) -> RowStrictTableau:
     openers form the top row, and a web's rows are read off its face depths
     (see _tableau_rows).  `shape` is (n, n) for matchings or (k, k, k) for
     webs.  The result must map forward to the input again, so a matching or
-    web outside the family raises LookupError."""
+    web outside the family raises LookupError.  The round trip compares plain
+    pairs or keys, so it builds and checks no second matching or web."""
     shape = tuple(shape)
     if isinstance(web, Matching):
         if len(shape) != 2 or shape[0] != shape[1]:
@@ -388,7 +390,10 @@ def tableau_of_web(web, shape) -> RowStrictTableau:
         rows = _tableau_rows(_fields(web))
     try:
         t = RowStrictTableau.from_rows(rows)
-        back = web_of_2row(t) == web if isinstance(web, Matching) else webs_equal(russell_web(t), web)
+        if isinstance(web, Matching):
+            back = _catalan_pairs(rows) == web.pairs
+        else:
+            back = _canonical(*_russell_parts(rows)) == canonicalize(web)
         if back and all(len(row) == shape[0] for row in rows):
             return t
     except ValueError:

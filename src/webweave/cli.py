@@ -14,6 +14,7 @@ from .bijection import m_diagram, russell_web, web_of_2row
 from .jdt import evacuate
 from .render import render_matching_svg, render_mdiagram_svg, render_web_svg
 from .tableau import (
+    _int_of,
     enumerate_standard,
     format_tableau,
     parse_tableau,
@@ -48,7 +49,7 @@ def _read_input(path: str | None) -> str:
 
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_int_of(part.strip(), "shape part") for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad shape {text!r}; expected comma-separated integers") from None
 
@@ -57,7 +58,7 @@ def _parse_repetition(text: str | None) -> int | str | None:
     if text is None or text == "all":
         return text
     try:
-        return int(text)
+        return _int_of(text.strip(), "repetition")
     except ValueError:
         raise ValueError(f"bad repetition {text!r}; expected an integer or 'all'") from None
 
@@ -70,15 +71,9 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _cmd_evacuate(args) -> int:
+def _cmd_transform(args) -> int:
     t = parse_tableau(_read_input(args.input))
-    _emit(format_tableau(evacuate(t)), None)
-    return 0
-
-
-def _cmd_standardize(args) -> int:
-    t = parse_tableau(_read_input(args.input))
-    _emit(format_tableau(standardize(t)), None)
+    _emit(format_tableau(args.transform(t)), None)
     return 0
 
 
@@ -138,7 +133,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     family = Family(_parse_shape(args.shape), _parse_repetition(args.repetition))
-    report = run_verification(family, args.check, jobs=args.jobs, max_seconds=args.max_seconds)
+    jobs = _int_of(args.jobs, "jobs")
+    report = run_verification(family, args.check, jobs=jobs, max_seconds=args.max_seconds)
     if args.json:
         _emit(json.dumps(report.to_json(), separators=(",", ":")), None)
     else:
@@ -174,48 +170,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help, **defaults):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, **defaults)
+        return p
+
     def with_input(p):
         p.add_argument("--input", default=None, help="input file (default: stdin)")
         return p
 
-    with_input(sub.add_parser("evacuate", help="evacuate a straight-shape tableau"))
-    with_input(sub.add_parser("standardize", help="standardize a Russell tableau"))
+    with_input(command("evacuate", _cmd_transform, "evacuate a straight-shape tableau", transform=evacuate))
+    with_input(command("standardize", _cmd_transform, "standardize a Russell tableau", transform=standardize))
 
-    to_web = with_input(sub.add_parser("to-web", help="map a tableau to its web or matching"))
+    to_web = with_input(command("to-web", _cmd_to_web, "map a tableau to its web or matching"))
     to_web.add_argument("--canonical", action="store_true", help="emit the canonical encoding")
 
-    with_input(sub.add_parser("reflect", help="reflect a web or matching (JSON in, JSON out)"))
+    with_input(command("reflect", _cmd_reflect, "reflect a web or matching (JSON in, JSON out)"))
 
-    enum = sub.add_parser("enumerate", help="list a tableau family")
+    enum = command("enumerate", _cmd_enumerate, "list a tableau family")
     enum.add_argument("--shape", required=True, help="comma-separated parts, e.g. 3,3,3")
     enum.add_argument("--repetition", default=None, help="Russell repetition h, or 'all'")
     enum.add_argument("--json", action="store_true")
 
-    verify = sub.add_parser("verify", help="run a property exhaustively over a family")
+    verify = command("verify", _cmd_verify, "run a property exhaustively over a family")
     verify.add_argument("--shape", required=True)
     verify.add_argument("--repetition", default=None)
     verify.add_argument("--check", required=True, choices=CHECK_NAMES)
-    verify.add_argument("--jobs", type=int, default=1, help="worker processes (capped by WEBWEAVE_THREADS)")
+    verify.add_argument("--jobs", default="1", help="worker processes (capped by WEBWEAVE_THREADS)")
     verify.add_argument("--max-seconds", type=float, default=None, help="time budget; also lifts the size bounds")
     verify.add_argument("--json", action="store_true")
 
-    render = with_input(sub.add_parser("render", help="draw a tableau, web, or matching"))
+    render = with_input(command("render", _cmd_render, "draw a tableau, web, or matching"))
     render.add_argument("--format", default="svg", choices=("svg",), help="output format")
     render.add_argument("--stage", default="web", choices=("web", "mdiagram"))
     render.add_argument("--output", default=None, help="output file (default: stdout)")
 
     return parser
-
-
-_HANDLERS = {
-    "evacuate": _cmd_evacuate,
-    "standardize": _cmd_standardize,
-    "to-web": _cmd_to_web,
-    "reflect": _cmd_reflect,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "render": _cmd_render,
-}
 
 
 def main(argv=None) -> int:
@@ -225,7 +215,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except BrokenPipeError:
         return 0
     except (ValueError, LookupError, OSError, TimeBudgetExceeded) as exc:

@@ -29,12 +29,11 @@ def _svg(elements: list[str]) -> str:
     return "\n".join([head, *elements, "</svg>"]) + "\n"
 
 
-def _boundary_positions(count: int) -> list[tuple[float, float]]:
-    out = []
-    for i in range(count):
-        theta = math.pi / 2 + 2 * math.pi * (i + 0.5) / count
-        out.append((_CENTER + _RADIUS * math.cos(theta), _CENTER - _RADIUS * math.sin(theta)))
-    return out
+def _on_circle(count: int, radius: float) -> list[tuple[float, float]]:
+    """count points evenly spaced around the center at this radius, the
+    first just counterclockwise of the top: where labels 1..count go."""
+    angles = (math.pi / 2 + 2 * math.pi * (i + 0.5) / count for i in range(count))
+    return [(_CENTER + radius * math.cos(theta), _CENTER - radius * math.sin(theta)) for theta in angles]
 
 
 def _dot(x: float, y: float, color: str) -> str:
@@ -52,46 +51,23 @@ def _label(x: float, y: float, text: str) -> str:
     )
 
 
-def _boundary_label_pos(i: int, count: int) -> tuple[float, float]:
-    theta = math.pi / 2 + 2 * math.pi * (i + 0.5) / count
-    r = _RADIUS + 16
-    return _CENTER + r * math.cos(theta), _CENTER - r * math.sin(theta)
-
-
-def render_matching_svg(m: Matching) -> str:
-    points = max(1, 2 * m.n)
-    pos = _boundary_positions(points)
-    elements = [
-        f'<circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" r="{_fmt(_RADIUS)}" '
-        f'fill="none" stroke="#bbbbbb" stroke-dasharray="4 3"/>'
-    ]
-    for i, j in m.pairs:
-        (x1, y1), (x2, y2) = pos[i - 1], pos[j - 1]
-        elements.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="#000000" stroke-width="1.5"/>'
-        )
-    for i in range(2 * m.n):
-        elements.append(_dot(*pos[i], BLACK))
-        elements.append(_label(*_boundary_label_pos(i, points), str(i + 1)))
-    return _svg(elements)
-
-
-def render_web_svg(web: Web) -> str:
-    b = web.n_boundary
-    pos: list[tuple[float, float]] = list(_boundary_positions(max(1, b)))[:b]
+def _disk_svg(b: int, colors, edges) -> str:
+    """Draw vertices 0..b-1 on the circle in label order and the rest inside,
+    vertex v colored colors[v], with a line for each edge (x, y)."""
+    pos = _on_circle(b, _RADIUS)
     # internal vertices start just off-center (distinct seeds keep degenerate
     # configurations from stacking) and relax to neighbor barycenters
-    for i in range(len(web.internal_colors)):
-        angle = 2 * math.pi * (i + 1) / max(1, len(web.internal_colors) + 1)
+    internal = len(colors) - b
+    for i in range(internal):
+        angle = 2 * math.pi * (i + 1) / (internal + 1)
         pos.append((_CENTER + 10 * math.cos(angle), _CENTER + 10 * math.sin(angle)))
 
-    neighbors: list[list[int]] = [[] for _ in range(web.n_vertices)]
-    for e, (x, y) in enumerate(web.edges):
+    neighbors: list[list[int]] = [[] for _ in colors]
+    for x, y in edges:
         neighbors[x].append(y)
         neighbors[y].append(x)
     for _ in range(_ITERATIONS):
-        for v in range(b, web.n_vertices):
+        for v in range(b, len(colors)):
             nbrs = neighbors[v]
             if nbrs:
                 pos[v] = (
@@ -103,17 +79,25 @@ def render_web_svg(web: Web) -> str:
         f'<circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" r="{_fmt(_RADIUS)}" '
         f'fill="none" stroke="#bbbbbb" stroke-dasharray="4 3"/>'
     ]
-    for x, y in web.edges:
+    for x, y in edges:
         (x1, y1), (x2, y2) = pos[x], pos[y]
         elements.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="#000000" stroke-width="1.5"/>'
         )
-    for v in range(web.n_vertices):
-        elements.append(_dot(*pos[v], web.color(v)))
-    for i in range(b):
-        elements.append(_label(*_boundary_label_pos(i, b), str(i + 1)))
+    elements += [_dot(*p, color) for p, color in zip(pos, colors)]
+    elements += [_label(*p, str(i)) for i, p in enumerate(_on_circle(b, _RADIUS + 16), start=1)]
     return _svg(elements)
+
+
+def render_matching_svg(m: Matching) -> str:
+    """A matching drawn as the all-black sl2 web it is: its 2n points on the
+    circle, one edge per pair."""
+    return _disk_svg(2 * m.n, [BLACK] * (2 * m.n), [(i - 1, j - 1) for i, j in m.pairs])
+
+
+def render_web_svg(web: Web) -> str:
+    return _disk_svg(web.n_boundary, web.boundary_colors + web.internal_colors, web.edges)
 
 
 def render_mdiagram_svg(diagram: ArcDiagram) -> str:

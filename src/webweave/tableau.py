@@ -29,6 +29,17 @@ def _check_ints(values, what: str) -> None:
             raise ValueError(f"bad {what} {value!r}; expected an integer")
 
 
+def _int_of(text: str, what: str) -> int:
+    """The integer that text spells in the one form this program reads and
+    writes, str() of an int: an optional '-', then ASCII digits with no
+    leading zero, and 0 unsigned.  int() alone would also take '_', '+',
+    spaces and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and text != "0"):
+        raise ValueError(f"bad {what} {text!r}; expected an integer")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Shape:
     """An integer partition, stored as its weakly decreasing positive parts."""
@@ -432,6 +443,30 @@ def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
 
 # --- text and JSON forms ------------------------------------------------
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """Return value if it is a JSON value of the given kind, so that a
+    malformed document fails with a ValueError naming the field instead of a
+    TypeError deep inside the parse."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _field(doc: dict, key: str, what: str):
+    """doc[key], or a ValueError naming the missing field."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} field") from None
+
+
+def _typed_items(value, kind: type, what: str) -> list:
+    return [_typed(item, kind, f"each entry of {what}") for item in _typed(value, list, what)]
+
+
 def parse_tableau(text: str) -> RowStrictTableau:
     """Parse the text form: one row per line, entries space-separated."""
     rows = []
@@ -440,7 +475,7 @@ def parse_tableau(text: str) -> RowStrictTableau:
         if not line:
             continue
         try:
-            rows.append(tuple(int(tok) for tok in line.split()))
+            rows.append(tuple(_int_of(tok, "entry") for tok in line.split()))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not rows:
@@ -467,6 +502,6 @@ def tableau_to_json(t: RowStrictTableau) -> dict:
 def tableau_from_json(doc: dict | str) -> RowStrictTableau:
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return RowStrictTableau.from_rows(
-        [tuple(row) for row in doc["rows"]], tuple(doc.get("inner", ()))
-    )
+    doc = _typed(doc, dict, "a tableau document")
+    rows = _typed_items(_field(doc, "rows", "a tableau document"), list, "rows")
+    return RowStrictTableau.from_rows(rows, tuple(_typed_items(doc.get("inner", []), int, "inner")))

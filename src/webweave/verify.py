@@ -16,6 +16,7 @@ from .tableau import (
     _column_word,
     _format_rows,
     _grow,
+    _int_of,
     _is_int,
     _rotate_complement,
     enumerate_russell,
@@ -284,7 +285,7 @@ def _worker_count(jobs: int | None) -> int:
     cap = os.environ.get("WEBWEAVE_THREADS")
     if cap:
         try:
-            jobs = min(jobs, max(1, int(cap)))
+            jobs = min(jobs, max(1, _int_of(cap.strip(), "WEBWEAVE_THREADS")))
         except ValueError:
             raise ValueError(f"WEBWEAVE_THREADS must be an integer, got {cap!r}") from None
     return jobs

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .tableau import _check_ints
+from .tableau import _check_ints, _field, _int_of, _typed, _typed_items
 
 BLACK = "black"
 WHITE = "white"
@@ -384,30 +384,6 @@ def reflect_web(web: Web) -> Web:
 
 # --- JSON forms -------------------------------------------------------------
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
-
-
-def _typed(value, kind: type, what: str):
-    """Return value if it is a JSON value of the given kind, so that a
-    malformed document fails with a ValueError naming the field instead of a
-    TypeError deep inside the parse."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
-    return value
-
-
-def _field(doc: dict, key: str, what: str):
-    """doc[key], or a ValueError naming the missing field."""
-    try:
-        return doc[key]
-    except KeyError:
-        raise ValueError(f"{what} has no {key!r} field") from None
-
-
-def _typed_items(value, kind: type, what: str) -> list:
-    return [_typed(item, kind, f"each entry of {what}") for item in _typed(value, list, what)]
-
-
 def matching_to_json(m: Matching) -> dict:
     return {"n": m.n, "pairs": [list(p) for p in m.pairs]}
 
@@ -457,7 +433,7 @@ def web_from_json(doc: dict | str) -> Web:
         if kind not in ("b", "i"):
             raise WebStructureError(f"bad endpoint {name!r}")
         try:
-            idx = int(digits)
+            idx = _int_of(digits, "endpoint")
         except ValueError:
             raise WebStructureError(f"bad endpoint {name!r}") from None
         if kind == "b":

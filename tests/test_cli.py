@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import evacuate_by_cells, random_filling
 from webweave.cli import main
+from webweave.render import render_matching_svg
 from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, format_tableau, parse_tableau
 from webweave.webcore import matching_to_json, web_from_json, web_to_json, webs_equal
 from webweave.bijection import russell_web, web_of_2row
@@ -63,6 +64,36 @@ class TestEvacuateCommand:
         code, _, err = run(capsys, ["evacuate"], "1 x", monkeypatch)
         assert code == 2
         assert "line 1" in err
+
+
+class TestIntegerSpellings:
+    """Each integer on the command line is spelled one way: int() alone would
+    also read '_', '+', spaces and non-ASCII digits, and so did the CLI."""
+
+    @pytest.mark.parametrize("shape", ["1_0,1", " 2,+2", "\u0663,\u0663", "03,3"])
+    def test_shape(self, capsys, monkeypatch, shape):
+        code, _, err = run(capsys, ["verify", "--shape", shape, "--check", "lemma"], monkeypatch=monkeypatch)
+        assert code == 2
+        assert f"bad shape {shape!r}" in err
+
+    @pytest.mark.parametrize("repetition", ["+1", "01", "\u0661", "0_1"])
+    def test_repetition(self, capsys, monkeypatch, repetition):
+        argv = ["verify", "--shape", "2,2,2", "--repetition", repetition, "--check", "lemma"]
+        code, _, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 2
+        assert f"bad repetition {repetition!r}" in err
+
+    @pytest.mark.parametrize("jobs", ["+1", "01", "\u0661", "0_1"])
+    def test_jobs(self, capsys, monkeypatch, jobs):
+        argv = ["verify", "--shape", "2,2", "--check", "lemma", "--jobs", jobs]
+        code, _, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 2
+        assert f"bad jobs {jobs!r}" in err
+
+    def test_spaces_around_shape_parts(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["verify", "--shape", " 3, 3 ", "--check", "lemma"], monkeypatch=monkeypatch)
+        assert code == 0
+        assert "total 5" in out
 
 
 class TestStandardizeCommand:
@@ -296,6 +327,18 @@ class TestRenderCommand:
         _, out, _ = run(capsys, ["render"], "1 2\n3 4", monkeypatch)
         ET.fromstring(out)
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matching_is_drawn_as_an_all_black_web(self, n):
+        import xml.etree.ElementTree as ET
+
+        svg = ET.fromstring(render_matching_svg(web_of_2row(enumerate_standard(Shape((n, n)))[-1])))
+        ns = "{http://www.w3.org/2000/svg}"
+        assert len(svg.findall(ns + "line")) == n
+        frame, *dots = svg.findall(ns + "circle")
+        assert frame.get("fill") == "none"
+        assert [dot.get("fill") for dot in dots] == ["#000000"] * (2 * n)
+        assert sorted(int(label.text) for label in svg.findall(ns + "text")) == list(range(1, 2 * n + 1))
+
     def test_bad_format_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["render", "--format", "png"], "1\n2", monkeypatch)
         assert code == 2
@@ -393,6 +436,17 @@ class TestCliContract:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (err.getvalue() == "")
+
+    @given(st.text(alphabet="0123456789,_+ \u0663\uff13\u00b2", max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_any_shape_text_exits_0_1_or_2_without_a_traceback(self, shape):
+        # families beyond the bounds are refused without a budget, so each
+        # example stays short
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--check", "lemma", "--shape", shape])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     @given(straight_fillings())
     @settings(max_examples=150, deadline=None)

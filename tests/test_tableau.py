@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from webweave.tableau import (
     Shape,
     SkewShape,
     _column_word,
+    _int_of,
     _standardize,
     count_standard,
     enumerate_russell,
@@ -330,6 +332,19 @@ class TestTextAndJson:
         with pytest.raises(ValueError, match="line 2"):
             parse_tableau("1 2\nx 3")
 
+    @pytest.mark.parametrize("token", ["1_0", "+11", "\u0661\u0662", "011"])
+    def test_parse_refuses_other_integer_spellings(self, token):
+        # int() read each of these, so they used to give a tableau
+        with pytest.raises(ValueError, match=re.escape(f"line 2: bad entry {token!r}")):
+            parse_tableau(f"1 2\n{token} 13")
+
+    def test_one_spelling_of_an_integer(self):
+        for text in ["0", "7", "-7", "10", "-120"]:
+            assert _int_of(text, "value") == int(text)
+        for text in ["", "-", "-0", "00", "07", "+7", " 7", "7 ", "1_0", "\u0663", "\uff13", "\u00b2", "7.0"]:
+            with pytest.raises(ValueError, match="bad value"):
+                _int_of(text, "value")
+
     def test_json_roundtrip(self):
         t = T([[1, 2, 3], [1, 4, 5], [3, 6, 7]])
         assert tableau_from_json(tableau_to_json(t)) == t
@@ -340,6 +355,22 @@ class TestTextAndJson:
             tableau_from_json({"rows": [[1.7, "2"], [3, 4]]})
         with pytest.raises(ValueError, match="bad entry '2'"):
             tableau_from_json({"rows": [[1, "2"], [3, 4]]})
+
+    @pytest.mark.parametrize(
+        "doc, says",
+        [
+            ([1], "a tableau document must be an object"),
+            ({}, "a tableau document has no 'rows' field"),
+            ({"rows": 5}, "rows must be an array"),
+            ({"rows": [5]}, "each entry of rows must be an array"),
+            ({"rows": [[1, 2]], "inner": "ab"}, "inner must be an array"),
+            ({"rows": [[1, 2]], "inner": [1.5]}, "each entry of inner must be an integer"),
+        ],
+    )
+    def test_json_malformed_document_names_the_field(self, doc, says):
+        # these raised TypeError or KeyError, and inner [1.5] "bad shape part 3.5"
+        with pytest.raises(ValueError, match=re.escape(says)):
+            tableau_from_json(doc)
 
     def test_json_skew(self):
         t = tableau_from_cells({(1, 2): 1, (2, 1): 1, (2, 2): 2})

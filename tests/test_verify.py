@@ -179,6 +179,13 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="WEBWEAVE_THREADS"):
             run_verification(Family((3, 3, 3)), "theorem", jobs=2)
 
+    @pytest.mark.parametrize("cap", ["1_0", "+2", "\u0662", "02"])
+    def test_thread_cap_env_is_spelled_one_way(self, monkeypatch, cap):
+        # int() read each of these, so they used to cap the workers
+        monkeypatch.setenv("WEBWEAVE_THREADS", cap)
+        with pytest.raises(ValueError, match="WEBWEAVE_THREADS must be an integer"):
+            verify._worker_count(4)
+
 
 class TestShards:
     def test_budget_covers_growing(self, monkeypatch):

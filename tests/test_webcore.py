@@ -10,7 +10,7 @@ from oracles import (
     reflect_web_by_expansion,
 )
 from webweave import bijection, webcore
-from webweave.bijection import russell_web, tymoczko_web
+from webweave.bijection import russell_web, tableau_of_web, tymoczko_web, web_of_2row
 from webweave.tableau import Shape, enumerate_russell, enumerate_standard
 from webweave.webcore import (
     BLACK,
@@ -356,6 +356,17 @@ class TestWebJson:
         with pytest.raises(WebStructureError):
             web_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "ends", [["i0", "b 1"], ["i0", "b+1"], ["i0", "b\u0661"], ["i0", "b01"], ["i 0", "b1"], ["i00", "b1"]]
+    )
+    def test_rejects_other_integer_spellings(self, ends):
+        # int() read each of these, so they used to name i0 and b1
+        doc = web_to_json(tripod())
+        assert doc["edges"][1] == ["i0", "b1"]
+        doc["edges"][1] = ends
+        with pytest.raises(WebStructureError, match="bad endpoint"):
+            web_from_json(doc)
+
 
 class TestOneGate:
     """A Web is checked once, by its constructor; the functions that take a
@@ -410,6 +421,28 @@ class TestOneGate:
             gate_calls.clear()
             kernel()
             assert gate_calls == [parts], name
+
+    def test_tableau_of_web_checks_its_web_once(self, gate_calls):
+        # the round trip compares keys of plain fields, so no second Web is built
+        web = russell_web(enumerate_russell(3, 2)[7])
+        gate_calls.clear()
+        tableau_of_web(web, (3, 3, 3))
+        assert gate_calls == [_fields(web)]
+
+    def test_tableau_of_web_checks_its_matching_once(self, monkeypatch):
+        calls = []
+        real = webcore._check_pairs
+
+        def counted(n, pairs):
+            calls.append(pairs)
+            return real(n, pairs)
+
+        for module in (webcore, bijection):
+            monkeypatch.setattr(module, "_check_pairs", counted)
+        m = web_of_2row(enumerate_standard(Shape((4, 4)))[5])
+        calls.clear()
+        tableau_of_web(m, (4, 4))
+        assert calls == [m.pairs]
 
     def test_web_defects_is_validate_web_on_plain_fields(self):
         webs = [tripod(), contract_pair(tripod(), 1), square_face_web()]
