@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import inf
+from typing import Callable, NamedTuple
 
 from .tableau import RowStrictTableau, _check_ints, _russell_rows, _standardize
 from .webcore import (
@@ -24,9 +25,9 @@ from .webcore import (
     _check_pairs,
     _check_structure,
     _contract,
+    _defects,
     _fields,
-    _parts_key,
-    canonicalize,
+    _pairs_key,
 )
 
 Pair = tuple[int, int]
@@ -319,15 +320,14 @@ def _russell_parts(rows):
     checks on the rows, and the standardized rows need no more: standardizing
     keeps rows strict and columns weak, and _arc_ends checks the values."""
     rows, pair_starts = _standardize(rows)
-    return _contract(*_tymoczko_parts(rows), pair_starts)
+    return _contract(_tymoczko_parts(rows), pair_starts)
 
 
 # --- the inverse, by face depth ----------------------------------------------
 
 def _matching_rows(pairs) -> tuple[tuple[int, ...], ...]:
-    """The rows of the 2-row tableau of a matching given by its sorted pairs,
-    after the partition and noncrossing check: openers on top."""
-    _check_pairs(len(pairs), pairs)
+    """The rows of the 2-row tableau of a matching given by its sorted,
+    checked pairs: openers on top."""
     return tuple(i for i, _ in pairs), tuple(sorted(j for _, j in pairs))
 
 
@@ -340,18 +340,17 @@ _ROWS_OF_STATE = {
 
 
 def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
-    """The rows of the 3-row filling whose web has these plain fields, after
-    the same check of the plain fields as _parts_key.  A face's depth is the
-    number of web edges crossed on a shortest way to it from the disk face
-    between labels b and 1, and label i places the value i by its state.  A
-    state outside -1..1 raises LookupError; any other web outside the family
-    gives rows that the forward map does not send back to it."""
-    _check_structure(*parts)
+    """The rows of the 3-row filling whose web has these checked plain
+    fields.  A face's depth is the number of web edges crossed on a shortest
+    way to it from the disk face between labels b and 1, and label i places
+    the value i by its state.  A state outside -1..1 raises LookupError; any
+    other web outside the family gives rows that the forward map does not
+    send back to it."""
     boundary_colors, _, edges, _ = parts
     if not boundary_colors:
         raise LookupError("a web without boundary vertices has no tableau")
     arc_base = 2 * len(edges)
-    faces, face_of = _augmented_faces(*parts)
+    faces, face_of = _augmented_faces(parts)
     depth = [-1] * len(faces)
     depth[face_of[-1]] = 0  # the last half-edge is the odd half of arc b-1
     queue = [face_of[-1]]
@@ -372,29 +371,53 @@ def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+class Pipeline(NamedTuple):
+    """What a kind of family does with the rows of each tableau: build the
+    sorted pairs of its matching or the plain fields of its web, check them,
+    key them canonically (with mirror=True, the key of the reflection), list
+    their defects, and read the tableau's rows back off them.  `parts` builds
+    and checks once; the key, the defects and the inverse trust what it
+    gives, as the functions that take a Matching or a Web trust it."""
+
+    build: Callable
+    check: Callable[..., None]
+    key: Callable[..., str]
+    defects: Callable[..., list[str]]
+    inverse: Callable[..., tuple]
+
+    def parts(self, rows):
+        parts = self.build(rows)
+        self.check(parts)
+        return parts
+
+
+# a matching that passes the partition and noncrossing check has no other defect
+SL2 = Pipeline(_catalan_pairs, lambda pairs: _check_pairs(len(pairs), pairs), _pairs_key, lambda pairs: [],
+               _matching_rows)
+SL3_STANDARD = Pipeline(_tymoczko_parts, _check_structure, _canonical, _defects, _tableau_rows)
+SL3_RUSSELL = Pipeline(_russell_parts, _check_structure, _canonical, _defects, _tableau_rows)
+
+
 def tableau_of_web(web, shape) -> RowStrictTableau:
     """Invert the Catalan or Russell map directly, at any size: a matching's
     openers form the top row, and a web's rows are read off its face depths
     (see _tableau_rows).  `shape` is (n, n) for matchings or (k, k, k) for
     webs.  The result must map forward to the input again, so a matching or
-    web outside the family raises LookupError.  The round trip compares plain
-    pairs or keys, so it builds and checks no second matching or web."""
+    web outside the family raises LookupError.  The input was checked when it
+    was made, so the one check is of the round trip's pairs or fields."""
     shape = tuple(shape)
     if isinstance(web, Matching):
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"matching families have shape (n, n), got {shape}")
-        rows = _matching_rows(web.pairs)
+        p, parts = SL2, web.pairs
     else:
         if len(shape) != 3 or len(set(shape)) != 1:
             raise ValueError(f"web families have shape (k, k, k), got {shape}")
-        rows = _tableau_rows(_fields(web))
+        p, parts = SL3_RUSSELL, _fields(web)
+    rows = p.inverse(parts)
     try:
         t = RowStrictTableau.from_rows(rows)
-        if isinstance(web, Matching):
-            back = _catalan_pairs(rows) == web.pairs
-        else:
-            back = _canonical(*_russell_parts(rows)) == canonicalize(web)
-        if back and all(len(row) == shape[0] for row in rows):
+        if p.key(p.parts(rows)) == p.key(parts) and all(len(row) == shape[0] for row in rows):
             return t
     except ValueError:
         pass

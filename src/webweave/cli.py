@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .bijection import m_diagram, russell_web, web_of_2row
@@ -61,6 +62,14 @@ def _parse_repetition(text: str | None) -> int | str | None:
         return _int_of(text.strip(), "repetition")
     except ValueError:
         raise ValueError(f"bad repetition {text!r}; expected an integer or 'all'") from None
+
+
+def _parse_seconds(text: str) -> float:
+    """A time budget: an integer as _int_of reads it, then optionally '.' and
+    ASCII digits, where float() also takes 'inf', '1e400', '1_0' and ' +1'."""
+    if not re.fullmatch(r"(0|-?[1-9][0-9]*)(\.[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"bad max_seconds {text!r}; expected a number of seconds")
+    return float(text)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -197,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--repetition", default=None)
     verify.add_argument("--check", required=True, choices=CHECK_NAMES)
     verify.add_argument("--jobs", default="1", help="worker processes (capped by WEBWEAVE_THREADS)")
-    verify.add_argument("--max-seconds", type=float, default=None, help="time budget; also lifts the size bounds")
+    verify.add_argument("--max-seconds", type=_parse_seconds, default=None,
+                        help="time budget, e.g. 30 or 0.5; also lifts the size bounds")
     verify.add_argument("--json", action="store_true")
 
     render = with_input(command("render", _cmd_render, "draw a tableau, web, or matching"))

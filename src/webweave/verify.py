@@ -6,9 +6,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator
 
-from .bijection import _catalan_pairs, _matching_rows, _russell_parts, _tableau_rows, _tymoczko_parts
+from .bijection import SL2, SL3_RUSSELL, SL3_STANDARD, Pipeline
 from .jdt import _evacuate_rows
 from .tableau import (
     RowStrictTableau,
@@ -22,7 +22,6 @@ from .tableau import (
     enumerate_russell,
     enumerate_standard,
 )
-from .webcore import _check_pairs, _pairs_key, _parts_key, _web_defects
 
 # desk-scale defaults; larger families need an explicit time budget
 MAX_2ROW_N = 8
@@ -36,33 +35,6 @@ class FamilyBoundError(ValueError):
 
 class TimeBudgetExceeded(RuntimeError):
     pass
-
-
-class Pipeline(NamedTuple):
-    """What a kind of family does with the rows of each tableau: build the
-    sorted pairs of its matching or the plain fields of its web, key those
-    canonically (with mirror=True, the key of the reflection), list the
-    defects of the matching or web, and read the tableau's rows back off it.
-    The key, the defects and the inverse each check what they are given, so
-    each matching or web that a check builds is checked once."""
-
-    parts: Callable
-    key: Callable[..., str]
-    defects: Callable[..., list[str]]
-    inverse: Callable[..., tuple]
-
-
-def _pairs_defects(pairs) -> list[str]:
-    try:
-        _check_pairs(len(pairs), pairs)
-    except ValueError as exc:
-        return [str(exc)]
-    return []
-
-
-SL2 = Pipeline(_catalan_pairs, _pairs_key, _pairs_defects, _matching_rows)
-SL3_STANDARD = Pipeline(_tymoczko_parts, _parts_key, _web_defects, _tableau_rows)
-SL3_RUSSELL = Pipeline(_russell_parts, _parts_key, _web_defects, _tableau_rows)
 
 
 @dataclass(frozen=True)
@@ -231,7 +203,10 @@ def _check_lemma(p: Pipeline, rows):
 
 
 def _check_validity(p: Pipeline, rows):
-    report = p.defects(p.parts(rows))
+    try:  # a build that its check refuses is a failure too, of either kind
+        report = p.defects(p.parts(rows))
+    except ValueError as exc:
+        report = [str(exc)]
     if report:
         yield _failure(rows, "", "; ".join(report))
 
@@ -301,7 +276,7 @@ def run_verification(
 
     Families beyond the desk-scale bounds are refused unless a time budget is
     given; exceeding a given budget, growing included, aborts with
-    TimeBudgetExceeded, and a negative or NaN budget or fewer than one job
+    TimeBudgetExceeded, and a negative, infinite or NaN budget or jobs < 1
     is refused with ValueError before anything is grown.  Each tableau is
     grown where it is checked: in-process, or with `jobs` workers in a pool
     worker that grows every `jobs`-th shard of the family.  The theorem is
@@ -313,7 +288,7 @@ def run_verification(
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
     if max_seconds is None:
         family.check_bounds()
-    elif not max_seconds >= 0:  # also NaN
+    elif not 0 <= max_seconds < math.inf:  # also NaN
         raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds}")
     jobs = _worker_count(jobs)
     start = time.monotonic()

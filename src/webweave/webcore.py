@@ -58,10 +58,9 @@ def _check_pairs(n: int, pairs) -> None:
 
 
 def _pairs_key(pairs, mirror=False) -> str:
-    """The key of a matching given by its sorted pairs, after the partition
-    and noncrossing check; with mirror=True, the key of its reflection: the
-    pair (i, j) of 2n points becomes (2n+1-j, 2n+1-i)."""
-    _check_pairs(len(pairs), pairs)
+    """The key of a matching given by its sorted, checked pairs; with
+    mirror=True, the key of its reflection: the pair (i, j) of 2n points
+    becomes (2n+1-j, 2n+1-i)."""
     if mirror:
         size = 2 * len(pairs) + 1
         pairs = tuple(sorted((size - j, size - i) for i, j in pairs))
@@ -96,7 +95,7 @@ class Web:
         object.__setattr__(self, "rotation", tuple(tuple(rot) for rot in self.rotation))
         _check_ints((v for edge in self.edges for v in edge), "id")
         _check_ints((e for rot in self.rotation for e in rot), "id")
-        _check_structure(*_fields(self))
+        _check_structure(_fields(self))
 
     @property
     def n_boundary(self) -> int:
@@ -120,10 +119,11 @@ def _fields(web: Web):
     return web.boundary_colors, web.internal_colors, web.edges, web.rotation
 
 
-def _check_structure(boundary_colors, internal_colors, edges, rotation) -> None:
+def _check_structure(parts) -> None:
     """The one check of a web's plain fields: every color is black or white
     (else ValueError), the rotation lists one entry per vertex, and each edge
     appears exactly at its two distinct, existing endpoints."""
+    boundary_colors, internal_colors, edges, rotation = parts
     for colors in (boundary_colors, internal_colors):
         for c in colors:
             if c not in (BLACK, WHITE):
@@ -151,7 +151,7 @@ def _other(edges, e: int, v: int) -> int:
     return b if v == a else a
 
 
-def _augmented_faces(boundary_colors, internal_colors, edges, rotation):
+def _augmented_faces(parts):
     """Faces of the map augmented with the boundary circle, given the plain
     fields of a structurally sound web: each face as its list of half-edges in
     order, and the face of each half-edge.  Half-edge 2e starts at edges[e][0]
@@ -159,6 +159,7 @@ def _augmented_faces(boundary_colors, internal_colors, edges, rotation):
     i+1 (mod b) has the halves 2E+2i and 2E+2i+1.  The even arc halves make
     the face outside the disk; the odd half of arc i lies in the disk face
     between labels i+1 and i+2."""
+    boundary_colors, _, edges, rotation = parts
     b = len(boundary_colors)
     arc_base = 2 * len(edges)
     # succ[h] follows h around its face: the half-edge after h's twin, ccw at
@@ -191,17 +192,12 @@ def _augmented_faces(boundary_colors, internal_colors, edges, rotation):
 def validate_web(web: Web) -> list[str]:
     """The violations of the web invariants that construction leaves open
     (empty iff the web is a valid non-elliptic diagram)."""
-    return _defects(*_fields(web))
+    return _defects(_fields(web))
 
 
-def _web_defects(parts) -> list[str]:
-    """validate_web(Web(*parts)), after the same check, without building a Web."""
-    _check_structure(*parts)
-    return _defects(*parts)
-
-
-def _defects(boundary_colors, internal_colors, edges, rotation) -> list[str]:
+def _defects(parts) -> list[str]:
     """The violations of the plain fields of a structurally sound web."""
+    boundary_colors, internal_colors, edges, rotation = parts
     report: list[str] = []
     b = len(boundary_colors)
     colors = (*boundary_colors, *internal_colors)
@@ -217,7 +213,7 @@ def _defects(boundary_colors, internal_colors, edges, rotation) -> list[str]:
         if colors or edges:
             report.append("web without boundary vertices is not embeddable in the disk model")
         return report
-    faces, _ = _augmented_faces(boundary_colors, internal_colors, edges, rotation)
+    faces, _ = _augmented_faces(parts)
     euler = len(colors) - (len(edges) + b) + len(faces)
     if euler != 2:
         report.append(f"rotation system is not a planar disk embedding (V-E+F = {euler}, expected 2)")
@@ -235,16 +231,17 @@ def canonicalize(web: Web) -> str:
     vertex's rotation is read counterclockwise starting from its discovery
     edge, so internal vertex names and rotation phases wash out.
     """
-    return _canonical(*_fields(web))
+    return _canonical(_fields(web))
 
 
-def _canonical(boundary_colors, internal_colors, edges, rotation, mirror=False) -> str:
+def _canonical(parts, mirror=False) -> str:
     """canonicalize on the plain fields of a structurally sound web.
 
     With mirror, the key of the web's reflection (see reflect_web): label i
     is read as b+1-i and every rotation is read reversed, so the reflected
     web need not be built.
     """
+    boundary_colors, internal_colors, edges, rotation = parts
     b = len(boundary_colors)
     marks = ["B" if c == BLACK else "W" for c in boundary_colors]
     marks += ["B" if c == BLACK else "W" for c in internal_colors]
@@ -272,18 +269,11 @@ def _canonical(boundary_colors, internal_colors, edges, rotation, mirror=False) 
     return "|".join(chunks)
 
 
-def _parts_key(parts, mirror=False) -> str:
-    """canonicalize(Web(*parts)), or with mirror the key of its reflection,
-    after the same check of the plain fields, without building a Web."""
-    _check_structure(*parts)
-    return _canonical(*parts, mirror=mirror)
-
-
 def webs_equal(a: Web, b: Web) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-def _contract(boundary_colors, internal_colors, edges, rotation, positions):
+def _contract(parts, positions):
     """Contract the black boundary pairs (p, p+1) at the recorded positions p,
     given as labels of the uncontracted web (p == b pairs the last label with
     the first), in one remap of plain color, edge and rotation sequences.
@@ -293,6 +283,7 @@ def _contract(boundary_colors, internal_colors, edges, rotation, positions):
     equals contracting the pairs one at a time, lowest first.  Returns
     (boundary colors, internal colors, edges, rotation) as tuples.
     """
+    boundary_colors, internal_colors, edges, rotation = parts
     b = len(boundary_colors)
     color = (*boundary_colors, *internal_colors)
     white_of: dict[int, int] = {}  # first vertex of each pair -> its white
@@ -364,7 +355,7 @@ def contract_pairs(web: Web, positions) -> Web:
     positions = tuple(positions)
     if not positions:
         return web
-    return Web(*_contract(*_fields(web), positions))
+    return Web(*_contract(_fields(web), positions))
 
 
 def reflect_web(web: Web) -> Web:

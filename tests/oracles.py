@@ -30,9 +30,10 @@ from webweave.webcore import (
     WHITE,
     Matching,
     Web,
+    _canonical,
     _check_structure,
     _contract,
-    _parts_key,
+    _fields,
     canonicalize,
     reflect_matching,
     validate_web,
@@ -325,7 +326,7 @@ def _other(web: Web, e: int, v: int) -> int:
 def _contract_one(web: Web, p: int) -> Web:
     """Delete the black boundary pair (p, p+1) and move their shared white
     neighbor onto the boundary in their place, building a new Web."""
-    _check_structure(web.boundary_colors, web.internal_colors, web.edges, web.rotation)
+    _check_structure(_fields(web))
     b = web.n_boundary
     u, ep, eq = _common_white_neighbor(web, p)
     if web.is_boundary(u):
@@ -603,7 +604,7 @@ def tymoczko_parts_by_diagram(u: RowStrictTableau):
 def russell_parts_by_diagram(t: RowStrictTableau):
     """The fields of russell_web(t) on the reference builder."""
     u, starts = standardize_with_pairs(t)
-    return _contract(*tymoczko_parts_by_diagram(u), starts)
+    return _contract(tymoczko_parts_by_diagram(u), starts)
 
 
 # --- the canonical key by breadth-first search on a Web ---------------------
@@ -612,7 +613,7 @@ def canonicalize_by_bfs(web: Web) -> str:
     """Breadth-first from the boundary vertices in label order, reading each
     internal vertex's rotation from its discovery edge, with dict-based names.
     The reference for webweave.webcore.canonicalize and its kernel."""
-    _check_structure(web.boundary_colors, web.internal_colors, web.edges, web.rotation)
+    _check_structure(_fields(web))
     b = web.n_boundary
     order: dict[int, int] = {v: v for v in range(b)}
     anchor: dict[int, int] = {}
@@ -690,7 +691,7 @@ def _matching_table(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _web_table(k: int, h: int) -> dict:
-    return {_parts_key(_russell_parts(t.rows)): t for t in enumerate_russell(k, h)}
+    return {_canonical(_russell_parts(t.rows)): t for t in enumerate_russell(k, h)}
 
 
 def tableau_of_web_by_table(web, shape) -> RowStrictTableau:

@@ -45,8 +45,8 @@ from webweave.webcore import (
     WHITE,
     Matching,
     Web,
+    _canonical,
     _pairs_key,
-    _parts_key,
     canonicalize,
     reflect_matching,
     reflect_web,
@@ -280,9 +280,9 @@ class TestIntegerBuilderAgainstOracle:
         for t, is_russell in _builder_inputs():
             parts = _russell_parts(t.rows) if is_russell else _tymoczko_parts(t.rows)
             old = Web(*(russell_parts_by_diagram(t) if is_russell else tymoczko_parts_by_diagram(t)))
-            assert _parts_key(parts) == canonicalize(old) == canonicalize_by_bfs(old), t.rows
+            assert _canonical(parts) == canonicalize(old) == canonicalize_by_bfs(old), t.rows
             mirrored = canonicalize_by_bfs(reflect_web(old))
-            assert _parts_key(parts, mirror=True) == canonicalize(reflect_web(old)) == mirrored, t.rows
+            assert _canonical(parts, mirror=True) == canonicalize(reflect_web(old)) == mirrored, t.rows
 
     def test_web_json_equal(self):
         for t, is_russell in _builder_inputs():
@@ -429,9 +429,19 @@ class TestTableauOfWeb:
         with pytest.raises(LookupError, match="boundary vertex 1 has state 2"):
             tableau_of_web(fan, shape)
 
+    def test_wrong_shape_is_refused(self):
+        m, web = web_of_2row(T([[1, 3], [2, 4]])), russell_web(BIJ_RUSSELL)
+        for shape in ((2, 2, 2), (2, 3), (2,)):
+            with pytest.raises(ValueError, match=r"matching families have shape \(n, n\)"):
+                tableau_of_web(m, shape)
+        for shape in ((3, 3), (3, 3, 2), (3, 3, 3, 3)):
+            with pytest.raises(ValueError, match=r"web families have shape \(k, k, k\)"):
+                tableau_of_web(web, shape)
+
     def test_result_is_checked_by_round_trip(self, monkeypatch):
         t, other = T([[1, 3], [2, 5], [4, 6]]), T([[1, 2], [3, 4], [5, 6]])
-        monkeypatch.setattr(bijection, "_tableau_rows", lambda parts: other.rows)
+        wrong = bijection.SL3_RUSSELL._replace(inverse=lambda parts: other.rows)
+        monkeypatch.setattr(bijection, "SL3_RUSSELL", wrong)
         with pytest.raises(LookupError):
             tableau_of_web(tymoczko_web(t), (2, 2, 2))
         assert tableau_of_web(tymoczko_web(other), (2, 2, 2)) == other

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import evacuate_by_cells, random_filling
+from test_webcore import square_face_web
+from webweave import verify
 from webweave.cli import main
 from webweave.render import render_matching_svg
 from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, format_tableau, parse_tableau
-from webweave.webcore import matching_to_json, web_from_json, web_to_json, webs_equal
+from webweave.webcore import canonicalize, matching_to_json, web_from_json, web_to_json, webs_equal
 from webweave.bijection import russell_web, web_of_2row
 from webweave.verify import Family
 
@@ -89,6 +91,21 @@ class TestIntegerSpellings:
         code, _, err = run(capsys, argv, monkeypatch=monkeypatch)
         assert code == 2
         assert f"bad jobs {jobs!r}" in err
+
+    @pytest.mark.parametrize("seconds", ["inf", "1e400", "1_0", " +1", "\u0661", "-0"])
+    def test_max_seconds(self, capsys, monkeypatch, seconds):
+        # float() read each of these; 'inf' lifted the size bounds with no budget
+        argv = ["verify", "--shape", "3,3", "--check", "lemma", "--max-seconds", seconds]
+        code, out, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert f"bad max_seconds {seconds!r}" in err
+
+    def test_max_seconds_past_the_largest_float(self, capsys, monkeypatch):
+        # spelled as the rule asks, but float() reads it as inf
+        argv = ["verify", "--shape", "3,3", "--check", "lemma", "--max-seconds", "1" + "0" * 400]
+        code, out, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: max_seconds must be a number of seconds >= 0, got inf\n"
 
     def test_spaces_around_shape_parts(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["verify", "--shape", " 3, 3 ", "--check", "lemma"], monkeypatch=monkeypatch)
@@ -172,6 +189,11 @@ class TestReflectCommand:
         assert code == 2
         assert err.startswith("error:") and "degree 0" in err
         assert "Traceback" not in err
+
+    def test_valid_structure_invalid_web_exits_2(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["reflect"], json.dumps(web_to_json(square_face_web())), monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: cannot reflect an invalid web: internal face of size 4 < 6\n"
 
     @pytest.mark.parametrize(
         "doc, says",
@@ -297,6 +319,23 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
+    def test_failures_print_fail_lines_and_exit_1(self, capsys, monkeypatch):
+        # one tableau's build is seeded to cross; the summary goes to stdout
+        # and each record to stderr
+        victim = T([[1, 2, 3], [4, 5, 6]])
+        crossing, real = ((1, 3), (2, 5), (4, 6)), verify.SL2
+
+        def build(rows):
+            return crossing if rows == victim.rows else real.build(rows)
+
+        monkeypatch.setattr(verify, "SL2", real._replace(build=build))
+        code, out, err = run(capsys, ["verify", "--shape", "3,3", "--check", "validity"], monkeypatch=monkeypatch)
+        assert code == 1
+        assert out.startswith("check validity over standard(3,3): total 5, 1 FAILURES, ")
+        record = {"tableau": "1 2 3\n4 5 6", "reading_word": [3, 6, 2, 5, 1, 4], "expected": "",
+                  "actual": "pairs (1,3) and (2,5) cross"}
+        assert err == f"FAIL {record}\n"
+
     def test_bad_check_name(self, capsys, monkeypatch):
         code, _, _ = run(
             capsys, ["verify", "--shape", "2,2", "--check", "nonsense"], monkeypatch=monkeypatch
@@ -338,6 +377,22 @@ class TestRenderCommand:
         assert frame.get("fill") == "none"
         assert [dot.get("fill") for dot in dots] == ["#000000"] * (2 * n)
         assert sorted(int(label.text) for label in svg.findall(ns + "text")) == list(range(1, 2 * n + 1))
+
+    def test_input_and_output_files(self, capsys, monkeypatch, tmp_path):
+        # --input reads the file, not stdin; --output writes the file, not stdout
+        source, target = tmp_path / "t.txt", tmp_path / "t.svg"
+        source.write_text("1 2 3\n1 4 5\n3 6 7", encoding="utf-8")
+        _, want, _ = run(capsys, ["render"], "1 2 3\n1 4 5\n3 6 7", monkeypatch)
+        code, out, err = run(capsys, ["render", "--input", str(source), "--output", str(target)], "", monkeypatch)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == want
+        code, out, _ = run(capsys, ["to-web", "--canonical", "--input", str(source)], "", monkeypatch)
+        assert code == 0 and out == canonicalize(russell_web(T([[1, 2, 3], [1, 4, 5], [3, 6, 7]]))) + "\n"
+
+    def test_missing_input_file_exits_2(self, capsys, monkeypatch, tmp_path):
+        code, out, err = run(capsys, ["evacuate", "--input", str(tmp_path / "absent")], "", monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "absent" in err
 
     def test_bad_format_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["render", "--format", "png"], "1\n2", monkeypatch)

@@ -11,6 +11,7 @@ from oracles import (
     theorem_failures_per_tableau,
     tymoczko_parts_by_diagram,
 )
+from test_webcore import square_face_web
 from webweave import tableau, verify
 from webweave.jdt import _evacuate_rows, reading_word
 from webweave.verify import (
@@ -20,7 +21,7 @@ from webweave.verify import (
     run_verification,
 )
 from webweave.tableau import RowStrictTableau, enumerate_russell, format_tableau, rotate_complement
-from webweave.webcore import Web, reflect_web
+from webweave.webcore import BLACK, Web, _fields, reflect_web
 
 T = RowStrictTableau.from_rows
 
@@ -101,7 +102,7 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_checks_build_no_web(self, jobs, monkeypatch):
-        # validity lists the defects of the plain fields (webcore._web_defects),
+        # validity lists the defects of the plain fields (webcore._defects),
         # so no check builds a Web; pool workers are forked and see the patch
         families = (Family((3, 3, 3)), Family((2, 2, 2), "all"))
         totals = [len(family.tableaux()) for family in families]
@@ -152,6 +153,11 @@ class TestRunVerification:
     def test_nan_budget_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             run_verification(Family((9, 9)), "lemma", max_seconds=float("nan"))
+
+    def test_infinite_budget_rejected(self):
+        # an infinite budget would lift the size bounds and bound nothing
+        with pytest.raises(ValueError, match="got inf$"):
+            run_verification(Family((3, 3)), "lemma", max_seconds=inf)
 
     def test_negative_budget_rejected_before_enumeration(self, monkeypatch):
         # every enumerator, shard listing included, grows through `_fill`
@@ -310,10 +316,10 @@ class TestFailureRecords:
         victim, other = tableaux[5], tableaux[17]
         real = verify.SL3_STANDARD
 
-        def parts(rows):
-            return real.parts(other.rows if rows == victim.rows else rows)
+        def build(rows):
+            return real.build(other.rows if rows == victim.rows else rows)
 
-        monkeypatch.setattr(verify, "SL3_STANDARD", real._replace(parts=parts))
+        monkeypatch.setattr(verify, "SL3_STANDARD", real._replace(build=build))
         want = [
             {"tableau": format_tableau(victim), "reading_word": list(reading_word(victim)),
              "expected": format_tableau(victim), "actual": format_tableau(other)}
@@ -326,6 +332,29 @@ class TestFailureRecords:
         flagged = [bad for bad in (check(family, t) for t in tableaux) if bad is not None]
         assert [bad["tableau"] for bad in flagged] == [format_tableau(other)]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family", [Family((4, 4)), Family((3, 3, 3))], ids=Family.describe)
+    def test_seeded_malformed_build_is_a_validity_record(self, family, jobs, monkeypatch):
+        # a build that its check refuses is that tableau's failure record, for
+        # a matching as for a web, and the campaign goes on; so is a web that
+        # passes the check but has a defect.  Pool workers are forked and see
+        # the patch
+        tableaux = family.tableaux()
+        if family.rows == 2:
+            bad = {tableaux[3]: (((1, 3), (2, 5), (4, 6), (7, 8)), "pairs (1,3) and (2,5) cross")}
+        else:
+            loop = ((BLACK,), (), ((0, 0),), ((0, 0),))
+            bad = {tableaux[3]: (loop, "edge 0 is a loop"),
+                   tableaux[9]: (_fields(square_face_web()), "internal face of size 4 < 6")}
+        seeded = {t.rows: parts for t, (parts, _) in bad.items()}
+        _patch_build(monkeypatch, family, lambda real, rows: seeded[rows] if rows in seeded else real(rows))
+        want = [{"tableau": format_tableau(t), "reading_word": list(reading_word(t)), "expected": "", "actual": says}
+                for t, (_, says) in bad.items()]
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+        report = run_verification(family, "validity", jobs=jobs)
+        assert report.total == len(tableaux)
+        assert report.to_json()["failures"] == want
+
     def test_wrong_inverse_fails_every_tableau(self, monkeypatch):
         # a wrong inverse fails every tableau instead of passing unnoticed
         monkeypatch.setattr(verify, "SL2", verify.SL2._replace(inverse=lambda m: ((), ())))
@@ -333,11 +362,11 @@ class TestFailureRecords:
         assert len(report.failures) == report.total == 5
 
 
-def _patch_parts(monkeypatch, family, parts):
-    """Give the family's pipeline the forward map parts(real_parts, rows)."""
+def _patch_build(monkeypatch, family, build):
+    """Give the family's pipeline the forward builder build(real_build, rows)."""
     name = "SL2" if family.rows == 2 else "SL3_RUSSELL" if family.is_russell else "SL3_STANDARD"
     real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, real._replace(parts=lambda rows: parts(real.parts, rows)))
+    monkeypatch.setattr(verify, name, real._replace(build=lambda rows: build(real.build, rows)))
 
 
 def _evacuated(rows):
@@ -363,7 +392,7 @@ class TestTheoremOrbits:
         victims = [next(t for t in rows if side(_evacuated(t), t)) for side in sides]
         donors = [t for t in rows if _evacuated(t) != t and t not in victims]
         swap = dict(zip(victims, donors))
-        _patch_parts(monkeypatch, family, lambda real, rows: real(swap.get(tuple(map(tuple, rows)), rows)))
+        _patch_build(monkeypatch, family, lambda real, rows: real(swap.get(tuple(map(tuple, rows)), rows)))
         want = theorem_failures_per_tableau(family)
         assert run_verification(family, "theorem", jobs=jobs).to_json()["failures"] == want
         failed = {f["tableau"] for f in want}
@@ -409,7 +438,7 @@ class TestTheoremOrbits:
             built.append(rows)
             return real(rows)
 
-        _patch_parts(monkeypatch, family, counting)
+        _patch_build(monkeypatch, family, counting)
         members = {rows for shard in family.shards() for rows in family.grow(shard)}
         report = run_verification(family, "theorem", max_seconds=600)
         assert report.ok and report.total == len(members)

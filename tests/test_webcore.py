@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import pytest
@@ -9,19 +10,27 @@ from oracles import (
     expand_white,
     reflect_web_by_expansion,
 )
-from webweave import bijection, webcore
-from webweave.bijection import russell_web, tableau_of_web, tymoczko_web, web_of_2row
-from webweave.tableau import Shape, enumerate_russell, enumerate_standard
+from webweave import bijection, cli, webcore
+from webweave.bijection import (
+    SL2,
+    SL3_RUSSELL,
+    SL3_STANDARD,
+    russell_web,
+    tableau_of_web,
+    tymoczko_web,
+    web_of_2row,
+)
+from webweave.tableau import Shape, enumerate_russell, enumerate_standard, format_tableau
 from webweave.webcore import (
     BLACK,
     WHITE,
     Matching,
     Web,
     WebStructureError,
+    _canonical,
     _check_pairs,
+    _defects,
     _fields,
-    _parts_key,
-    _web_defects,
     canonicalize,
     contract_pair,
     contract_pairs,
@@ -239,24 +248,26 @@ class TestCanonicalize:
 
 class TestPartsKey:
     def test_refuses_what_web_and_canonicalize_refuse(self):
+        # a pipeline's parts checks what its builder gives, as Web does
         base = tripod()
         bad_color = ((BLACK, BLACK, "red"), base.internal_colors, base.edges, base.rotation)
         loop = ((BLACK,), (), ((0, 0),), ((0, 0),))
         unknown_edge = (base.boundary_colors, base.internal_colors, base.edges, ((5,),) + base.rotation[1:])
-        for mirror in (False, True):
+        rows = enumerate_standard(Shape((1, 1, 1)))[0].rows
+        for pipeline in (SL3_STANDARD, SL3_RUSSELL):
             with pytest.raises(ValueError, match="bad color"):
-                _parts_key(bad_color, mirror=mirror)
+                pipeline._replace(build=lambda rows: bad_color).parts(rows)
             for parts in (loop, unknown_edge):
                 with pytest.raises(WebStructureError):
-                    _parts_key(parts, mirror=mirror)
+                    pipeline._replace(build=lambda rows, parts=parts: parts).parts(rows)
                 with pytest.raises(WebStructureError):
                     canonicalize(Web(*parts))
 
     def test_mirror_is_the_key_of_the_reflection(self):
         for web in (tripod(), contract_pair(tripod(), 1), square_face_web()):
             parts = (web.boundary_colors, web.internal_colors, web.edges, web.rotation)
-            assert _parts_key(parts) == canonicalize(web)
-            assert _parts_key(parts, mirror=True) == canonicalize(reflect_web(web))
+            assert _canonical(parts) == canonicalize(web)
+            assert _canonical(parts, mirror=True) == canonicalize(reflect_web(web))
 
 
 class TestExpandContract:
@@ -369,20 +380,37 @@ class TestWebJson:
 
 
 class TestOneGate:
-    """A Web is checked once, by its constructor; the functions that take a
-    Web trust it, and each kernel on plain fields checks them once."""
+    """A Web is checked once, by its constructor, and the plain fields of a
+    pipeline once, by its parts; the functions that take a Web trust it, and
+    a pipeline's key, defects and inverse trust what parts gives."""
 
     @pytest.fixture
     def gate_calls(self, monkeypatch):
+        # the pipelines hold the gate itself, so their copies are counted too
         calls = []
         real = webcore._check_structure
+        assert SL3_STANDARD.check is SL3_RUSSELL.check is real
 
-        def counted(*fields):
-            calls.append(fields)
-            return real(*fields)
+        def counted(parts):
+            calls.append(parts)
+            return real(parts)
+
+        monkeypatch.setattr(webcore, "_check_structure", counted)
+        for name in ("SL3_STANDARD", "SL3_RUSSELL"):
+            monkeypatch.setattr(bijection, name, getattr(bijection, name)._replace(check=counted))
+        return calls
+
+    @pytest.fixture
+    def pairs_calls(self, monkeypatch):
+        calls = []
+        real = webcore._check_pairs
+
+        def counted(n, pairs):
+            calls.append(pairs)
+            return real(n, pairs)
 
         for module in (webcore, bijection):
-            monkeypatch.setattr(module, "_check_structure", counted)
+            monkeypatch.setattr(module, "_check_pairs", counted)
         return calls
 
     def test_each_built_web_is_checked_once(self, gate_calls):
@@ -409,46 +437,62 @@ class TestOneGate:
         assert webs_equal(web, web)
         assert gate_calls == []
 
-    def test_kernels_on_plain_fields_check_once(self, gate_calls):
-        parts = _fields(russell_web(enumerate_russell(3, 2)[7]))
-        kernels = {
-            "_parts_key": lambda: _parts_key(parts),
-            "_parts_key mirrored": lambda: _parts_key(parts, mirror=True),
-            "_tableau_rows": lambda: bijection._tableau_rows(parts),
-            "_web_defects": lambda: _web_defects(parts),
-        }
-        for name, kernel in kernels.items():
-            gate_calls.clear()
-            kernel()
-            assert gate_calls == [parts], name
+    def test_kernels_on_plain_fields_check_once(self, gate_calls, pairs_calls, monkeypatch, capsys):
+        # each pipeline's parts checks once; its key, defects and inverse
+        # check nothing; to-web --canonical checks its matching once, when
+        # the Matching is made
+        standard, russell = enumerate_standard(Shape((3, 3, 3)))[5], enumerate_russell(3, 2)[7]
+        two_row = enumerate_standard(Shape((4, 4)))[5]
+        cases = [(bijection.SL3_STANDARD, standard, gate_calls), (bijection.SL3_RUSSELL, russell, gate_calls),
+                 (bijection.SL2, two_row, pairs_calls)]
+        for p, t, calls in cases:
+            calls.clear()
+            parts = p.parts(t.rows)
+            assert calls == [parts], p
+            calls.clear()
+            p.key(parts)
+            p.key(parts, mirror=True)
+            assert p.defects(parts) == []
+            assert p.inverse(parts) == t.rows
+            assert calls == [], p
+        pairs_calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_tableau(two_row)))
+        assert cli.main(["to-web", "--canonical"]) == 0
+        assert capsys.readouterr().out == SL2.key(SL2.build(two_row.rows)) + "\n"
+        assert pairs_calls == [SL2.build(two_row.rows)]
 
     def test_tableau_of_web_checks_its_web_once(self, gate_calls):
-        # the round trip compares keys of plain fields, so no second Web is built
-        web = russell_web(enumerate_russell(3, 2)[7])
+        # the input web was checked when it was made; the one check is of
+        # the round trip's fields, and no second Web is built
+        t = enumerate_russell(3, 2)[7]
+        web = russell_web(t)
         gate_calls.clear()
         tableau_of_web(web, (3, 3, 3))
-        assert gate_calls == [_fields(web)]
+        assert gate_calls == [bijection._russell_parts(t.rows)]
 
-    def test_tableau_of_web_checks_its_matching_once(self, monkeypatch):
-        calls = []
-        real = webcore._check_pairs
-
-        def counted(n, pairs):
-            calls.append(pairs)
-            return real(n, pairs)
-
-        for module in (webcore, bijection):
-            monkeypatch.setattr(module, "_check_pairs", counted)
+    def test_tableau_of_web_checks_its_matching_once(self, pairs_calls):
+        # likewise, the one check is of the round trip's pairs
         m = web_of_2row(enumerate_standard(Shape((4, 4)))[5])
-        calls.clear()
+        pairs_calls.clear()
         tableau_of_web(m, (4, 4))
-        assert calls == [m.pairs]
+        assert pairs_calls == [m.pairs]
 
     def test_web_defects_is_validate_web_on_plain_fields(self):
         webs = [tripod(), contract_pair(tripod(), 1), square_face_web()]
         webs += [russell_web(t) for t in enumerate_russell(2, 1)]
         for web in webs:
-            assert _web_defects(_fields(web)) == validate_web(web)
+            assert SL3_RUSSELL.defects(_fields(web)) == _defects(_fields(web)) == validate_web(web)
+
+    def test_structure_refusals(self):
+        # the gate's refusals that no builder of the library can reach
+        base = tripod()
+        with pytest.raises(WebStructureError, match="rotation lists 3 vertices, web has 4"):
+            Web(base.boundary_colors, base.internal_colors, base.edges, base.rotation[:3])
+        with pytest.raises(WebStructureError, match="edge 0 endpoint out of range"):
+            Web(base.boundary_colors, base.internal_colors, ((0, 4),) + base.edges[1:], base.rotation)
+        swapped = (base.rotation[1], base.rotation[0]) + base.rotation[2:]
+        with pytest.raises(WebStructureError, match=r"edge 0 incidences \[1, 3\] disagree with endpoints \(3, 0\)"):
+            Web(base.boundary_colors, base.internal_colors, base.edges, swapped)
 
     def test_malformed_web_is_refused_at_construction(self):
         base = tripod()
