@@ -23,8 +23,8 @@ def reading_word(t: RowStrictTableau) -> tuple[int, ...]:
 def slide_targets(t: RowStrictTableau) -> list[Cell]:
     """Empty cells into which a slide may start, in (row, column) order.
 
-    A target shares its bottom and/or right edge with the occupied region and
-    keeps a skew diagram when added.
+    A target lies left of or above an occupied box, so shares its right or
+    bottom edge with the occupied region, and keeps a skew diagram when added.
     """
     occupied = set(t.entries)
     candidates = set()
@@ -35,9 +35,6 @@ def slide_targets(t: RowStrictTableau) -> list[Cell]:
             candidates.add((r - 1, c))
     out = []
     for cell in sorted(candidates - occupied):
-        r, c = cell
-        if (r, c + 1) not in occupied and (r + 1, c) not in occupied:
-            continue
         if is_skew_cellset(occupied | {cell}):
             out.append(cell)
     return out

@@ -276,7 +276,7 @@ def run_verification(
 
     Families beyond the desk-scale bounds are refused unless a time budget is
     given; exceeding a given budget, growing included, aborts with
-    TimeBudgetExceeded, and a negative, infinite or NaN budget or jobs < 1
+    TimeBudgetExceeded, and a negative (-0.0 too), infinite or NaN budget or jobs < 1
     is refused with ValueError before anything is grown.  Each tableau is
     grown where it is checked: in-process, or with `jobs` workers in a pool
     worker that grows every `jobs`-th shard of the family.  The theorem is
@@ -288,7 +288,7 @@ def run_verification(
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
     if max_seconds is None:
         family.check_bounds()
-    elif not 0 <= max_seconds < math.inf:  # also NaN
+    elif not 0 <= max_seconds < math.inf or math.copysign(1.0, max_seconds) < 0:  # also NaN and -0.0
         raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds}")
     jobs = _worker_count(jobs)
     start = time.monotonic()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .tableau import _check_ints, _field, _int_of, _typed, _typed_items
+from .tableau import _check_ints, _field, _typed, _typed_items
 
 BLACK = "black"
 WHITE = "white"
@@ -40,7 +40,7 @@ def _check_pairs(n: int, pairs) -> None:
     """Raise ValueError unless the pairs (i, j), i < j, partition 1..2n and
     no two cross.  One pass over the points with a stack of open pairs: a
     pair must close the one opened last."""
-    if 2 * len(pairs) != max(2 * n, 0):
+    if len(pairs) != n:
         raise ValueError(f"pairs do not partition 1..{2 * n}")
     partner = [0] * (2 * n + 1)
     for i, j in pairs:
@@ -57,20 +57,23 @@ def _check_pairs(n: int, pairs) -> None:
                 raise ValueError(f"pairs ({i},{v}) and ({k},{partner[k]}) cross")
 
 
+def _reflect_pairs(pairs):
+    """The sorted pairs of a matching's reflection across the diameter
+    through the midpoint of the arc (2n, 1): the pair (i, j) of the 2n
+    points given by n pairs becomes (2n+1-j, 2n+1-i)."""
+    size = 2 * len(pairs) + 1
+    return tuple(sorted((size - j, size - i) for i, j in pairs))
+
+
 def _pairs_key(pairs, mirror=False) -> str:
     """The key of a matching given by its sorted, checked pairs; with
-    mirror=True, the key of its reflection: the pair (i, j) of 2n points
-    becomes (2n+1-j, 2n+1-i)."""
-    if mirror:
-        size = 2 * len(pairs) + 1
-        pairs = tuple(sorted((size - j, size - i) for i, j in pairs))
-    return str(pairs)
+    mirror=True, the key of its reflection."""
+    return str(_reflect_pairs(pairs) if mirror else pairs)
 
 
 def reflect_matching(m: Matching) -> Matching:
     """Reflect across the diameter through the midpoint of the arc (2n, 1)."""
-    size = 2 * m.n + 1
-    return Matching(m.n, tuple((size - j, size - i) for i, j in m.pairs))
+    return Matching(m.n, _reflect_pairs(m.pairs))
 
 
 @dataclass(frozen=True)
@@ -390,23 +393,28 @@ def matching_from_json(doc: dict | str) -> Matching:
     return Matching(_typed(_field(doc, "n", "a matching document"), int, "n"), pairs)
 
 
-def _endpoint_name(web: Web, v: int) -> str:
-    return f"b{v}" if v < web.n_boundary else f"i{v - web.n_boundary}"
+def _endpoint_name(b: int, v: int) -> str:
+    """The document's name of vertex v of a web with b boundary vertices."""
+    return f"b{v}" if v < b else f"i{v - b}"
 
 
 def web_to_json(web: Web) -> dict:
     # half-edge 2e starts at edges[e][0] and 2e+1 at edges[e][1]
     half_rotation = [[2 * e + (web.edges[e][0] != v) for e in rot] for v, rot in enumerate(web.rotation)]
+    b = web.n_boundary
     return {
         "boundary": [{"color": c} for c in web.boundary_colors],
         "internal_count": len(web.internal_colors),
         "internal_colors": list(web.internal_colors),
-        "edges": [[_endpoint_name(web, a), _endpoint_name(web, b)] for a, b in web.edges],
+        "edges": [[_endpoint_name(b, x), _endpoint_name(b, y)] for x, y in web.edges],
         "rotation": half_rotation,
     }
 
 
 def web_from_json(doc: dict | str) -> Web:
+    """Read a web document.  Endpoints and half-edges are read only as
+    web_to_json writes them: an endpoint is one of the names _endpoint_name
+    gives, and a half-edge 2e + side sits where edge e's side starts."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     doc = _typed(doc, dict, "a web document")
@@ -418,36 +426,23 @@ def web_from_json(doc: dict | str) -> Web:
     if len(internal_colors) != _typed(_field(doc, "internal_count", "a web document"), int, "internal_count"):
         raise WebStructureError("internal_count disagrees with internal_colors")
     b = len(boundary_colors)
+    vertex_of = {_endpoint_name(b, v): v for v in range(b + len(internal_colors))}
 
-    def endpoint(name: str) -> int:
-        kind, digits = _typed(name, str, "each edge endpoint")[:1], name[1:]
-        if kind not in ("b", "i"):
+    def endpoint(name) -> int:
+        v = vertex_of.get(name) if isinstance(name, str) else None
+        if v is None:
             raise WebStructureError(f"bad endpoint {name!r}")
-        try:
-            idx = _int_of(digits, "endpoint")
-        except ValueError:
-            raise WebStructureError(f"bad endpoint {name!r}") from None
-        if kind == "b":
-            if not 0 <= idx < b:
-                raise WebStructureError(f"unknown boundary vertex {name}")
-            return idx
-        if not 0 <= idx < len(internal_colors):
-            raise WebStructureError(f"unknown internal vertex {name}")
-        return b + idx
+        return v
 
     edge_docs = _typed_items(_field(doc, "edges", "a web document"), list, "edges")
     if any(len(ends) != 2 for ends in edge_docs):
         raise WebStructureError("each edge must have two endpoints")
     edges = tuple((endpoint(x), endpoint(y)) for x, y in edge_docs)
+    start_of = {2 * e + side: v for e, ends in enumerate(edges) for side, v in enumerate(ends)}
     rotation = []
     for v, halves in enumerate(_typed_items(_field(doc, "rotation", "a web document"), list, "rotation")):
-        rot = []
         for h in _typed_items(halves, int, f"rotation[{v}]"):
-            e, side = divmod(h, 2)
-            if not 0 <= e < len(edges):
-                raise WebStructureError(f"half-edge {h} references unknown edge")
-            if edges[e][side] != v:
+            if start_of.get(h) != v:
                 raise WebStructureError(f"half-edge {h} does not sit at vertex {v}")
-            rot.append(e)
-        rotation.append(tuple(rot))
+        rotation.append(tuple(h // 2 for h in halves))
     return Web(boundary_colors, internal_colors, edges, tuple(rotation))

@@ -655,7 +655,7 @@ def check_pairs_by_all_pairs(n: int, pairs) -> None:
     webweave.webcore._check_pairs."""
     norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     cover = sorted(x for pair in norm for x in pair)
-    if cover != list(range(1, 2 * n + 1)):
+    if len(norm) != n or cover != list(range(1, 2 * n + 1)):
         raise ValueError(f"pairs do not partition 1..{2 * n}")
     for (i, j) in norm:
         for (k, l) in norm:

@@ -46,6 +46,7 @@ from webweave.webcore import (
     Matching,
     Web,
     _canonical,
+    _fields,
     _pairs_key,
     canonicalize,
     reflect_matching,
@@ -428,6 +429,19 @@ class TestTableauOfWeb:
         fan = Web((BLACK,) * 3, (), ((0, 1), (0, 2)), ((0, 1), (0,), (1,)))
         with pytest.raises(LookupError, match="boundary vertex 1 has state 2"):
             tableau_of_web(fan, shape)
+
+    def test_web_without_boundary_raises_lookup_error(self):
+        web = Web((), (BLACK, WHITE), ((0, 1),), ((0,), (0,)))
+        with pytest.raises(LookupError, match="without boundary vertices"):
+            tableau_of_web(web, (1, 1, 1))
+
+    def test_rows_no_tableau_has_raise_lookup_error(self):
+        # two black boundary vertices joined by an edge read as the rows
+        # (1), (), (2), which RowStrictTableau.from_rows refuses
+        web = Web((BLACK, BLACK), (), ((0, 1),), ((0,), (0,)))
+        assert bijection.SL3_RUSSELL.inverse(_fields(web)) == ((1,), (), (2,))
+        with pytest.raises(LookupError, match=r"not in the image of the \(1, 1, 1\) family"):
+            tableau_of_web(web, (1, 1, 1))
 
     def test_wrong_shape_is_refused(self):
         m, web = web_of_2row(T([[1, 3], [2, 4]])), russell_web(BIJ_RUSSELL)

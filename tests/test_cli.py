@@ -211,6 +211,12 @@ class TestReflectCommand:
                  "bad endpoint ''"),
                 ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b","b0"]]}',
                  "bad endpoint 'b'"),
+                ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b01","b0"]]}',
+                 "bad endpoint 'b01'"),
+                ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b0"]]}',
+                 "each edge must have two endpoints"),
+                ('{"n":-1,"pairs":[]}', "pairs do not partition"),
+                ('{"n":1,"pairs":[[1]]}', "each pair must have two points"),
             )
         ],
     )
@@ -491,6 +497,16 @@ class TestCliContract:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (err.getvalue() == "")
+
+    def test_broken_pipe_exits_0(self, monkeypatch):
+        # a reader that closed the pipe early is not an error
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n3 4\n"))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["evacuate"]) == 0
 
     @given(st.text(alphabet="0123456789,_+ \u0663\uff13\u00b2", max_size=8))
     @settings(max_examples=200, deadline=None)

@@ -168,6 +168,43 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="-1"):
             run_verification(Family((10, 10)), "theorem", max_seconds=-1)
 
+    def test_negative_zero_budget_rejected_before_enumeration(self, monkeypatch):
+        # 0 <= -0.0 holds, so the sign is read too; the campaign used to run
+        # and fail after its first tableau with "exceeded -0.0s"
+        def grow_nothing(*args):
+            raise AssertionError("the family was grown")
+
+        monkeypatch.setattr(tableau, "_fill", grow_nothing)
+        with pytest.raises(ValueError, match=r"^max_seconds must be a number of seconds >= 0, got -0\.0$"):
+            run_verification(Family((3, 3)), "lemma", max_seconds=-0.0)
+
+    def test_parallel_run_is_budgeted_as_a_whole(self, monkeypatch):
+        # a clock that ticks a second per reading: each batch of 21 (3,3,3)
+        # tableaux stays within the 29 or 28 s left when it is sent, so only
+        # the check after the pool returns finds the 30 s budget spent
+        clock = itertools.count()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+        mapped = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, batches):
+                mapped.extend(fn(batch) for batch in batches)
+                return mapped
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 30s$"):
+            run_verification(Family((3, 3, 3)), "involution", jobs=2, max_seconds=30)
+        assert [count for count, _ in mapped] == [21, 21]
+
     def test_parallel_matches_serial(self):
         family = Family((3, 3, 3))
         serial = run_verification(family, "theorem", jobs=1)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 
 import pytest
 
@@ -130,6 +131,11 @@ class TestMatching:
         m = Matching(3, ((2, 3), (1, 4), (5, 6)))
         assert matching_from_json(matching_to_json(m)) == m
 
+    @pytest.mark.parametrize("pair", [[1], [1, 2, 3]])
+    def test_json_pair_has_two_points(self, pair):
+        with pytest.raises(ValueError, match="each pair must have two points"):
+            matching_from_json({"n": 1, "pairs": [pair]})
+
 
 def _rejects(check, n, pairs) -> bool:
     try:
@@ -192,6 +198,10 @@ class TestValidateWeb:
             ((0,), (1,), (2,), (), (0, 1, 2)),
         )
         assert any("boundary vertex 4 has degree 0" in line for line in validate_web(web))
+
+    def test_web_without_boundary_flagged(self):
+        web = Web((), (BLACK, WHITE), ((0, 1),), ((0,), (0,)))
+        assert "web without boundary vertices is not embeddable in the disk model" in validate_web(web)
 
     def test_internal_degree_flagged(self):
         web = Web((BLACK,), (WHITE,), ((0, 1),), ((0,), (0,)))
@@ -359,6 +369,29 @@ class TestWebJson:
         doc = web_to_json(tripod())
         doc["rotation"][0] = [5]
         with pytest.raises(WebStructureError):
+            web_from_json(doc)
+
+    @pytest.mark.parametrize("name", ["b3", "i1", "x0", "b", 0, None, ["b0"]])
+    def test_endpoints_are_the_names_the_writer_gives(self, name):
+        # the tripod's vertices are b0, b1, b2 and i0
+        doc = web_to_json(tripod())
+        doc["edges"][1][1] = name
+        with pytest.raises(WebStructureError, match=f"^bad endpoint {re.escape(repr(name))}$"):
+            web_from_json(doc)
+
+    @pytest.mark.parametrize("half", [-1, 0, 3, 6, 99])
+    def test_half_edges_sit_where_the_writer_starts_them(self, half):
+        # of the tripod's half-edges 0..5, only 1 starts at vertex 0
+        doc = web_to_json(tripod())
+        assert doc["rotation"][0] == [1]
+        doc["rotation"][0] = [half]
+        with pytest.raises(WebStructureError, match=f"^half-edge {half} does not sit at vertex 0$"):
+            web_from_json(doc)
+
+    def test_rejects_an_edge_without_two_endpoints(self):
+        doc = web_to_json(tripod())
+        doc["edges"][1] = ["i0"]
+        with pytest.raises(WebStructureError, match="each edge must have two endpoints"):
             web_from_json(doc)
 
     def test_rejects_count_mismatch(self):
