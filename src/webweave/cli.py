@@ -7,6 +7,7 @@ Machine output is JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -218,17 +219,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` shares across calls, built on the first one.  Parsing
+    keeps no state in it, and argparse looks sys.stdout and sys.stderr up
+    when it prints, so swapped streams see every message."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.run(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, LookupError, OSError, TimeBudgetExceeded) as exc:
+    # deep input outruns the recursion limit: a nested JSON document, or
+    # a family whose growing recurses once per value
+    except (ValueError, LookupError, OSError, TimeBudgetExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -300,6 +299,9 @@ def run_verification(
     if jobs == 1 or len(shards) < 4 * jobs:
         total, failures = _check_batch((check, family, shards, max_seconds, seconds_left()))
     else:
+        # imported here, so a serial campaign and the CLI load no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = [(check, family, shards[i::jobs], max_seconds, seconds_left()) for i in range(jobs)]
             results = list(pool.map(_check_batch, batches))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import evacuate_by_cells, random_filling
 from test_webcore import square_face_web
-from webweave import verify
+from webweave import cli, verify
 from webweave.cli import main
 from webweave.render import render_matching_svg
 from webweave.tableau import RowStrictTableau, Shape, enumerate_standard, format_tableau, parse_tableau
@@ -35,15 +36,31 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def run_python(args, stdin=""):
+    """Run a fresh interpreter on the library in ./src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
 def run_process(argv, stdin):
     """Run the CLI in a fresh interpreter, so an escaping exception would show
     as a traceback on stderr rather than fail the test process."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "webweave.cli", *argv], input=stdin, capture_output=True, text=True, env=env
-    )
-    return done.returncode, done.stdout, done.stderr
+    return run_python(["-m", "webweave.cli", *argv], stdin)
+
+
+def call_main(argv, stdin=""):
+    """One in-process main call with stdin, stdout and stderr swapped."""
+    out, err = io.StringIO(), io.StringIO()
+    real_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = real_stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEvacuateCommand:
@@ -486,17 +503,10 @@ class TestCliContract:
     @settings(max_examples=400, deadline=None)
     def test_any_input_exits_0_1_or_2_without_a_traceback(self, argv, stdin):
         # in-process, so an escaping exception fails the example outright
-        out, err = io.StringIO(), io.StringIO()
-        real_stdin = sys.stdin
-        sys.stdin = io.StringIO(stdin)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            sys.stdin = real_stdin
+        code, _, err = call_main(argv, stdin)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        assert (code == 0) == (err.getvalue() == "")
+        assert "Traceback" not in err
+        assert (code == 0) == (err == "")
 
     def test_broken_pipe_exits_0(self, monkeypatch):
         # a reader that closed the pipe early is not an error
@@ -513,21 +523,159 @@ class TestCliContract:
     def test_any_shape_text_exits_0_1_or_2_without_a_traceback(self, shape):
         # families beyond the bounds are refused without a budget, so each
         # example stays short
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--check", "lemma", "--shape", shape])
+        code, _, err = call_main(["verify", "--check", "lemma", "--shape", shape])
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
 
     @given(straight_fillings())
     @settings(max_examples=150, deadline=None)
     def test_evacuate_matches_the_cell_map_oracle(self, rows):
-        out = io.StringIO()
-        real_stdin = sys.stdin
-        sys.stdin = io.StringIO(_text_of_rows(rows))
-        try:
-            with contextlib.redirect_stdout(out):
-                assert main(["evacuate"]) == 0
-        finally:
-            sys.stdin = real_stdin
-        assert parse_tableau(out.getvalue()) == evacuate_by_cells(T(rows))
+        code, out, _ = call_main(["evacuate"], _text_of_rows(rows))
+        assert code == 0
+        assert parse_tableau(out) == evacuate_by_cells(T(rows))
+
+
+# --- one parser per process ---------------------------------------------------
+
+_SYT = "1 2 4\n3 5 7\n6 8 9\n"
+_TWO_ROW = "1 2 4\n3 5 6\n"
+_RUSSELL = "1 2 3\n1 4 5\n3 6 7\n"
+_VERIFY = ["verify", "--shape", "3,3,3", "--check", "theorem"]
+
+# each command with the exit code it gives: usage errors, --help, and pairs in
+# which the second call gives none of the options that the first one gave
+_CALL_SEQUENCE = [
+    (["evacuate"], _SYT, 0),
+    (["standardize"], _RUSSELL, 0),
+    (["to-web", "--canonical"], _SYT, 0),
+    (["to-web"], _SYT, 0),
+    (["to-web", "--canonical"], _TWO_ROW, 0),
+    (["to-web"], _TWO_ROW, 0),
+    (["to-web", "--canonical"], _RUSSELL, 0),
+    (["to-web"], _RUSSELL, 0),
+    (["reflect"], json.dumps(matching_to_json(web_of_2row(parse_tableau(_TWO_ROW)))), 0),
+    (["reflect"], json.dumps(web_to_json(russell_web(parse_tableau(_RUSSELL)))), 0),
+    (["enumerate", "--shape", "2,2", "--json"], "", 0),
+    (["enumerate", "--shape", "2,2"], "", 0),
+    (["enumerate", "--shape", "2,2,2", "--repetition", "all"], "", 0),
+    (_VERIFY + ["--jobs", "2", "--json"], "", 0),
+    (_VERIFY, "", 0),
+    (_VERIFY + ["--repetition", "all", "--max-seconds", "30"], "", 0),
+    (_VERIFY, "", 0),
+    (["render", "--stage", "mdiagram"], _SYT, 0),
+    (["render"], _SYT, 0),
+    (["render", "--format", "pdf"], _SYT, 2),
+    (["verify", "--check", "theorem"], "", 2),
+    (["verify", "--shape", "3,3", "--check", "rotation"], "", 2),
+    (["transpose"], "", 2),
+    ([], "", 2),
+    (["--help"], "", 0),
+    (["verify", "--help"], "", 0),
+    (["evacuate"], "1 2\n2 1\n", 2),
+    (["evacuate"], _SYT, 0),
+]
+
+
+_STILL_CLOCK_MAIN = (
+    "import sys\n"
+    "from types import SimpleNamespace\n"
+    "from webweave import cli, verify\n"
+    "verify.time = SimpleNamespace(monotonic=lambda: 0.0)\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+class TestSharedParser:
+    @pytest.fixture(autouse=True)
+    def still_clock(self, monkeypatch):
+        # every campaign reports 0 ms, and help is wrapped at one width in
+        # this process and in a child, so two runs print the same bytes
+        monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_repeated_calls_match_a_fresh_process(self):
+        # each reference call runs alone in its interpreter, so no state that
+        # main keeps between calls can reach it
+        shared = [call_main(argv, stdin) for argv, stdin, _ in _CALL_SEQUENCE]
+        fresh = [run_python(["-c", _STILL_CLOCK_MAIN, *argv], stdin) for argv, stdin, _ in _CALL_SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [code for _, _, code in _CALL_SEQUENCE]
+        for (argv, _, _), (code, out, err) in zip(_CALL_SEQUENCE, shared):
+            if "--help" in argv:
+                assert out.startswith("usage: webweave") and err == ""
+            elif code == 2 and argv[:1] != ["evacuate"]:
+                assert out == "" and err.startswith("usage: webweave")
+
+    def test_options_do_not_carry_over(self, monkeypatch):
+        seen = []
+        real = cli.run_verification
+
+        def recording(family, check, jobs=None, max_seconds=None):
+            seen.append((jobs, max_seconds, family.repetition))
+            return real(family, check, jobs=1, max_seconds=max_seconds)
+
+        monkeypatch.setattr(cli, "run_verification", recording)
+        for argv in (_VERIFY + ["--jobs", "2"], _VERIFY, _VERIFY + ["--repetition", "all", "--max-seconds", "9"],
+                     _VERIFY):
+            assert call_main(argv)[0] == 0
+        assert seen == [(2, None, None), (1, None, None), (1, 9.0, "all"), (1, None, None)]
+
+    def test_main_builds_the_parser_once(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for argv, stdin, code in _CALL_SEQUENCE:
+            assert call_main(argv, stdin)[0] == code
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestImports:
+    def test_cli_loads_no_process_pool(self):
+        # nor does a serial campaign or a single-tableau command; the parser
+        # is built on the first call, not at import
+        _, out, _ = run_python([
+            "-c",
+            "import sys, webweave, webweave.cli as cli\n"
+            "built = cli._parser.cache_info().currsize\n"
+            "codes = [cli.main(['verify', '--shape', '3,3,3', '--check', 'theorem']),\n"
+            "         cli.main(['enumerate', '--shape', '2,2'])]\n"
+            "pool = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "print(built, codes, pool)\n",
+        ])
+        assert out.splitlines()[-1] == "0 [0, 0] []"
+
+    def test_forking_campaign_loads_the_pool(self, monkeypatch):
+        monkeypatch.delenv("WEBWEAVE_THREADS", raising=False)
+        _, out, _ = run_python([
+            "-c",
+            "import sys, webweave.cli as cli\n"
+            "code = cli.main(['verify', '--shape', '4,4,4', '--check', 'theorem', '--jobs', '2'])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n",
+        ])
+        assert out.splitlines()[-1] == "0 True"
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["reflect"], "[" * 100000),
+            (["render"], '{"pairs": ' + "[" * 100000),
+            (["enumerate", "--shape", "1200"], ""),
+            (["verify", "--shape", "600,600", "--check", "theorem", "--max-seconds", "5"], ""),
+        ],
+        ids=["reflect", "render", "enumerate", "verify"],
+    )
+    def test_recursion_limit_is_a_usage_error(self, argv, stdin):
+        code, out, err = run_process(argv, stdin)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1

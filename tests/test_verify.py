@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 from math import inf
 from types import SimpleNamespace
@@ -200,7 +201,7 @@ class TestRunVerification:
                 mapped.extend(fn(batch) for batch in batches)
                 return mapped
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 30s$"):
             run_verification(Family((3, 3, 3)), "involution", jobs=2, max_seconds=30)
         assert [count for count, _ in mapped] == [21, 21]
@@ -266,13 +267,13 @@ class TestShards:
         monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
         batches = []
 
-        class RecordingPool(verify.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, sent):
                 sent = list(sent)
                 batches.extend(sent)
                 return super().map(fn, sent)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         docs = [run_verification(family, "theorem", jobs=jobs).to_json() for jobs in (1, 2)]
         for doc in docs:
             del doc["elapsed_ms"]
