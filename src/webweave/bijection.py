@@ -406,6 +406,7 @@ def tableau_of_web(web, shape) -> RowStrictTableau:
     web outside the family raises LookupError.  The input was checked when it
     was made, so the one check is of the round trip's pairs or fields."""
     shape = tuple(shape)
+    _check_ints(shape, "shape part")
     if isinstance(web, Matching):
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"matching families have shape (n, n), got {shape}")

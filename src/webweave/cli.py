@@ -236,8 +236,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except BrokenPipeError:
         return 0
-    # deep input outruns the recursion limit: a nested JSON document, or
-    # a family whose growing recurses once per value
+    # a deeply nested JSON document outruns the recursion limit
     except (ValueError, LookupError, OSError, TimeBudgetExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

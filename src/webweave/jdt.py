@@ -1,8 +1,9 @@
 """Jeu de taquin slides, rectification, evacuation, and word invariants."""
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .tableau import (
     RowStrictTableau,
@@ -193,74 +194,32 @@ class GKProfile:
         return tuple(out)
 
 
-MAX_GK_WORD = 14
-
-
-def _best_chain_cover(word: tuple[int, ...], chains: int) -> int:
-    """Longest subword of `word` coverable by `chains` nondecreasing subwords.
-
-    Memoized search over (position, multiset of chain ends).  Two exact
-    reductions keep the state space small: chain ends are compressed to the
-    least remaining letter that is >= them (states with the same future merge),
-    and a letter is only ever appended to the largest feasible end (an
-    exchange argument; cross-checked against the unpruned search in tests).
-    """
-    n = len(word)
-    suffix_letters: list[list[int]] = [[] for _ in range(n + 1)]
-    for p in range(n - 1, -1, -1):
-        letters = set(suffix_letters[p + 1])
-        letters.add(word[p])
-        suffix_letters[p] = sorted(letters)
-    dead = (max(word) if word else 0) + 1
-
-    def compress(ends: tuple[int, ...], p: int) -> tuple[int, ...]:
-        letters = suffix_letters[p]
-        out = []
-        for e in ends:
-            i = bisect_left(letters, e)
-            out.append(letters[i] if i < len(letters) else dead)
-        return tuple(sorted(out))
-
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def best(p: int, ends: tuple[int, ...]) -> int:
-        if p == n:
-            return 0
-        key = (p, ends)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        x = word[p]
-        score = best(p + 1, compress(ends, p + 1))
-        i = bisect_left(ends, x + 1) - 1  # largest end <= x
-        if i >= 0:
-            extended = ends[:i] + ends[i + 1 :] + (x,)
-            score = max(score, 1 + best(p + 1, compress(extended, p + 1)))
-        memo[key] = score
-        return score
-
-    return best(0, compress((0,) * chains, 0))
-
-
 def gk_profile(word, m: int) -> GKProfile:
     """Greene-Kleitman invariants of a word, for chain counts 1..m.
 
-    Words longer than 14 letters are out of contract: this is a verification
-    oracle, not a performance kernel.
+    By Greene's theorem, the longest subword coverable by i nondecreasing
+    subwords has the length of the first i rows, together, of the word's
+    insertion tableau.  One row-insertion pass builds it: each letter
+    bumps the leftmost strictly larger letter of a row into the next row,
+    or ends that row.
     """
     word = tuple(word)
     _check_ints(word, "letter")
+    _check_ints((m,), "m")
     if m < 1:
         raise ValueError("m must be at least 1")
-    if len(word) > MAX_GK_WORD:
-        raise ValueError(f"word of length {len(word)} exceeds the {MAX_GK_WORD}-letter contract")
-    values = []
-    for i in range(1, m + 1):
-        if values and values[-1] == len(word):
-            values.append(len(word))
+    rows: list[list[int]] = []
+    for x in word:
+        for row in rows:
+            i = bisect_right(row, x)
+            if i == len(row):
+                row.append(x)
+                break
+            row[i], x = x, row[i]
         else:
-            values.append(_best_chain_cover(word, i))
-    return GKProfile(tuple(values))
+            rows.append([x])
+    sums = list(accumulate(map(len, rows[:m])))
+    return GKProfile((*sums, *[len(word)] * (m - len(sums))))
 
 
 def gk_profile_of_tableau(t: RowStrictTableau, m: int | None = None) -> GKProfile:

@@ -360,37 +360,39 @@ def count_standard(shape: Shape) -> int:
     return factorial(shape.size) // hooks
 
 
-def _fill(parts, rows: list[list[int]], v: int, left: int, remaining: int, last: float = inf):
-    """Place the values v, v+1, ... in turn into the filled top-left part
-    `rows` of a straight shape, and yield `rows` each time the shape is full
-    or the value `last` is placed.  The rows are yielded live: a caller copies
-    what it keeps before it resumes the generator.
+def _fill(parts, rows: list[list[int]], v: int, left: int, remaining: int, last: float):
+    """The children of one node of the growth tree: place the value v in
+    each way it can go into the filled top-left part `rows` of a straight
+    shape, and yield, with v in place, the generator of that child's own
+    children, or `rows` itself where the shape is then full or v is `last`.
+    `_grow` drives the generators from a stack, so no call nests once per
+    value; the rows are live, and the caller runs each child out before it
+    resumes the parent.
 
     Each value takes one addable box or, for exactly `left` of the values,
     an addable box plus a box in a lower row that is addable once the first
     is placed (never right of the first, since the filled boxes form a
-    partition).  Rows then strictly and columns weakly increase.
+    partition).  Rows then strictly and columns weakly increase.  A child
+    with more doubled values left than half its empty boxes is dead and is
+    not made.
     """
-    if 2 * left > remaining:
-        return
-    if remaining == 0 or v > last:
-        yield rows
-        return
 
     def addable(r: int) -> bool:
         n = len(rows[r])
         return n < parts[r] and (r == 0 or len(rows[r - 1]) > n)
 
+    cut = v >= last
     for r in range(len(parts)):
         if not addable(r):
             continue
         rows[r].append(v)
-        yield from _fill(parts, rows, v + 1, left, remaining - 1, last)
+        if 2 * left < remaining:
+            yield rows if cut or remaining == 1 else _fill(parts, rows, v + 1, left, remaining - 1, last)
         if left:
             for s in range(r + 1, len(parts)):
                 if addable(s):
                     rows[s].append(v)
-                    yield from _fill(parts, rows, v + 1, left - 1, remaining - 2, last)
+                    yield rows if cut or remaining == 2 else _fill(parts, rows, v + 1, left - 1, remaining - 2, last)
                     rows[s].pop()
         rows[r].pop()
 
@@ -404,13 +406,27 @@ def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = (), 
     the shape fills up with fewer values; every filling grows from exactly
     one of them.  The rows are plain tuples, not validated: growth keeps
     rows strict and columns weak, and only the public enumerators build
-    tableaux."""
+    tableaux.  The tree is walked depth first from an explicit stack of
+    `_fill` generators, so a filling may have any number of values."""
     parts = shape.parts
     rows = [list(row) for row in prefix] or [[] for _ in parts]
     placed = sum(map(len, rows))
     top = max(map(max, filter(None, rows)), default=0)
-    for full in _fill(parts, rows, top + 1, doubled - (placed - top), shape.size - placed, last):
-        yield tuple(map(tuple, full))
+    left, remaining = doubled - (placed - top), shape.size - placed
+    if 2 * left > remaining:
+        return
+    if remaining == 0 or top >= last:
+        yield tuple(map(tuple, rows))
+        return
+    stack = [_fill(parts, rows, top + 1, left, remaining, last)]
+    while stack:
+        for child in stack[-1]:
+            if child is not rows:
+                stack.append(child)
+                break
+            yield tuple(map(tuple, rows))
+        else:
+            stack.pop()
 
 
 def _sorted_tableaux(shape: Shape, doubled: int) -> list[RowStrictTableau]:

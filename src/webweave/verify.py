@@ -12,6 +12,7 @@ from .jdt import _evacuate_rows
 from .tableau import (
     RowStrictTableau,
     Shape,
+    _check_ints,
     _column_word,
     _format_rows,
     _grow,
@@ -254,7 +255,8 @@ def _check_batch(args) -> tuple[int, list[dict]]:
 def _worker_count(jobs: int | None) -> int:
     if jobs is None:
         jobs = 1
-    elif jobs < 1:
+    _check_ints((jobs,), "jobs")
+    if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cap = os.environ.get("WEBWEAVE_THREADS")
     if cap:
@@ -287,8 +289,12 @@ def run_verification(
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
     if max_seconds is None:
         family.check_bounds()
-    elif not 0 <= max_seconds < math.inf or math.copysign(1.0, max_seconds) < 0:  # also NaN and -0.0
-        raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds}")
+    elif not (
+        (_is_int(max_seconds) or isinstance(max_seconds, float))
+        and 0 <= max_seconds < math.inf
+        and math.copysign(1.0, max_seconds) > 0  # also NaN and -0.0
+    ):
+        raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds!r}")
     jobs = _worker_count(jobs)
     start = time.monotonic()
 

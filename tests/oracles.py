@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,6 +185,57 @@ def evacuate_by_cells(t: RowStrictTableau) -> RowStrictTableau:
     if result.shape != t.shape:
         raise AssertionError("evacuate changed the shape")
     return result
+
+
+# --- Greene-Kleitman invariants by chain-cover search -----------------------
+
+# The reference for webweave.jdt.gk_profile on words too long for the
+# unpruned and subset searches.  Its chains start from the end 0, so it is
+# exact only for words of positive letters.
+def _best_chain_cover(word: tuple[int, ...], chains: int) -> int:
+    """Longest subword of `word` coverable by `chains` nondecreasing subwords.
+
+    Memoized search over (position, multiset of chain ends).  Two exact
+    reductions keep the state space small: chain ends are compressed to the
+    least remaining letter that is >= them (states with the same future merge),
+    and a letter is only ever appended to the largest feasible end (an
+    exchange argument; cross-checked against the unpruned search in tests).
+    """
+    n = len(word)
+    suffix_letters: list[list[int]] = [[] for _ in range(n + 1)]
+    for p in range(n - 1, -1, -1):
+        letters = set(suffix_letters[p + 1])
+        letters.add(word[p])
+        suffix_letters[p] = sorted(letters)
+    dead = (max(word) if word else 0) + 1
+
+    def compress(ends: tuple[int, ...], p: int) -> tuple[int, ...]:
+        letters = suffix_letters[p]
+        out = []
+        for e in ends:
+            i = bisect_left(letters, e)
+            out.append(letters[i] if i < len(letters) else dead)
+        return tuple(sorted(out))
+
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def best(p: int, ends: tuple[int, ...]) -> int:
+        if p == n:
+            return 0
+        key = (p, ends)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        x = word[p]
+        score = best(p + 1, compress(ends, p + 1))
+        i = bisect_left(ends, x + 1) - 1  # largest end <= x
+        if i >= 0:
+            extended = ends[:i] + ends[i + 1 :] + (x,)
+            score = max(score, 1 + best(p + 1, compress(extended, p + 1)))
+        memo[key] = score
+        return score
+
+    return best(0, compress((0,) * chains, 0))
 
 
 # --- enumeration by box-by-box growth and by collapsing pairs --------------

@@ -146,6 +146,12 @@ class TestCatalanPairing:
         with pytest.raises(ValueError, match="disjoint"):
             catalan_pairing([1, 2], [2, 3])
 
+    def test_rejects_rows_that_are_no_rows(self):
+        with pytest.raises(ValueError, match=r"^row \(2, 1\) is not strictly increasing$"):
+            catalan_pairing([2, 1], [3, 4])
+        with pytest.raises(ValueError, match="^rows differ in length$"):
+            catalan_pairing([1, 2], [3])
+
     @pytest.mark.parametrize("top, bottom, bad", [([1.9], [2.2], 1.9), ([1], [True], True)])
     def test_rejects_non_integer_values(self, top, bottom, bad):
         # ([1.9], [2.2]) used to give ((1, 2),)
@@ -207,6 +213,10 @@ class TestWebOf2Row:
         with pytest.raises(ValueError):
             web_of_2row(T([[1], [2], [3]]))
 
+    def test_rejects_skew_shape(self):
+        with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(n, n\)$"):
+            web_of_2row(T([[2], [1, 3]], (1,)))
+
 
 class TestMDiagram:
     def test_bijections_example(self):
@@ -232,6 +242,16 @@ class TestMDiagram:
     def test_rejects_what_is_not_standard_k_k_k(self, t):
         with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
             m_diagram(t)
+
+    def test_arcs_are_checked(self):
+        with pytest.raises(ValueError, match=r"^arc endpoints out of order: \(3, 1\)$"):
+            Arc(3, 1, 3)
+        with pytest.raises(ValueError, match="^middle must be one of the endpoints$"):
+            Arc(1, 3, 2)
+        with pytest.raises(ValueError, match="exceeds 2 points$"):
+            ArcDiagram(2, (Arc(1, 3, 1),))
+        with pytest.raises(ValueError, match="^middle point 2 carries 1 designated ends, expected 2$"):
+            ArcDiagram(3, (Arc(1, 2, 2),))
 
     def test_two_column(self):
         # hand-run of both pairings: top pairs (2,3),(1,4); bottom (3,6),(4,5)
@@ -451,6 +471,12 @@ class TestTableauOfWeb:
         for shape in ((3, 3), (3, 3, 2), (3, 3, 3, 3)):
             with pytest.raises(ValueError, match=r"web families have shape \(k, k, k\)"):
                 tableau_of_web(web, shape)
+
+    @pytest.mark.parametrize("shape, bad", [((True, True), True), ((1.0, 1.0), 1.0), ((1, 1, 1.5), 1.5)])
+    def test_non_integer_shape_is_refused(self, shape, bad):
+        # (True, True) and (1.0, 1.0) used to give the tableau of (1, 1)
+        with pytest.raises(ValueError, match=f"^bad shape part {bad!r}; expected an integer$"):
+            tableau_of_web(Matching(1, ((1, 2),)), shape)
 
     def test_result_is_checked_by_round_trip(self, monkeypatch):
         t, other = T([[1, 3], [2, 5], [4, 6]]), T([[1, 2], [3, 4], [5, 6]])

@@ -670,12 +670,24 @@ class TestDeepInput:
         [
             (["reflect"], "[" * 100000),
             (["render"], '{"pairs": ' + "[" * 100000),
-            (["enumerate", "--shape", "1200"], ""),
-            (["verify", "--shape", "600,600", "--check", "theorem", "--max-seconds", "5"], ""),
         ],
-        ids=["reflect", "render", "enumerate", "verify"],
+        ids=["reflect", "render"],
     )
     def test_recursion_limit_is_a_usage_error(self, argv, stdin):
         code, out, err = run_process(argv, stdin)
         assert (code, out) == (2, "")
         assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["enumerate", "--shape", "1200"], (0, " ".join(map(str, range(1, 1201))) + "\n", "total 1\n")),
+            (["verify", "--shape", "600,600", "--check", "theorem", "--max-seconds", "0.5"],
+             (2, "", "error: exceeded 0.5s\n")),
+        ],
+        ids=["enumerate", "verify"],
+    )
+    def test_growth_has_no_depth_limit(self, argv, expected):
+        # growing used to recurse once per value, so both exited 2 with
+        # "maximum recursion depth exceeded" at once
+        assert run_process(argv, "") == expected

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_row_strict_fillings, evacuate_by_cells, evacuate_by_delta
+from oracles import (
+    _best_chain_cover,
+    all_row_strict_fillings,
+    evacuate_by_cells,
+    evacuate_by_delta,
+    random_filling,
+)
 from webweave.jdt import (
     GKProfile,
     _evacuate_rows,
@@ -215,6 +221,10 @@ class TestDelta:
         with pytest.raises(ValueError):
             delta(EMPTY_TABLEAU)
 
+    def test_rejects_skew_shape(self):
+        with pytest.raises(ValueError, match="delta requires a straight shape"):
+            delta(skew({(1, 2): 1}))
+
     def test_no_ones_just_decrements(self):
         assert delta(T([[2, 3]])) == T([[1, 2]])
 
@@ -240,6 +250,10 @@ class TestEvacuate:
 
     def test_empty(self):
         assert evacuate(EMPTY_TABLEAU) == EMPTY_TABLEAU
+
+    def test_rejects_skew_shape(self):
+        with pytest.raises(ValueError, match="evacuate requires a straight shape"):
+            evacuate(skew({(1, 2): 1}))
 
     def test_involution_small_families(self):
         for shape in [(2, 2), (3, 3), (2, 2, 2)]:
@@ -342,13 +356,24 @@ class TestGKProfile:
     def test_russell_reading_word(self):
         assert gk_profile((2, 3, 4, 1, 1, 3), 2).values == (3, 6)
 
-    def test_rejects_long_words(self):
-        with pytest.raises(ValueError):
-            gk_profile(tuple(range(1, 16)), 2)
+    def test_words_of_any_length(self):
+        # words past 14 letters used to be refused
+        t = random_filling(random.Random(60), 3, 20)
+        assert len(reading_word(t)) == 60
+        assert gk_profile_of_tableau(t).increments() == column_lengths(Shape((20, 20, 20)))
+        assert gk_profile(range(200, 0, -1), 3).values == (1, 2, 3)
+
+    @pytest.mark.parametrize("m", [2.5, True, "2"])
+    def test_rejects_non_integer_m(self, m):
+        # 2.5 raised TypeError and True ran as 1
+        with pytest.raises(ValueError, match=f"bad m {m!r}"):
+            gk_profile((1, 2), m)
 
     def test_profile_invariants_enforced(self):
         with pytest.raises(ValueError):
             GKProfile((2, 3, 5))
+        with pytest.raises(ValueError, match="nonnegative"):
+            GKProfile((-1, -2))
 
     def test_rejects_non_integer_letters(self):
         # used to give the profile (3,) of (1, 2, 3)
@@ -373,6 +398,20 @@ class TestGKProfile:
     def test_matches_subset_oracle(self, word, chains):
         word = tuple(word)
         assert gk_profile(word, chains).values[-1] == gk_by_subsets(word, chains)
+
+    @given(st.lists(st.integers(-3, 3), max_size=8), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_subset_oracle_with_nonpositive_letters(self, word, m):
+        # (-3, -2, -1) used to give (0, 0) for m = 2
+        word = tuple(word)
+        assert gk_profile(word, m).values == tuple(gk_by_subsets(word, i) for i in range(1, m + 1))
+
+    def test_matches_chain_cover_search_on_longer_words(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            word = tuple(rng.randint(1, rng.randint(2, 9)) for _ in range(rng.randint(10, 14)))
+            m = rng.randint(1, 6)
+            assert gk_profile(word, m).values == tuple(_best_chain_cover(word, i) for i in range(1, m + 1)), word
 
     def test_column_fact_small(self):
         for shape in [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3)]:

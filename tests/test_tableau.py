@@ -18,6 +18,7 @@ from oracles import (
     standardize_with_pairs_by_splitting,
 )
 from webweave.tableau import (
+    EMPTY_SHAPE,
     NotRussellError,
     RowStrictTableau,
     Shape,
@@ -29,10 +30,12 @@ from webweave.tableau import (
     enumerate_russell,
     enumerate_standard,
     format_tableau,
+    is_skew_cellset,
     is_standard,
     parse_tableau,
     rotate_complement,
     russell_repetition,
+    skew_shape_from_cells,
     standardize,
     standardize_with_pairs,
     tableau_from_cells,
@@ -102,6 +105,19 @@ class TestTableauValidation:
         assert t.shape.outer == Shape((2, 2))
         assert t.shape.inner == Shape((2,))
 
+    def test_rows_must_fit_the_shape(self):
+        shape = SkewShape(Shape((2, 1)))
+        with pytest.raises(ValueError, match="^expected 2 rows, got 1$"):
+            RowStrictTableau(shape, ((1, 2),))
+        with pytest.raises(ValueError, match="^row 1 has 1 entries, shape wants 2$"):
+            RowStrictTableau(shape, ((1,), (2,)))
+
+    def test_skew_shape_of_cells(self):
+        assert skew_shape_from_cells(()) == SkewShape(EMPTY_SHAPE, EMPTY_SHAPE)
+        assert is_skew_cellset({(1, 1)}) and not is_skew_cellset({(1, 1), (1, 3)})
+        with pytest.raises(ValueError, match="^boxes must have positive coordinates$"):
+            skew_shape_from_cells({(0, 1)})
+
 
 class TestColumnWord:
     def test_matches_entries_oracle(self):
@@ -141,6 +157,10 @@ class TestRussellRepetition:
     def test_rejects_missing_value(self):
         with pytest.raises(NotRussellError):
             russell_repetition(T([[1, 3], [2, 4], [4, 6]]))
+
+    def test_rejects_skew_shape(self):
+        with pytest.raises(NotRussellError, match=r"^shape \(2, 2, 2\) is not a 3-row rectangle$"):
+            russell_repetition(T([[2], [1, 3], [2, 4]], (1,)))
 
 
 class TestStandardize:
@@ -303,6 +323,14 @@ class TestEnumerateRussell:
         with pytest.raises(ValueError, match=f"bad repetition {h!r}"):
             enumerate_russell(2, h)
 
+    def test_rejects_k_or_repetition_out_of_range(self):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            enumerate_russell(0, 0)
+        with pytest.raises(ValueError, match="^repetition 3 out of range for k=1$"):
+            enumerate_russell(1, 3)
+        with pytest.raises(ValueError, match="^repetition -1 out of range for k=1$"):
+            enumerate_russell(1, -1)
+
     @pytest.mark.parametrize("k", [2.5, True])
     def test_rejects_non_integer_k(self, k):
         # 2.5 used to give the 15 tableaux of k=2, and True those of k=1
@@ -348,6 +376,9 @@ class TestTextAndJson:
     def test_json_roundtrip(self):
         t = T([[1, 2, 3], [1, 4, 5], [3, 6, 7]])
         assert tableau_from_json(tableau_to_json(t)) == t
+
+    def test_json_from_text(self):
+        assert tableau_from_json('{"rows": [[2], [1, 3]], "inner": [1]}') == T([[2], [1, 3]], (1,))
 
     def test_json_rejects_non_integer_entries(self):
         # used to give ((1, 2), (3, 4))

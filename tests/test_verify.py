@@ -1,5 +1,7 @@
 import concurrent.futures
 import itertools
+import re
+from fractions import Fraction
 from math import inf
 from types import SimpleNamespace
 
@@ -178,6 +180,27 @@ class TestRunVerification:
         monkeypatch.setattr(tableau, "_fill", grow_nothing)
         with pytest.raises(ValueError, match=r"^max_seconds must be a number of seconds >= 0, got -0\.0$"):
             run_verification(Family((3, 3)), "lemma", max_seconds=-0.0)
+
+    @pytest.mark.parametrize("seconds", ["5", True, Fraction(1, 2)])
+    def test_budget_that_is_no_int_or_float_rejected_before_enumeration(self, monkeypatch, seconds):
+        # "5" raised TypeError, True gave a 1 s budget, and a Fraction ran
+        def grow_nothing(*args):
+            raise AssertionError("the family was grown")
+
+        monkeypatch.setattr(tableau, "_fill", grow_nothing)
+        message = f"^max_seconds must be a number of seconds >= 0, got {re.escape(repr(seconds))}$"
+        with pytest.raises(ValueError, match=message):
+            run_verification(Family((3, 3)), "lemma", max_seconds=seconds)
+
+    @pytest.mark.parametrize("jobs", [2.5, "2", True])
+    def test_non_integer_jobs_rejected_before_enumeration(self, monkeypatch, jobs):
+        # 2.5 and "2" raised TypeError, and True ran as 1
+        def grow_nothing(*args):
+            raise AssertionError("the family was grown")
+
+        monkeypatch.setattr(tableau, "_fill", grow_nothing)
+        with pytest.raises(ValueError, match=f"^bad jobs {re.escape(repr(jobs))}; expected an integer$"):
+            run_verification(Family((3, 3)), "lemma", jobs=jobs, max_seconds=5)
 
     def test_parallel_run_is_budgeted_as_a_whole(self, monkeypatch):
         # a clock that ticks a second per reading: each batch of 21 (3,3,3)

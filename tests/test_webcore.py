@@ -131,6 +131,9 @@ class TestMatching:
         m = Matching(3, ((2, 3), (1, 4), (5, 6)))
         assert matching_from_json(matching_to_json(m)) == m
 
+    def test_json_from_text(self):
+        assert matching_from_json('{"n": 2, "pairs": [[2, 3], [1, 4]]}') == Matching(2, ((2, 3), (1, 4)))
+
     @pytest.mark.parametrize("pair", [[1], [1, 2, 3]])
     def test_json_pair_has_two_points(self, pair):
         with pytest.raises(ValueError, match="each pair must have two points"):
