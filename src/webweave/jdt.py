@@ -1,9 +1,10 @@
 """Jeu de taquin slides, rectification, evacuation, and word invariants."""
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import le, lt
 
 from .tableau import (
     RowStrictTableau,
@@ -103,62 +104,54 @@ def delta(t: RowStrictTableau) -> RowStrictTableau:
 
 
 def _evacuate_rows(rows) -> list[list[int]]:
-    """Evacuation of a straight row-strict filling given by its rows: the
-    delta steps on the live row lists, where the boxes that the step of value
-    i vacates receive n+1-i (n the largest entry).
+    """Evacuation of a straight row-strict filling given by its rows, by
+    Schützenberger's theorem evac(P(w)) = P(w#): w is the row reading word,
+    bottom row first and each row left to right, whose insertion tableau is
+    the filling itself.  For n the largest entry + 1, w# reads n - x over
+    each row reversed, top row first.  Each letter bumps the leftmost entry
+    >= it (bisect_left) into the next row, or ends that row: the transpose
+    of the classical insertion, as rows are strict and columns weak.  The
+    first row's letters increase, so they make the first row.  Only the
+    values present are read, so a gapped filling costs no more.
 
-    The filling stays straight, so its least value i heads column 1 in rows
-    1, 2, ...; those boxes are deleted and their holes slid closed from the
-    bottom one up, each hole moving into the smaller of its right and lower
-    neighbors (ties go right) until it has neither, where its box leaves the
-    end of its row.  Entries are never decremented: a uniform shift does not
-    change a slide's comparisons.  Only the values present take a step, so a
-    gapped filling costs no more than a gapless one.  Every row is padded
-    with n+1, the value of a box outside the filling, and one padded row is
-    added below, so a slide needs no bounds checks.
-
-    The result is checked as it is filled, from the largest value down: each
-    box's right neighbor must already hold a larger value and its lower
-    neighbor a value at least as large (ValueError), and every box of the
-    shape must be filled (AssertionError).  So it has the input's shape,
-    positive entries, strict rows and weak columns.
+    Rows that are not strict, or a box less than the one above it, are
+    refused (ValueError).  A result without the input's shape or weak
+    columns raises AssertionError, so rows of no straight shape do too.
     """
-    width = max(map(len, rows), default=0) + 1
-    n = max((max(row) for row in rows if row), default=0)
-    gone = n + 1
-    live = [[*row, *[gone] * (width - len(row))] for row in rows]
-    out = [[0] * len(row) + [gone] * (width - len(row)) for row in rows]
-    live.append([gone] * width)
-    out.append(live[-1])
-    while live[0][0] != gone:
-        i = live[0][0]
-        x = gone - i
-        top = 1
-        while live[top][0] == i:
-            top += 1
-        for r in range(top - 1, -1, -1):
-            row, c = live[r], 0
-            while True:
-                right, below = row[c + 1], live[r + 1][c]
-                if below < right:
-                    row[c] = below
-                    r += 1
-                    row = live[r]
-                elif right != gone:
-                    row[c] = right
-                    c += 1
-                else:
+    for r, row in enumerate(rows, 1):
+        if not all(map(lt, row, row[1:])):
+            raise ValueError(f"row {r} is not strictly increasing")
+    broken = _broken_column(rows)
+    if broken:
+        r, c = broken
+        raise ValueError(f"column {c} is not weakly increasing at row {r}")
+    n = max((row[-1] for row in rows if row), default=0) + 1
+    out = [[n - x for x in reversed(rows[0])]] if rows else []
+    for row in rows[1:]:
+        for x in reversed(row):
+            x = n - x
+            for p in out:
+                i = bisect_left(p, x)
+                if i == len(p):
+                    p.append(x)
                     break
-            row[c] = gone
-            filled = out[r]
-            if filled[c + 1] <= x:
-                raise ValueError(f"evacuated row {r + 1} is not strictly increasing")
-            if out[r + 1][c] < x:
-                raise ValueError(f"evacuated column {c + 1} is not weakly increasing at row {r + 2}")
-            filled[c] = x
-    if any(row[0] != gone for row in live):
+                p[i], x = x, p[i]
+            else:
+                out.append([x])
+    out += [[] for _ in range(len(rows) - len(out))]
+    if list(map(len, out)) != list(map(len, rows)):
         raise AssertionError("evacuate changed the shape")
-    return [filled[: len(row)] for filled, row in zip(out, rows)]
+    if _broken_column(out):
+        raise AssertionError("evacuate broke a column")
+    return out
+
+
+def _broken_column(rows) -> tuple[int, int] | None:
+    """(row, column) of the first box less than the box above it."""
+    for r in range(1, len(rows)):
+        if not all(map(le, rows[r - 1], rows[r])):
+            return r + 1, next(c for c, (a, b) in enumerate(zip(rows[r - 1], rows[r]), 1) if a > b)
+    return None
 
 
 def evacuate(t: RowStrictTableau) -> RowStrictTableau:

@@ -162,7 +162,7 @@ def evacuate_by_delta(t: RowStrictTableau) -> RowStrictTableau:
 def evacuate_by_cells(t: RowStrictTableau) -> RowStrictTableau:
     """Evacuation: the n delta steps on one cell map, where the boxes that
     step i vacates receive n+1-i; the result is built once from its cells.
-    The reference for webweave.jdt._evacuate_rows, which it preceded.
+    The reference for the slide kernel, which it preceded.
 
     The filling stays straight, so its least value i heads column 1 in rows
     1, 2, ...; those boxes are deleted and their holes slid closed from the
@@ -185,6 +185,69 @@ def evacuate_by_cells(t: RowStrictTableau) -> RowStrictTableau:
     if result.shape != t.shape:
         raise AssertionError("evacuate changed the shape")
     return result
+
+
+# --- evacuation by slides on plain rows ------------------------------------
+
+# The reference for webweave.jdt._evacuate_rows, which computes the same map
+# by one row-insertion pass (Schützenberger's evac(P(w)) = P(w#)).
+def evacuate_rows_by_slides(rows) -> list[list[int]]:
+    """Evacuation of a straight row-strict filling given by its rows: the
+    delta steps on the live row lists, where the boxes that the step of value
+    i vacates receive n+1-i (n the largest entry).
+
+    The filling stays straight, so its least value i heads column 1 in rows
+    1, 2, ...; those boxes are deleted and their holes slid closed from the
+    bottom one up, each hole moving into the smaller of its right and lower
+    neighbors (ties go right) until it has neither, where its box leaves the
+    end of its row.  Entries are never decremented: a uniform shift does not
+    change a slide's comparisons.  Only the values present take a step, so a
+    gapped filling costs no more than a gapless one.  Every row is padded
+    with n+1, the value of a box outside the filling, and one padded row is
+    added below, so a slide needs no bounds checks.
+
+    The result is checked as it is filled, from the largest value down: each
+    box's right neighbor must already hold a larger value and its lower
+    neighbor a value at least as large (ValueError), and every box of the
+    shape must be filled (AssertionError).  So it has the input's shape,
+    positive entries, strict rows and weak columns.
+    """
+    width = max(map(len, rows), default=0) + 1
+    n = max((max(row) for row in rows if row), default=0)
+    gone = n + 1
+    live = [[*row, *[gone] * (width - len(row))] for row in rows]
+    out = [[0] * len(row) + [gone] * (width - len(row)) for row in rows]
+    live.append([gone] * width)
+    out.append(live[-1])
+    while live[0][0] != gone:
+        i = live[0][0]
+        x = gone - i
+        top = 1
+        while live[top][0] == i:
+            top += 1
+        for r in range(top - 1, -1, -1):
+            row, c = live[r], 0
+            while True:
+                right, below = row[c + 1], live[r + 1][c]
+                if below < right:
+                    row[c] = below
+                    r += 1
+                    row = live[r]
+                elif right != gone:
+                    row[c] = right
+                    c += 1
+                else:
+                    break
+            row[c] = gone
+            filled = out[r]
+            if filled[c + 1] <= x:
+                raise ValueError(f"evacuated row {r + 1} is not strictly increasing")
+            if out[r + 1][c] < x:
+                raise ValueError(f"evacuated column {c + 1} is not weakly increasing at row {r + 2}")
+            filled[c] = x
+    if any(row[0] != gone for row in live):
+        raise AssertionError("evacuate changed the shape")
+    return [filled[: len(row)] for filled, row in zip(out, rows)]
 
 
 # --- Greene-Kleitman invariants by chain-cover search -----------------------

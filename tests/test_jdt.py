@@ -9,6 +9,7 @@ from oracles import (
     all_row_strict_fillings,
     evacuate_by_cells,
     evacuate_by_delta,
+    evacuate_rows_by_slides,
     random_filling,
 )
 from webweave.jdt import (
@@ -342,6 +343,86 @@ class TestEvacuateRowsAgainstOracles:
             _evacuate_rows(((2, 1),))
         with pytest.raises(ValueError, match="column 1 is not weakly increasing"):
             _evacuate_rows(((2,), (1,)))
+
+
+def _agrees_with_slides(fillings):
+    """The kernel equals the slide oracle on every filling, and is an
+    involution on those whose least entry is 1."""
+    for rows in fillings:
+        rows = [list(row) for row in rows]
+        out = _evacuate_rows(rows)
+        assert out == evacuate_rows_by_slides(rows), rows
+        if rows and rows[0][:1] == [1]:
+            assert _evacuate_rows(out) == rows, rows
+
+
+def _random_straight_filling(rng, n_rows, k, doubled=0):
+    """A seeded random filling of the n_rows x k rectangle cut to a random
+    straight shape (each row at most as long as the one above), its values
+    spread by random gaps from 1 up."""
+    rows = random_filling(rng, n_rows, k, doubled).rows
+    cut = sorted((rng.randint(0, k) for _ in range(n_rows)), reverse=True)
+    cut[0] = max(cut[0], 1)
+    spread = [0, 1]
+    for _ in range(n_rows * k):
+        spread.append(spread[-1] + rng.randint(1, 3))
+    return [[spread[v] for v in row[:width]] for row, width in zip(rows, cut)]
+
+
+class TestEvacuateRowsBySlides:
+    @pytest.mark.parametrize("size", range(10))
+    def test_every_small_straight_shape(self, size):
+        _agrees_with_slides(t.rows for parts in _partitions(size) for t in enumerate_standard(Shape(parts)))
+
+    @pytest.mark.parametrize("shape", [(n, n) for n in range(1, 11)] + [(k, k, k) for k in range(1, 6)])
+    def test_rectangles(self, shape):
+        _agrees_with_slides(t.rows for t in enumerate_standard(Shape(shape)))
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_russell_every_h(self, k):
+        _agrees_with_slides(t.rows for h in range(3 * k // 2 + 1) for t in enumerate_russell(k, h))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (3, 2), (2, 2, 2), (3, 2, 1), (3, 3), (2, 1, 1, 1)])
+    def test_every_filling_up_to_six(self, shape):
+        # gapped fillings and values repeated down column 1 included
+        _agrees_with_slides(t.rows for t in all_row_strict_fillings(shape, 6))
+
+    def test_random_two_rows_past_enumeration(self):
+        rng = random.Random(60)
+        _agrees_with_slides(random_filling(rng, 2, n).rows for n in range(1, 61) for _ in range(5))
+
+    def test_random_three_rows_with_doubled_values(self):
+        rng = random.Random(20)
+        _agrees_with_slides(
+            random_filling(rng, 3, k, rng.randint(0, 3 * k // 2)).rows for k in range(1, 21) for _ in range(5)
+        )
+
+    def test_random_straight_shapes_with_gaps(self):
+        rng = random.Random(7)
+        fillings = []
+        for n_rows in range(1, 7):
+            for k in range(1, 13):
+                fillings += [_random_straight_filling(rng, n_rows, k, rng.randint(0, k)) for _ in range(4)]
+        _agrees_with_slides(fillings)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 6), max_size=4), max_size=4))
+    def test_returns_only_on_straight_fillings(self, rows):
+        # rows of positive integers: refused unless rows strictly increase,
+        # columns weakly increase and lengths weakly decrease; then the
+        # slides agree
+        straight = (
+            all(a < b for row in rows for a, b in zip(row, row[1:]))
+            and all(a <= b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
+            and all(len(upper) >= len(lower) for upper, lower in zip(rows, rows[1:]))
+        )
+        try:
+            out = _evacuate_rows(rows)
+        except (ValueError, AssertionError):
+            assert not straight, rows
+        else:
+            assert straight, rows
+            assert out == evacuate_rows_by_slides(rows), rows
 
 
 # --- Greene-Kleitman -------------------------------------------------------
