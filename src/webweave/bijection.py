@@ -27,7 +27,8 @@ from .webcore import (
     _contract,
     _defects,
     _fields,
-    _pairs_key,
+    _reflect_pairs,
+    _reflect_parts,
 )
 
 Pair = tuple[int, int]
@@ -374,14 +375,14 @@ def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
 class Pipeline(NamedTuple):
     """What a kind of family does with the rows of each tableau: build the
     sorted pairs of its matching or the plain fields of its web, check them,
-    key them canonically (with mirror=True, the key of the reflection), list
-    their defects, and read the tableau's rows back off them.  `parts` builds
-    and checks once; the key, the defects and the inverse trust what it
-    gives, as the functions that take a Matching or a Web trust it."""
+    key them canonically, reflect them, list their defects, and read the
+    tableau's rows back off them.  `parts` builds and checks once; the other
+    stages trust it, as the functions that take a Matching or a Web do."""
 
     build: Callable
     check: Callable[..., None]
     key: Callable[..., str]
+    reflect: Callable
     defects: Callable[..., list[str]]
     inverse: Callable[..., tuple]
 
@@ -392,10 +393,10 @@ class Pipeline(NamedTuple):
 
 
 # a matching that passes the partition and noncrossing check has no other defect
-SL2 = Pipeline(_catalan_pairs, lambda pairs: _check_pairs(len(pairs), pairs), _pairs_key, lambda pairs: [],
+SL2 = Pipeline(_catalan_pairs, lambda pairs: _check_pairs(len(pairs), pairs), str, _reflect_pairs, lambda pairs: [],
                _matching_rows)
-SL3_STANDARD = Pipeline(_tymoczko_parts, _check_structure, _canonical, _defects, _tableau_rows)
-SL3_RUSSELL = Pipeline(_russell_parts, _check_structure, _canonical, _defects, _tableau_rows)
+SL3_STANDARD = Pipeline(_tymoczko_parts, _check_structure, _canonical, _reflect_parts, _defects, _tableau_rows)
+SL3_RUSSELL = Pipeline(_russell_parts, _check_structure, _canonical, _reflect_parts, _defects, _tableau_rows)
 
 
 def tableau_of_web(web, shape) -> RowStrictTableau:

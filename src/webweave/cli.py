@@ -27,7 +27,6 @@ from .tableau import (
 from .verify import CHECK_NAMES, Family, TimeBudgetExceeded, run_verification
 from .webcore import (
     Matching,
-    _pairs_key,
     canonicalize,
     matching_from_json,
     matching_to_json,
@@ -99,7 +98,7 @@ def _cmd_to_web(args) -> int:
     t = parse_tableau(_read_input(args.input))
     obj = _object_from_tableau(t)
     if args.canonical:
-        _emit(_pairs_key(obj.pairs) if isinstance(obj, Matching) else canonicalize(obj), None)
+        _emit(str(obj.pairs) if isinstance(obj, Matching) else canonicalize(obj), None)
         return 0
     doc = matching_to_json(obj) if isinstance(obj, Matching) else web_to_json(obj)
     _emit(json.dumps(doc, separators=(",", ":")), None)

@@ -5,7 +5,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bijection import SL2, SL3_RUSSELL, SL3_STANDARD, Pipeline
 from .jdt import _evacuate_rows
@@ -23,14 +23,24 @@ from .tableau import (
     enumerate_standard,
 )
 
-# desk-scale defaults; larger families need an explicit time budget
-MAX_2ROW_N = 8
-MAX_3ROW_K = 5
-MAX_RUSSELL_K = 4
-
 
 class FamilyBoundError(ValueError):
     """The requested family exceeds the configured desk-scale bounds."""
+
+
+class _Kind(NamedTuple):
+    pipeline: Pipeline
+    bound: int  # the largest side checked without an explicit time budget
+    bounded: str  # the refusal of a larger side, less " <= bound"
+    depth: int  # the value after which shards() cuts the growth trees
+
+
+# by (rows, is_russell); Russell values branch into more boxes, so cut sooner
+_KINDS = {
+    (2, False): _Kind(SL2, 8, "2-row families are bounded at n", 10),
+    (3, False): _Kind(SL3_STANDARD, 5, "3-row standard families are bounded at k", 10),
+    (3, True): _Kind(SL3_RUSSELL, 4, "Russell families are bounded at k", 5),
+}
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -74,10 +84,12 @@ class Family:
         return self.rows == 3 and self.repetition is not None
 
     @property
+    def kind(self) -> _Kind:
+        return _KINDS[self.rows, self.is_russell]
+
+    @property
     def pipeline(self) -> Pipeline:
-        if self.rows == 2:
-            return SL2
-        return SL3_RUSSELL if self.is_russell else SL3_STANDARD
+        return self.kind.pipeline
 
     def describe(self) -> str:
         base = ",".join(str(p) for p in self.shape)
@@ -86,13 +98,8 @@ class Family:
         return f"russell({base}, h={self.repetition})"
 
     def check_bounds(self) -> None:
-        side = self.shape[0]
-        if self.rows == 2 and side > MAX_2ROW_N:
-            raise FamilyBoundError(f"2-row families are bounded at n <= {MAX_2ROW_N}")
-        if self.rows == 3 and self.repetition is None and side > MAX_3ROW_K:
-            raise FamilyBoundError(f"3-row standard families are bounded at k <= {MAX_3ROW_K}")
-        if self.is_russell and side > MAX_RUSSELL_K:
-            raise FamilyBoundError(f"Russell families are bounded at k <= {MAX_RUSSELL_K}")
+        if self.shape[0] > self.kind.bound:
+            raise FamilyBoundError(f"{self.kind.bounded} <= {self.kind.bound}")
 
     @property
     def repetitions(self) -> range:
@@ -104,12 +111,11 @@ class Family:
         return range(self.repetition, self.repetition + 1)
 
     def shards(self) -> list[tuple[int, tuple]]:
-        """The family's growth trees, h by h, cut after the value 10, or 5
-        for a Russell family, whose values branch into more boxes: one
+        """The family's growth trees, h by h, cut after its kind's depth: one
         (h, prefix rows) per node there, in growth order.  That is a few
         hundred to a few thousand shards however large the family, and each
         tableau of the family grows from exactly one of them."""
-        shape, depth = Shape(self.shape), 5 if self.is_russell else 10
+        shape, depth = Shape(self.shape), self.kind.depth
         return [(h, prefix) for h in self.repetitions for prefix in _grow(shape, h, (), depth)]
 
     def grow(self, shard: tuple[int, tuple]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -164,22 +170,22 @@ def _failure(rows, expected: str, actual: str) -> dict:
 
 
 def _check_theorem(p: Pipeline, rows):
-    """The theorem once per evacuation orbit.  Reflection and evacuation are
-    involutions and a mirrored key mirrors back, so the theorem for t is the
-    mirror image of the theorem for e = evac(t).  t is skipped when e < t, e
-    is a member of the family and evac(e) == t: then e is grown too, is not
-    skipped, and its check covers t, whatever the involution check finds.
-    Otherwise t is checked in full; if it fails and e is its skipped partner,
-    e's record is written too, from the two webs already built."""
+    """The theorem once per evacuation orbit: t's web, reflected, against
+    the web of e = evac(t).  Reflection and evacuation are involutions, so
+    the theorem for t is the reflection of the theorem for e.  t is skipped
+    when e < t, e is a member of the family and evac(e) == t: then e is grown
+    too, is not skipped, and its check covers t, whatever the involution
+    check finds.  Otherwise t is checked in full; if it fails and e is its
+    skipped partner, e's record is written too, from the two webs built."""
     e = tuple(map(tuple, _evacuate_rows(rows)))
     if e < rows and _is_partner(e, rows):
         return
     parts, e_parts = p.parts(rows), p.parts(e)
-    actual, expected = p.key(parts, mirror=True), p.key(e_parts)
+    actual, expected = p.key(p.reflect(parts)), p.key(e_parts)
     if actual != expected:
         yield _failure(rows, expected, actual)
         if e > rows and _is_partner(e, rows):
-            yield _failure(e, p.key(parts), p.key(e_parts, mirror=True))
+            yield _failure(e, p.key(parts), p.key(p.reflect(e_parts)))
 
 
 def _is_partner(e, rows) -> bool:

@@ -65,12 +65,6 @@ def _reflect_pairs(pairs):
     return tuple(sorted((size - j, size - i) for i, j in pairs))
 
 
-def _pairs_key(pairs, mirror=False) -> str:
-    """The key of a matching given by its sorted, checked pairs; with
-    mirror=True, the key of its reflection."""
-    return str(_reflect_pairs(pairs) if mirror else pairs)
-
-
 def reflect_matching(m: Matching) -> Matching:
     """Reflect across the diameter through the midpoint of the arc (2n, 1)."""
     return Matching(m.n, _reflect_pairs(m.pairs))
@@ -237,23 +231,15 @@ def canonicalize(web: Web) -> str:
     return _canonical(_fields(web))
 
 
-def _canonical(parts, mirror=False) -> str:
-    """canonicalize on the plain fields of a structurally sound web.
-
-    With mirror, the key of the web's reflection (see reflect_web): label i
-    is read as b+1-i and every rotation is read reversed, so the reflected
-    web need not be built.
-    """
+def _canonical(parts) -> str:
+    """canonicalize on the plain fields of a structurally sound web."""
     boundary_colors, internal_colors, edges, rotation = parts
     b = len(boundary_colors)
-    marks = ["B" if c == BLACK else "W" for c in boundary_colors]
-    marks += ["B" if c == BLACK else "W" for c in internal_colors]
-    order = list(range(b - 1, -1, -1) if mirror else range(b))  # vertex of each name
-    name: list[str | None] = [None] * len(marks)
-    for i, v in enumerate(order):
-        name[v] = str(i)
-    reading = [rotation[v][::-1] if mirror else rotation[v] for v in order]
-    chunks = ["".join(marks[v] for v in order)]
+    marks = ["B" if c == BLACK else "W" for c in (*boundary_colors, *internal_colors)]
+    order = list(range(b))  # vertex of each name
+    name: list[str | None] = [str(v) for v in order] + [None] * len(internal_colors)
+    reading = list(rotation[:b])
+    chunks = ["".join(marks[:b])]
     for v, rot in zip(order, reading):  # both grow as vertices are discovered
         nbrs = []
         for e in rot:
@@ -262,7 +248,7 @@ def _canonical(parts, mirror=False) -> str:
             if name[w] is None:
                 name[w] = str(len(order))
                 order.append(w)
-                r = rotation[w][::-1] if mirror else rotation[w]
+                r = rotation[w]
                 i = r.index(e)
                 reading.append(r[i:] + r[:i])
             nbrs.append(name[w])
@@ -361,19 +347,25 @@ def contract_pairs(web: Web, positions) -> Web:
     return Web(*_contract(_fields(web), positions))
 
 
-def reflect_web(web: Web) -> Web:
-    """Reflect across the diameter through the midpoint of the boundary arc
-    between the last and first labels.
+def _reflect_parts(parts):
+    """The plain fields of a web's reflection, given its plain fields.
 
     Combinatorially a mirror: boundary label i becomes b+1-i, so the boundary
     colors reverse, internal vertices keep their ids, and every rotation
     reverses (a mirror image reverses orientation).
     """
-    b = web.n_boundary
-    remap = [b - 1 - v if v < b else v for v in range(web.n_vertices)]
-    edges = tuple((remap[x], remap[y]) for x, y in web.edges)
-    rotation = tuple(rot[::-1] for rot in web.rotation[:b][::-1] + web.rotation[b:])
-    return Web(web.boundary_colors[::-1], web.internal_colors, edges, rotation)
+    boundary_colors, internal_colors, edges, rotation = parts
+    b = len(boundary_colors)
+    remap = [*range(b - 1, -1, -1), *range(b, b + len(internal_colors))]  # its own inverse
+    edges = [(remap[x], remap[y]) for x, y in edges]
+    rotation = [rotation[v][::-1] for v in remap]
+    return boundary_colors[::-1], internal_colors, edges, rotation
+
+
+def reflect_web(web: Web) -> Web:
+    """Reflect across the diameter through the midpoint of the boundary arc
+    between the last and first labels (see _reflect_parts)."""
+    return Web(*_reflect_parts(_fields(web)))
 
 
 # --- JSON forms -------------------------------------------------------------

@@ -37,6 +37,7 @@ from webweave.webcore import (
     _fields,
     canonicalize,
     reflect_matching,
+    reflect_web,
     validate_web,
 )
 
@@ -780,7 +781,7 @@ def check_pairs_by_all_pairs(n: int, pairs) -> None:
 
 def pairs_key_by_reflection(m: Matching, mirror: bool = False) -> str:
     """The key of a Matching, reflecting it as a Matching when mirrored.  The
-    reference for webweave.webcore._pairs_key."""
+    reference for the SL2 pipeline's key of its pairs and of their reflection."""
     return str((reflect_matching(m) if mirror else m).pairs)
 
 
@@ -853,12 +854,18 @@ def collision_check():
 
 
 def check_theorem_per_tableau(family, t: RowStrictTableau) -> dict | None:
-    """The theorem on one tableau in full: the mirrored key of its web
-    against the key of its evacuation's web.  The reference for verify's
-    check, which checks once per evacuation orbit.  It evacuates with
-    verify's kernel, so a test that patches that kernel patches both."""
+    """The theorem on one tableau in full: the key of its web, reflected as a
+    Matching or a Web by the public reflect_matching or reflect_web, against
+    the key of its evacuation's web.  The reference for verify's check, which
+    checks once per evacuation orbit and reflects by the pipeline's reflect
+    stage.  It builds and evacuates with verify's pipeline and kernel, so a
+    test that patches those patches both."""
     p = family.pipeline
-    actual = p.key(p.parts(t.rows), mirror=True)
+    parts = p.parts(t.rows)
+    if family.rows == 2:
+        actual = p.key(reflect_matching(Matching(len(parts), parts)).pairs)
+    else:
+        actual = p.key(_fields(reflect_web(Web(*parts))))
     expected = p.key(p.parts(verify._evacuate_rows(t.rows)))
     if actual != expected:
         return _failure(t.rows, expected, actual)

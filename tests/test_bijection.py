@@ -21,6 +21,7 @@ from webweave import bijection
 from webweave.bijection import (
     Arc,
     ArcDiagram,
+    SL2,
     _catalan_pairs,
     _russell_parts,
     _tymoczko_parts,
@@ -47,7 +48,7 @@ from webweave.webcore import (
     Web,
     _canonical,
     _fields,
-    _pairs_key,
+    _reflect_parts,
     canonicalize,
     reflect_matching,
     reflect_web,
@@ -176,13 +177,14 @@ class TestCatalanPairsOfRows:
             pairs = _catalan_pairs(t.rows)
             m = web_of_2row(t)
             assert pairs == m.pairs == catalan_pairing(*t.rows)
-            for mirror in (False, True):
-                assert _pairs_key(pairs, mirror=mirror) == pairs_key_by_reflection(m, mirror=mirror), t.rows
+            assert SL2.key(pairs) == pairs_key_by_reflection(m), t.rows
+            assert SL2.key(SL2.reflect(pairs)) == pairs_key_by_reflection(m, mirror=True), t.rows
 
     def test_lists_and_tuples_give_one_key(self):
         rows = ((1, 2, 4), (3, 5, 6))
-        assert _pairs_key(_catalan_pairs([list(r) for r in rows]), True) == _pairs_key(_catalan_pairs(rows), True)
-        assert _pairs_key(_catalan_pairs(rows)) == "((1, 6), (2, 3), (4, 5))"
+        reflected = SL2.key(SL2.reflect(_catalan_pairs(rows)))
+        assert SL2.key(SL2.reflect(_catalan_pairs([list(r) for r in rows]))) == reflected
+        assert SL2.key(_catalan_pairs(rows)) == "((1, 6), (2, 3), (4, 5))"
 
     @pytest.mark.parametrize(
         "rows",
@@ -303,7 +305,7 @@ class TestIntegerBuilderAgainstOracle:
             old = Web(*(russell_parts_by_diagram(t) if is_russell else tymoczko_parts_by_diagram(t)))
             assert _canonical(parts) == canonicalize(old) == canonicalize_by_bfs(old), t.rows
             mirrored = canonicalize_by_bfs(reflect_web(old))
-            assert _canonical(parts, mirror=True) == canonicalize(reflect_web(old)) == mirrored, t.rows
+            assert _canonical(_reflect_parts(parts)) == canonicalize(reflect_web(old)) == mirrored, t.rows
 
     def test_web_json_equal(self):
         for t, is_russell in _builder_inputs():

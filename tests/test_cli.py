@@ -346,12 +346,12 @@ class TestVerifyCommand:
         # one tableau's build is seeded to cross; the summary goes to stdout
         # and each record to stderr
         victim = T([[1, 2, 3], [4, 5, 6]])
-        crossing, real = ((1, 3), (2, 5), (4, 6)), verify.SL2
+        crossing, kind = ((1, 3), (2, 5), (4, 6)), verify._KINDS[2, False]
 
         def build(rows):
-            return crossing if rows == victim.rows else real.build(rows)
+            return crossing if rows == victim.rows else kind.pipeline.build(rows)
 
-        monkeypatch.setattr(verify, "SL2", real._replace(build=build))
+        monkeypatch.setitem(verify._KINDS, (2, False), kind._replace(pipeline=kind.pipeline._replace(build=build)))
         code, out, err = run(capsys, ["verify", "--shape", "3,3", "--check", "validity"], monkeypatch=monkeypatch)
         assert code == 1
         assert out.startswith("check validity over standard(3,3): total 5, 1 FAILURES, ")

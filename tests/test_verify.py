@@ -10,12 +10,13 @@ import pytest
 from oracles import (
     canonicalize_by_bfs,
     collision_check,
+    reflect_web_by_expansion,
     russell_parts_by_diagram,
     theorem_failures_per_tableau,
     tymoczko_parts_by_diagram,
 )
 from test_webcore import square_face_web
-from webweave import tableau, verify
+from webweave import tableau, verify, webcore
 from webweave.jdt import _evacuate_rows, reading_word
 from webweave.verify import (
     Family,
@@ -24,7 +25,7 @@ from webweave.verify import (
     run_verification,
 )
 from webweave.tableau import RowStrictTableau, enumerate_russell, format_tableau, rotate_complement
-from webweave.webcore import BLACK, Web, _fields, reflect_web
+from webweave.webcore import BLACK, Web, _fields, canonicalize, reflect_web
 
 T = RowStrictTableau.from_rows
 
@@ -375,12 +376,7 @@ class TestFailureRecords:
         family = Family((3, 3, 3))
         tableaux = family.tableaux()
         victim, other = tableaux[5], tableaux[17]
-        real = verify.SL3_STANDARD
-
-        def build(rows):
-            return real.build(other.rows if rows == victim.rows else rows)
-
-        monkeypatch.setattr(verify, "SL3_STANDARD", real._replace(build=build))
+        _patch_build(monkeypatch, family, lambda real, rows: real(other.rows if rows == victim.rows else rows))
         want = [
             {"tableau": format_tableau(victim), "reading_word": list(reading_word(victim)),
              "expected": format_tableau(victim), "actual": format_tableau(other)}
@@ -418,16 +414,24 @@ class TestFailureRecords:
 
     def test_wrong_inverse_fails_every_tableau(self, monkeypatch):
         # a wrong inverse fails every tableau instead of passing unnoticed
-        monkeypatch.setattr(verify, "SL2", verify.SL2._replace(inverse=lambda m: ((), ())))
+        _patch_pipeline(monkeypatch, Family((3, 3)), inverse=lambda m: ((), ()))
         report = run_verification(Family((3, 3)), "injectivity")
         assert len(report.failures) == report.total == 5
 
 
+def _patch_pipeline(monkeypatch, family, **stages):
+    """Replace stages of the family's pipeline in verify's table of kinds,
+    which is keyed by (rows, is_russell); pool workers are forked, so they
+    see the patch too."""
+    kind = family.kind
+    patched = kind._replace(pipeline=kind.pipeline._replace(**stages))
+    monkeypatch.setitem(verify._KINDS, (family.rows, family.is_russell), patched)
+
+
 def _patch_build(monkeypatch, family, build):
     """Give the family's pipeline the forward builder build(real_build, rows)."""
-    name = "SL2" if family.rows == 2 else "SL3_RUSSELL" if family.is_russell else "SL3_STANDARD"
-    real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, real._replace(build=lambda rows: build(real.build, rows)))
+    real = family.pipeline.build
+    _patch_pipeline(monkeypatch, family, build=lambda rows: build(real, rows))
 
 
 def _evacuated(rows):
@@ -507,3 +511,47 @@ class TestTheoremOrbits:
         assert len(built) == 2 * (len(members) - skipped)
         assert all(_evacuated(rows) == e for rows, e in zip(checked, partners))
         assert set(checked) <= members and set(checked) | set(partners) == members
+
+
+def _reflect_parts_unreversed(parts):
+    """_reflect_parts with a seeded fault: the rotations keep their direction."""
+    boundary_colors, internal_colors, edges, rotation = parts
+    b = len(boundary_colors)
+    remap = [*range(b - 1, -1, -1), *range(b, b + len(internal_colors))]
+    edges = [(remap[x], remap[y]) for x, y in edges]
+    return boundary_colors[::-1], internal_colors, edges, [rotation[v] for v in remap]
+
+
+class TestShippedReflection:
+    """The theorem check reflects with the one reflection per kind that the
+    public reflect_matching and reflect_web call."""
+
+    def test_one_reflection_per_kind(self):
+        assert verify.SL2.reflect is webcore._reflect_pairs
+        assert verify.SL3_STANDARD.reflect is verify.SL3_RUSSELL.reflect is webcore._reflect_parts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_seeded_reflection_fault_fails_the_theorem(self, family, jobs, monkeypatch):
+        # the fault is seeded in the body of the one function, so reflect_web
+        # and every web pipeline run it; pool workers are forked and see it
+        monkeypatch.setattr(webcore._reflect_parts, "__code__", _reflect_parts_unreversed.__code__)
+        web = Web(*family.pipeline.parts(family.tableaux()[0].rows))
+        assert canonicalize(reflect_web(web)) != canonicalize_by_bfs(reflect_web_by_expansion(web))
+        report = run_verification(family, "theorem", jobs=jobs)
+        assert report.failures and report.to_json()["failures"] == theorem_failures_per_tableau(family)
+
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((5, 5, 5)), Family((4, 4, 4), "all")],
+                             ids=Family.describe)
+    def test_reflection_stage_against_expansion_oracle(self, family):
+        # the pipeline's reflection is an involution on plain fields, and its
+        # key is that of reflecting the long way round, by expanding white
+        # boundary vertices into black pairs
+        p, total = family.pipeline, 0
+        for shard in family.shards():
+            for rows in family.grow(shard):
+                parts = tuple(map(tuple, p.parts(rows)))
+                assert tuple(map(tuple, p.reflect(p.reflect(parts)))) == parts, rows
+                assert p.key(p.reflect(parts)) == canonicalize_by_bfs(reflect_web_by_expansion(Web(*parts))), rows
+                total += 1
+        assert total == len(family.tableaux())

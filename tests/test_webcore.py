@@ -32,6 +32,7 @@ from webweave.webcore import (
     _check_pairs,
     _defects,
     _fields,
+    _reflect_parts,
     canonicalize,
     contract_pair,
     contract_pairs,
@@ -280,7 +281,7 @@ class TestPartsKey:
         for web in (tripod(), contract_pair(tripod(), 1), square_face_web()):
             parts = (web.boundary_colors, web.internal_colors, web.edges, web.rotation)
             assert _canonical(parts) == canonicalize(web)
-            assert _canonical(parts, mirror=True) == canonicalize(reflect_web(web))
+            assert _canonical(_reflect_parts(parts)) == canonicalize(reflect_web(web))
 
 
 class TestExpandContract:
@@ -418,7 +419,8 @@ class TestWebJson:
 class TestOneGate:
     """A Web is checked once, by its constructor, and the plain fields of a
     pipeline once, by its parts; the functions that take a Web trust it, and
-    a pipeline's key, defects and inverse trust what parts gives."""
+    a pipeline's key, reflection, defects and inverse trust what parts
+    gives."""
 
     @pytest.fixture
     def gate_calls(self, monkeypatch):
@@ -474,9 +476,9 @@ class TestOneGate:
         assert gate_calls == []
 
     def test_kernels_on_plain_fields_check_once(self, gate_calls, pairs_calls, monkeypatch, capsys):
-        # each pipeline's parts checks once; its key, defects and inverse
-        # check nothing; to-web --canonical checks its matching once, when
-        # the Matching is made
+        # each pipeline's parts checks once; its key, reflection, defects and
+        # inverse check nothing; to-web --canonical checks its matching once,
+        # when the Matching is made
         standard, russell = enumerate_standard(Shape((3, 3, 3)))[5], enumerate_russell(3, 2)[7]
         two_row = enumerate_standard(Shape((4, 4)))[5]
         cases = [(bijection.SL3_STANDARD, standard, gate_calls), (bijection.SL3_RUSSELL, russell, gate_calls),
@@ -487,7 +489,7 @@ class TestOneGate:
             assert calls == [parts], p
             calls.clear()
             p.key(parts)
-            p.key(parts, mirror=True)
+            p.key(p.reflect(parts))
             assert p.defects(parts) == []
             assert p.inverse(parts) == t.rows
             assert calls == [], p
