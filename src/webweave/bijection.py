@@ -316,12 +316,13 @@ def russell_web(t: RowStrictTableau) -> Web:
 
 
 def _russell_parts(rows):
-    """The fields of the Russell web of a filling given by its rows, as
-    tuples, before any Web is built.  _standardize makes russell_repetition's
+    """The fields of the Russell web of a filling given by its rows, no pair
+    contracted without doubled values.  _standardize makes russell_repetition's
     checks on the rows, and the standardized rows need no more: standardizing
     keeps rows strict and columns weak, and _arc_ends checks the values."""
     rows, pair_starts = _standardize(rows)
-    return _contract(_tymoczko_parts(rows), pair_starts)
+    parts = _tymoczko_parts(rows)
+    return _contract(parts, pair_starts) if pair_starts else parts
 
 
 # --- the inverse, by face depth ----------------------------------------------

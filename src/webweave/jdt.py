@@ -4,13 +4,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import le, lt
+from operator import lt
 
 from .tableau import (
     RowStrictTableau,
     Shape,
+    _broken_column,
     _check_ints,
-    is_skew_cellset,
+    skew_shape_from_cells,
     tableau_from_cells,
 )
 
@@ -25,21 +26,14 @@ def reading_word(t: RowStrictTableau) -> tuple[int, ...]:
 def slide_targets(t: RowStrictTableau) -> list[Cell]:
     """Empty cells into which a slide may start, in (row, column) order.
 
-    A target lies left of or above an occupied box, so shares its right or
-    bottom edge with the occupied region, and keeps a skew diagram when added.
+    A target keeps a skew diagram when added and shares its right or bottom
+    edge with a box: it is an inner corner of the tight skew shape of t's
+    boxes with a box to its right or below.
     """
-    occupied = set(t.entries)
-    candidates = set()
-    for (r, c) in occupied:
-        if c > 1:
-            candidates.add((r, c - 1))
-        if r > 1:
-            candidates.add((r - 1, c))
-    out = []
-    for cell in sorted(candidates - occupied):
-        if is_skew_cellset(occupied | {cell}):
-            out.append(cell)
-    return out
+    shape = skew_shape_from_cells(t.entries)
+    inner, outer = shape.inner.row, shape.outer.row
+    corners = ((r, inner(r)) for r in range(1, len(shape.inner) + 1))
+    return [(r, c) for r, c in corners if inner(r + 1) < c and (outer(r) > c or outer(r + 1) >= c)]
 
 
 def _slide(cells: dict[Cell, int], start: Cell) -> Cell:
@@ -144,14 +138,6 @@ def _evacuate_rows(rows) -> list[list[int]]:
     if _broken_column(out):
         raise AssertionError("evacuate broke a column")
     return out
-
-
-def _broken_column(rows) -> tuple[int, int] | None:
-    """(row, column) of the first box less than the box above it."""
-    for r in range(1, len(rows)):
-        if not all(map(le, rows[r - 1], rows[r])):
-            return r + 1, next(c for c, (a, b) in enumerate(zip(rows[r - 1], rows[r]), 1) if a > b)
-    return None
 
 
 def evacuate(t: RowStrictTableau) -> RowStrictTableau:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import factorial, inf
+from operator import le
 
 
 class NotRussellError(ValueError):
@@ -138,11 +139,10 @@ class RowStrictTableau:
             for a, b in zip(row, row[1:]):
                 if a >= b:
                     raise ValueError(f"row {r} not strictly increasing: {row}")
-        ent = self.entries
-        for (r, c), v in ent.items():
-            above = ent.get((r - 1, c))
-            if above is not None and above > v:
-                raise ValueError(f"column {c} not weakly increasing at row {r}")
+        broken = _broken_column(self.rows, inner.parts)
+        if broken:
+            r, c = broken
+            raise ValueError(f"column {c} not weakly increasing at row {r}")
 
     @classmethod
     def from_rows(cls, rows, inner=()) -> RowStrictTableau:
@@ -182,6 +182,19 @@ class RowStrictTableau:
     def column_word(self) -> tuple[int, ...]:
         """Column reading word: columns right to left, each top to bottom."""
         return _column_word(self.rows, self.shape.inner.parts)
+
+
+def _broken_column(rows, inner=()) -> tuple[int, int] | None:
+    """(row, column) of the first box less than the box above it, in a
+    filling given by its rows, row r+1 starting right of inner[r] boxes."""
+    for r in range(1, len(rows)):
+        above, row, skip = rows[r - 1], rows[r], 0
+        if r <= len(inner):  # align row r+1 under row r, which starts right of inner[r-1] boxes
+            skip = inner[r - 1]
+            row = row[skip - (inner[r] if r < len(inner) else 0) :]
+        if not all(map(le, above, row)):
+            return r + 1, skip + next(c for c, (a, b) in enumerate(zip(above, row), 1) if a > b)
+    return None
 
 
 def _column_word(rows, inner=()) -> tuple[int, ...]:
@@ -245,15 +258,6 @@ def tableau_from_cells(cells: dict[tuple[int, int], int]) -> RowStrictTableau:
         for r in range(1, len(outer) + 1)
     )
     return RowStrictTableau(shape, rows)
-
-
-def is_skew_cellset(cells) -> bool:
-    """True iff the given set of boxes is the cell set of some skew diagram."""
-    try:
-        skew_shape_from_cells(cells)
-    except ValueError:
-        return False
-    return True
 
 
 def is_standard(t: RowStrictTableau) -> bool:

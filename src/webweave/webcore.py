@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .tableau import _check_ints, _field, _typed, _typed_items
+from .tableau import _check_ints, _field, _is_int, _typed, _typed_items
 
 BLACK = "black"
 WHITE = "white"
@@ -90,8 +90,6 @@ class Web:
         object.__setattr__(self, "internal_colors", tuple(self.internal_colors))
         object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
         object.__setattr__(self, "rotation", tuple(tuple(rot) for rot in self.rotation))
-        _check_ints((v for edge in self.edges for v in edge), "id")
-        _check_ints((e for rot in self.rotation for e in rot), "id")
         _check_structure(_fields(self))
 
     @property
@@ -117,30 +115,38 @@ def _fields(web: Web):
 
 
 def _check_structure(parts) -> None:
-    """The one check of a web's plain fields: every color is black or white
-    (else ValueError), the rotation lists one entry per vertex, and each edge
-    appears exactly at its two distinct, existing endpoints."""
+    """The one gate of a web's plain fields, which Web and the sl3 pipelines
+    run: every id is an integer, every color is black or white (else
+    ValueError), the rotation lists one entry per vertex, and each edge
+    appears exactly at its two distinct, existing endpoints.  An id that is
+    not an integer is named before any other fault, the edges' first."""
     boundary_colors, internal_colors, edges, rotation = parts
-    for colors in (boundary_colors, internal_colors):
-        for c in colors:
-            if c not in (BLACK, WHITE):
-                raise ValueError(f"bad color {c!r}")
-    nv = len(boundary_colors) + len(internal_colors)
-    if len(rotation) != nv:
-        raise WebStructureError(f"rotation lists {len(rotation)} vertices, web has {nv}")
-    seen_at: dict[int, list[int]] = {e: [] for e in range(len(edges))}
-    for v, rot in enumerate(rotation):
-        for e in rot:
-            if not 0 <= e < len(edges):
-                raise WebStructureError(f"vertex {v} lists unknown edge {e}")
-            seen_at[e].append(v)
-    for e, (a, b) in enumerate(edges):
-        if not (0 <= a < nv and 0 <= b < nv):
-            raise WebStructureError(f"edge {e} endpoint out of range")
-        if a == b:
-            raise WebStructureError(f"edge {e} is a loop")
-        if sorted(seen_at[e]) != sorted((a, b)):
-            raise WebStructureError(f"edge {e} incidences {seen_at[e]} disagree with endpoints {(a, b)}")
+    try:
+        for colors in (boundary_colors, internal_colors):
+            for c in colors:
+                if c not in (BLACK, WHITE):
+                    raise ValueError(f"bad color {c!r}")
+        nv, ne = len(boundary_colors) + len(internal_colors), len(edges)
+        if len(rotation) != nv:
+            raise WebStructureError(f"rotation lists {len(rotation)} vertices, web has {nv}")
+        seen_at: list[list[int]] = [[] for _ in edges]  # filled in vertex order, so sorted
+        for v, rot in enumerate(rotation):
+            for e in rot:
+                if type(e) is not int and not _is_int(e) or not 0 <= e < ne:
+                    raise WebStructureError(f"vertex {v} lists unknown edge {e}")
+                seen_at[e].append(v)
+        for e, (a, b) in enumerate(edges):
+            ints = type(a) is type(b) is int or _is_int(a) and _is_int(b)
+            if not (ints and 0 <= a < nv and 0 <= b < nv):
+                raise WebStructureError(f"edge {e} endpoint out of range")
+            if a == b:
+                raise WebStructureError(f"edge {e} is a loop")
+            if seen_at[e] != ([a, b] if a < b else [b, a]):
+                raise WebStructureError(f"edge {e} incidences {seen_at[e]} disagree with endpoints {(a, b)}")
+    except ValueError:
+        # the fault found may be an id that is not an integer, or follow one
+        _check_ints((v for ids in (*edges, *rotation) for v in ids), "id")
+        raise
 
 
 def _other(edges, e: int, v: int) -> int:

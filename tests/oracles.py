@@ -17,11 +17,14 @@ from webweave.tableau import (
     NotRussellError,
     RowStrictTableau,
     Shape,
+    SkewShape,
+    _check_ints,
     enumerate_russell,
     enumerate_standard,
     format_tableau,
     is_standard,
     russell_repetition,
+    skew_shape_from_cells,
     standardize_with_pairs,
     tableau_from_cells,
 )
@@ -31,6 +34,7 @@ from webweave.webcore import (
     WHITE,
     Matching,
     Web,
+    WebStructureError,
     _canonical,
     _check_structure,
     _contract,
@@ -135,6 +139,100 @@ def rectify_random_order(t: RowStrictTableau, rng: random.Random) -> RowStrictTa
         if not targets:
             return t
         t = jdt_slide(t, rng.choice(targets))
+
+
+def slide_targets_by_trial(t: RowStrictTableau) -> list[tuple[int, int]]:
+    """Try each empty cell left of or above a box: it is a target if the boxes
+    with it added still infer a skew shape.  The reference for
+    webweave.jdt.slide_targets, which reads the targets off the shape."""
+    occupied = set(t.entries)
+    candidates = set()
+    for (r, c) in occupied:
+        if c > 1:
+            candidates.add((r, c - 1))
+        if r > 1:
+            candidates.add((r - 1, c))
+    out = []
+    for cell in sorted(candidates - occupied):
+        try:
+            skew_shape_from_cells(occupied | {cell})
+        except ValueError:
+            continue
+        out.append(cell)
+    return out
+
+
+def random_skew_filling(rng: random.Random) -> RowStrictTableau:
+    """A random row-strict filling of a random skew shape, up to 5 rows and 6
+    columns, given as from_rows takes it: rows may be empty, and the inner
+    shape need not be tight (a row may end left of the inner part above)."""
+    outer = sorted((rng.randint(0, 6) for _ in range(rng.randint(1, 5))), reverse=True)
+    outer[0] = max(outer[0], 1)
+    inner, cap = [], outer[0]
+    for part in outer:
+        cap = min(cap, rng.randint(0, part))
+        inner.append(cap)
+    cells: dict[tuple[int, int], int] = {}
+    rows = []
+    for r, (lo, hi) in enumerate(zip(inner, outer), 1):
+        for c in range(lo + 1, hi + 1):
+            low = max(cells.get((r, c - 1), 0) + 1, cells.get((r - 1, c), 1))
+            cells[(r, c)] = low + rng.randint(0, 2)
+        rows.append([cells[(r, c)] for c in range(lo + 1, hi + 1)])
+    while len(rows) > 1 and not outer[len(rows) - 1]:
+        rows.pop()
+    return RowStrictTableau.from_rows(rows, tuple(p for p in inner[: len(rows)] if p))
+
+
+# --- the tableau gate with a probe of the cell map --------------------------
+
+def first_fault(check, *args):
+    """None if check(*args) returns, else the type and message of the
+    ValueError it raises: what a gate and its oracle must agree on."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def broken_column_by_cells(rows, inner=()) -> tuple[int, int] | None:
+    """(row, column) of the first box, in (row, column) order, less than the
+    box above it, probed on the (row, column) -> entry map of a filling whose
+    row r+1 starts right of inner[r] boxes.  The reference for
+    webweave.tableau._broken_column."""
+    entries = {}
+    for r, row in enumerate(rows, 1):
+        offset = inner[r - 1] if r <= len(inner) else 0
+        for j, v in enumerate(row, 1):
+            entries[(r, offset + j)] = v
+    for (r, c), v in entries.items():
+        above = entries.get((r - 1, c))
+        if above is not None and above > v:
+            return r, c
+    return None
+
+
+def tableau_gate_by_cells(shape: SkewShape, rows) -> None:
+    """The checks RowStrictTableau makes, in its order, with its messages, the
+    column check by the cell-map probe: the reference for its construction."""
+    _check_ints((v for row in rows for v in row), "entry")
+    outer, inner = shape.outer, shape.inner
+    if len(rows) != len(outer):
+        raise ValueError(f"expected {len(outer)} rows, got {len(rows)}")
+    for r, row in enumerate(rows, start=1):
+        if len(row) != outer.row(r) - inner.row(r):
+            raise ValueError(f"row {r} has {len(row)} entries, shape wants {outer.row(r) - inner.row(r)}")
+        for v in row:
+            if v <= 0:
+                raise ValueError(f"entries must be positive, got {v}")
+        for a, b in zip(row, row[1:]):
+            if a >= b:
+                raise ValueError(f"row {r} not strictly increasing: {row}")
+    broken = broken_column_by_cells(rows, inner.parts)
+    if broken:
+        r, c = broken
+        raise ValueError(f"column {c} not weakly increasing at row {r}")
 
 
 # --- evacuation by n delta steps -------------------------------------------
@@ -721,6 +819,88 @@ def russell_parts_by_diagram(t: RowStrictTableau):
     """The fields of russell_web(t) on the reference builder."""
     u, starts = standardize_with_pairs(t)
     return _contract(tymoczko_parts_by_diagram(u), starts)
+
+
+# --- the web gate as two id passes and a sorted structure check ------------
+
+def web_gate_by_passes(parts) -> None:
+    """A pass refusing edge endpoints that are not integers, one refusing such
+    rotation entries, then the structure check, its incidences in a dict and
+    compared sorted.  The reference for webweave.webcore._check_structure,
+    which makes one pass over the edges and one over the rotation."""
+    boundary_colors, internal_colors, edges, rotation = parts
+    _check_ints((v for edge in edges for v in edge), "id")
+    _check_ints((e for rot in rotation for e in rot), "id")
+    for colors in (boundary_colors, internal_colors):
+        for c in colors:
+            if c not in (BLACK, WHITE):
+                raise ValueError(f"bad color {c!r}")
+    nv = len(boundary_colors) + len(internal_colors)
+    if len(rotation) != nv:
+        raise WebStructureError(f"rotation lists {len(rotation)} vertices, web has {nv}")
+    seen_at: dict[int, list[int]] = {e: [] for e in range(len(edges))}
+    for v, rot in enumerate(rotation):
+        for e in rot:
+            if not 0 <= e < len(edges):
+                raise WebStructureError(f"vertex {v} lists unknown edge {e}")
+            seen_at[e].append(v)
+    for e, (a, b) in enumerate(edges):
+        if not (0 <= a < nv and 0 <= b < nv):
+            raise WebStructureError(f"edge {e} endpoint out of range")
+        if a == b:
+            raise WebStructureError(f"edge {e} is a loop")
+        if sorted(seen_at[e]) != sorted((a, b)):
+            raise WebStructureError(f"edge {e} incidences {seen_at[e]} disagree with endpoints {(a, b)}")
+
+
+def _other_type(rng: random.Random, v):
+    """The id v as a float, equal to it or not, a bool or a str."""
+    if not isinstance(v, int):
+        return str(v)
+    return rng.choice((float(v), v + 0.5, bool(v % 2), str(v)))
+
+
+def mutate_web_parts(rng: random.Random, parts):
+    """The plain fields of a web with one seeded fault in one field: an id
+    that is a float, a bool or a str, in an edge or in the rotation; an id
+    out of range; a loop; two vertices' rotations swapped; a bad color; or a
+    dropped vertex (its rotation, and its color if it is internal)."""
+    boundary_colors, internal_colors, edges, rotation = (list(field) for field in parts)
+    nv, b = len(boundary_colors) + len(internal_colors), len(boundary_colors)
+    vertex = rng.randrange(len(rotation))
+    kind = rng.randrange(8)
+    if kind == 0:  # an edge endpoint of another type
+        e, side = rng.randrange(len(edges)), rng.randrange(2)
+        pair = list(edges[e])
+        pair[side] = _other_type(rng, pair[side])
+        edges[e] = tuple(pair)
+    elif kind == 1:  # a rotation entry of another type
+        rot = list(rotation[vertex])
+        i = rng.randrange(len(rot))
+        rot[i] = _other_type(rng, rot[i])
+        rotation[vertex] = tuple(rot)
+    elif kind == 2:  # an endpoint out of range
+        e, side = rng.randrange(len(edges)), rng.randrange(2)
+        pair = list(edges[e])
+        pair[side] = rng.choice((-1, nv, nv + 7))
+        edges[e] = tuple(pair)
+    elif kind == 3:  # a rotation entry naming no edge
+        rotation[vertex] = (*rotation[vertex][:-1], rng.choice((-1, len(edges))))
+    elif kind == 4:  # a loop
+        e = rng.randrange(len(edges))
+        edges[e] = (edges[e][0], edges[e][0])
+    elif kind == 5:  # two rotations swapped
+        other = rng.randrange(len(rotation) - 1)
+        other += other >= vertex
+        rotation[vertex], rotation[other] = rotation[other], rotation[vertex]
+    elif kind == 6:  # a bad color
+        colors = boundary_colors if rng.randrange(2) or not internal_colors else internal_colors
+        colors[rng.randrange(len(colors))] = rng.choice(("red", None, BLACK.upper()))
+    else:  # a dropped vertex
+        del rotation[vertex]
+        if b <= vertex < nv and rng.randrange(2):
+            del internal_colors[vertex - b]
+    return boundary_colors, internal_colors, edges, rotation
 
 
 # --- the canonical key by breadth-first search on a Web ---------------------

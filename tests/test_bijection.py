@@ -299,6 +299,16 @@ class TestIntegerBuilderAgainstOracle:
             if is_russell:
                 assert _as_tuples(_russell_parts(t.rows)) == _as_tuples(russell_parts_by_diagram(t)), t.rows
 
+    def test_no_contraction_without_doubled_values(self, monkeypatch):
+        # a filling without doubled values has the Tymoczko web, and no
+        # identity remap is made to get it
+        def refuse(parts, positions):
+            raise AssertionError("contracted no pairs")
+
+        monkeypatch.setattr(bijection, "_contract", refuse)
+        for t in enumerate_russell(3, 0):
+            assert _russell_parts(t.rows) == _tymoczko_parts(t.rows), t.rows
+
     def test_plain_and_mirrored_keys_equal(self):
         for t, is_russell in _builder_inputs():
             parts = _russell_parts(t.rows) if is_russell else _tymoczko_parts(t.rows)

@@ -11,6 +11,8 @@ from oracles import (
     evacuate_by_delta,
     evacuate_rows_by_slides,
     random_filling,
+    random_skew_filling,
+    slide_targets_by_trial,
 )
 from webweave.jdt import (
     GKProfile,
@@ -32,6 +34,7 @@ from webweave.tableau import (
     enumerate_russell,
     enumerate_standard,
     rotate_complement,
+    skew_shape_from_cells,
     tableau_from_cells,
 )
 
@@ -176,6 +179,25 @@ class TestJdtSlide:
             out = jdt_slide(t, target)
             assert sorted(out.values()) == sorted(t.values())
             assert out.size == t.size
+
+
+class TestSlideTargets:
+    def test_read_off_the_shape_matches_trial(self):
+        # empty rows and inner shapes that are not tight included
+        rng = random.Random(23)
+        loose = 0
+        for _ in range(20000):
+            t = random_skew_filling(rng)
+            assert slide_targets(t) == slide_targets_by_trial(t), t
+            loose += skew_shape_from_cells(t.entries).inner != t.shape.inner
+        assert loose > 2000
+
+    def test_corners_with_a_box_right_or_below(self):
+        # inner (3, 1) with row 1 empty is loose: its tight inner is (2, 1)
+        t = T([[], [5]], (3, 1))
+        assert slide_targets(t) == [(1, 2), (2, 1)]
+        assert slide_targets(T([[1, 2]], (2,))) == [(1, 2)]
+        assert slide_targets(T([[1, 2]])) == []
 
 
 class TestRectify:

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_row_strict_fillings,
+    broken_column_by_cells,
     column_word_by_entries,
     enumerate_russell_by_collapse,
     enumerate_standard_by_cells,
+    first_fault,
+    random_skew_filling,
     random_skew_tableau,
     standardize_cells_by_splitting,
     standardize_with_pairs_by_splitting,
+    tableau_gate_by_cells,
 )
 from webweave.tableau import (
     EMPTY_SHAPE,
@@ -23,6 +27,7 @@ from webweave.tableau import (
     RowStrictTableau,
     Shape,
     SkewShape,
+    _broken_column,
     _column_word,
     _int_of,
     _standardize,
@@ -30,7 +35,6 @@ from webweave.tableau import (
     enumerate_russell,
     enumerate_standard,
     format_tableau,
-    is_skew_cellset,
     is_standard,
     parse_tableau,
     rotate_complement,
@@ -114,9 +118,64 @@ class TestTableauValidation:
 
     def test_skew_shape_of_cells(self):
         assert skew_shape_from_cells(()) == SkewShape(EMPTY_SHAPE, EMPTY_SHAPE)
-        assert is_skew_cellset({(1, 1)}) and not is_skew_cellset({(1, 1), (1, 3)})
         with pytest.raises(ValueError, match="^boxes must have positive coordinates$"):
             skew_shape_from_cells({(0, 1)})
+
+
+def _faulty_rows(rng, t):
+    """t's rows with up to three seeded faults: entries that are floats, bools
+    or strs, non-positive, moved up or down by two, or two neighbors swapped
+    within a row."""
+    rows = [list(row) for row in t.rows]
+    boxes = [(r, j) for r, row in enumerate(rows) for j in range(len(row))]
+    for r, j in rng.sample(boxes, min(len(boxes), rng.randint(0, 3))):
+        v = rows[r][j]
+        if j + 1 < len(rows[r]) and not rng.randrange(4):
+            rows[r][j], rows[r][j + 1] = rows[r][j + 1], v
+        elif isinstance(v, int):
+            rows[r][j] = rng.choice((float(v), v + 0.5, True, str(v), 0, -v, v - 2, v + 2))
+    return tuple(map(tuple, rows))
+
+
+class TestColumnScan:
+    """RowStrictTableau and evacuation share one rows-level column scan; the
+    probe of the (row, column) -> entry map it replaced is the oracle."""
+
+    def test_matches_cell_probe(self):
+        # strict rows with no column condition, so columns break often
+        rng = random.Random(21)
+        broken = 0
+        for _ in range(10000):
+            t = random_skew_filling(rng)
+            rows = [sorted(rng.sample(range(1, 12), len(row))) for row in t.rows]
+            inner = t.shape.inner.parts
+            want = broken_column_by_cells(rows, inner)
+            assert _broken_column(rows, inner) == want, (rows, inner)
+            broken += want is not None
+        assert broken > 2500
+
+    def test_construction_matches_cell_gate(self):
+        # outcome and first message: an entry that is not an integer is named
+        # before any other fault
+        rng = random.Random(22)
+        messages = set()
+        for _ in range(30000):
+            t = random_skew_filling(rng)
+            rows = _faulty_rows(rng, t)
+            want = first_fault(tableau_gate_by_cells, t.shape, rows)
+            assert first_fault(T, rows, t.shape.inner.parts) == want, (rows, t.shape)
+            messages.add(want and want[1].split()[0])
+        assert messages == {None, "bad", "entries", "row", "column"}
+
+    def test_construction_reads_no_cell_map(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the cell map was built")
+
+        monkeypatch.setattr(RowStrictTableau, "entries", property(refuse))
+        t = T([[2, 3], [1, 4]], (1,))
+        assert t.rows == ((2, 3), (1, 4))
+        with pytest.raises(ValueError, match="^column 2 not weakly increasing at row 2$"):
+            T([[3, 4], [1, 2]], (1,))
 
 
 class TestColumnWord:

@@ -16,7 +16,7 @@ from oracles import (
     tymoczko_parts_by_diagram,
 )
 from test_webcore import square_face_web
-from webweave import tableau, verify, webcore
+from webweave import cli, tableau, verify, webcore
 from webweave.jdt import _evacuate_rows, reading_word
 from webweave.verify import (
     Family,
@@ -555,3 +555,49 @@ class TestShippedReflection:
                 assert p.key(p.reflect(parts)) == canonicalize_by_bfs(reflect_web_by_expansion(Web(*parts))), rows
                 total += 1
         assert total == len(family.tableaux())
+
+
+
+def _float_id_build(real, rows):
+    """The real build with a seeded fault: edge 0's first endpoint a float
+    equal to it."""
+    boundary_colors, internal_colors, edges, rotation = real(rows)
+    (a, b), *rest = edges
+    return boundary_colors, internal_colors, [(float(a), b), *rest], rotation
+
+
+class TestOneWebGate:
+    """The sl3 campaigns run the gate a Web runs, so a build that emits an id
+    that is not an integer is refused where it is built; pool workers are
+    forked and see the seeded build."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_seeded_float_id_is_a_validity_record(self, family, jobs, monkeypatch):
+        # one record per tableau, and the campaign finishes
+        real = family.pipeline.build
+        want = [{"tableau": format_tableau(t), "reading_word": list(reading_word(t)), "expected": "",
+                 "actual": f"bad id {float(real(t.rows)[2][0][0])!r}; expected an integer"}
+                for t in family.tableaux()]
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+        _patch_build(monkeypatch, family, _float_id_build)
+        report = run_verification(family, "validity", jobs=jobs)
+        assert report.total == len(want)
+        assert report.to_json()["failures"] == want
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("check", ["theorem", "injectivity"])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_seeded_float_id_stops_the_campaign(self, family, check, jobs, monkeypatch, capsys):
+        # the theorem and injectivity trust what the build gives once it is
+        # checked, so the refusal is a ValueError: exit 2 and one error line
+        _patch_build(monkeypatch, family, _float_id_build)
+        message = r"bad id \d+\.0; expected an integer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_verification(family, check, jobs=jobs)
+        argv = ["verify", "--shape", ",".join(map(str, family.shape)), "--check", check, "--jobs", str(jobs)]
+        if family.is_russell:
+            argv += ["--repetition", str(family.repetition)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(f"error: {message}\n", err), err

@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 import re
 
 import pytest
@@ -9,7 +10,10 @@ from oracles import (
     check_pairs_by_all_pairs,
     contract_pairs_one_by_one,
     expand_white,
+    first_fault,
+    mutate_web_parts,
     reflect_web_by_expansion,
+    web_gate_by_passes,
 )
 from webweave import bijection, cli, webcore
 from webweave.bijection import (
@@ -22,6 +26,7 @@ from webweave.bijection import (
     web_of_2row,
 )
 from webweave.tableau import Shape, enumerate_russell, enumerate_standard, format_tableau
+from webweave.verify import Family
 from webweave.webcore import (
     BLACK,
     WHITE,
@@ -315,7 +320,7 @@ class TestExpandContract:
         assert contracted.boundary_colors == (BLACK, WHITE)
 
     def test_one_pass_matches_one_by_one_oracle(self):
-        def outcome(fn, web, positions):
+        def refusal(fn, web, positions):
             try:
                 return web_to_json(fn(web, positions))
             except ValueError:
@@ -336,8 +341,8 @@ class TestExpandContract:
             labels = range(web.n_boundary + 2)
             for size in range(4):
                 for positions in itertools.combinations_with_replacement(labels, size):
-                    want = outcome(contract_pairs_one_by_one, web, positions)
-                    assert outcome(contract_pairs, web, positions) == want, positions
+                    want = refusal(contract_pairs_one_by_one, web, positions)
+                    assert refusal(contract_pairs, web, positions) == want, positions
 
 
 class TestReflectWeb:
@@ -414,6 +419,14 @@ class TestWebJson:
         doc["edges"][1] = ends
         with pytest.raises(WebStructureError, match="bad endpoint"):
             web_from_json(doc)
+
+
+def _refuse_every_web(parts) -> None:
+    raise ValueError("seeded")
+
+
+def _pass_every_web(parts) -> None:
+    pass
 
 
 class TestOneGate:
@@ -514,6 +527,41 @@ class TestOneGate:
         pairs_calls.clear()
         tableau_of_web(m, (4, 4))
         assert pairs_calls == [m.pairs]
+
+    @pytest.mark.parametrize("seeded, outcome", [(_refuse_every_web, (ValueError, "seeded")), (_pass_every_web, None)])
+    def test_web_and_pipelines_hold_one_gate(self, seeded, outcome, monkeypatch):
+        # a gate seeded to refuse every web, or to pass every web, float ids
+        # included, decides for a Web and for both sl3 pipelines: no other
+        # check runs beside it
+        assert SL3_STANDARD.check is SL3_RUSSELL.check is webcore._check_structure
+        sound = _fields(tripod())
+        (a, b), *edges = sound[2]
+        float_id = (*sound[:2], ((float(a), b), *edges), sound[3])
+        monkeypatch.setattr(webcore._check_structure, "__code__", seeded.__code__)
+        for fields in (sound, float_id):
+            for gate in (lambda f: Web(*f), SL3_STANDARD.check, SL3_RUSSELL.check):
+                assert first_fault(gate, fields) == outcome
+
+    @pytest.mark.parametrize("family", [Family((5, 5, 5)), Family((4, 4, 4), "all")], ids=Family.describe)
+    def test_one_gate_matches_the_passes_oracle(self, family):
+        # every web of the family, each also with one seeded fault and every
+        # fourth with a second, so that the first of two faults is named:
+        # Web and the family's pipeline check give the oracle's outcome and
+        # message (both pipelines hold the one gate)
+        rng = random.Random(family.describe())
+        p, faults = family.pipeline, set()
+        for shard in family.shards():
+            for rows in family.grow(shard):
+                parts = p.build(rows)
+                variants = [parts, mutate_web_parts(rng, parts)]
+                if not rng.randrange(4):
+                    variants.append(mutate_web_parts(rng, variants[-1]))
+                for fields in variants:
+                    want = first_fault(web_gate_by_passes, fields)
+                    for gate in (lambda f: Web(*f), p.check):
+                        assert first_fault(gate, fields) == want, fields
+                    faults.add(want and " ".join(want[1].split()[:2]))
+        assert {None, "bad id", "bad color", "rotation lists"} <= faults
 
     def test_web_defects_is_validate_web_on_plain_fields(self):
         webs = [tripod(), contract_pair(tripod(), 1), square_face_web()]
