@@ -1,4 +1,5 @@
-"""Jeu de taquin slides, rectification, evacuation, and word invariants."""
+"""Row insertion (rectification, delta, evacuation and Greene-Kleitman
+profiles) and single jeu de taquin slides."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
@@ -67,34 +68,49 @@ def jdt_slide(t: RowStrictTableau, cell: Cell) -> RowStrictTableau:
     return tableau_from_cells(cells)
 
 
-def rectify(t: RowStrictTableau) -> RowStrictTableau:
-    """Slide until the shape is straight.
+def _insert(rows: list[list[int]], word, bisect=bisect_left) -> list[list[int]]:
+    """Row-insert each letter of `word` into `rows`, in place, and return
+    them: the letter takes the place `bisect` finds in a row and bumps the
+    entry there into the next row, or ends that row.  With bisect_left it
+    bumps the leftmost entry >= it, which keeps rows strict and columns
+    weak, as in this library's tableaux: the transpose of the classical
+    insertion, which bisect_right gives."""
+    for x in word:
+        for row in rows:
+            i = bisect(row, x)
+            if i == len(row):
+                row.append(x)
+                break
+            row[i], x = x, row[i]
+        else:
+            rows.append([x])
+    return rows
 
-    The default order picks the lexicographically last valid target each time;
-    the result is independent of this choice (a tested property).
-    """
-    while True:
-        targets = slide_targets(t)
-        if not targets:
-            return t
-        t = jdt_slide(t, targets[-1])
+
+def _straight(word, what: str) -> RowStrictTableau:
+    """The straight tableau that `word` inserts to; a result with a box less
+    than the one above it raises AssertionError."""
+    rows = _insert([], word)
+    if _broken_column(rows):
+        raise AssertionError(f"{what} broke a column")
+    return RowStrictTableau.from_rows(rows)
+
+
+def rectify(t: RowStrictTableau) -> RowStrictTableau:
+    """The straight tableau t slides to, in any order of slides: the
+    insertion tableau of t's row reading word, bottom row first and each row
+    left to right.  A tableau without boxes rectifies to EMPTY_TABLEAU."""
+    return _straight([x for row in reversed(t.rows) for x in row], "rectify")
 
 
 def delta(t: RowStrictTableau) -> RowStrictTableau:
     """Delete the boxes containing 1, decrement the rest, and slide the holes
-    closed from the bottom hole up."""
+    closed: the rectification of what remains."""
     if not t.is_straight:
         raise ValueError("delta requires a straight shape")
     if t.size == 0:
         raise ValueError("delta requires a nonempty tableau")
-    cells = {cell: v - 1 for cell, v in t.entries.items() if v > 1}
-    ones = sorted(cell for cell, v in t.entries.items() if v == 1)
-    for hole in reversed(ones):
-        _slide(cells, hole)
-    out = tableau_from_cells(cells)
-    if not out.is_straight:
-        raise AssertionError("delta produced a non-straight shape")
-    return out
+    return _straight([x - 1 for row in reversed(t.rows) for x in row if x > 1], "delta")
 
 
 def _evacuate_rows(rows) -> list[list[int]]:
@@ -102,11 +118,9 @@ def _evacuate_rows(rows) -> list[list[int]]:
     Schützenberger's theorem evac(P(w)) = P(w#): w is the row reading word,
     bottom row first and each row left to right, whose insertion tableau is
     the filling itself.  For n the largest entry + 1, w# reads n - x over
-    each row reversed, top row first.  Each letter bumps the leftmost entry
-    >= it (bisect_left) into the next row, or ends that row: the transpose
-    of the classical insertion, as rows are strict and columns weak.  The
-    first row's letters increase, so they make the first row.  Only the
-    values present are read, so a gapped filling costs no more.
+    each row reversed, top row first.  Its first row's letters increase, so
+    they make the first row, and _insert inserts the rest.  Only the values
+    present are read, so a gapped filling costs no more.
 
     Rows that are not strict, or a box less than the one above it, are
     refused (ValueError).  A result without the input's shape or weak
@@ -119,19 +133,9 @@ def _evacuate_rows(rows) -> list[list[int]]:
     if broken:
         r, c = broken
         raise ValueError(f"column {c} is not weakly increasing at row {r}")
-    n = max((row[-1] for row in rows if row), default=0) + 1
-    out = [[n - x for x in reversed(rows[0])]] if rows else []
-    for row in rows[1:]:
-        for x in reversed(row):
-            x = n - x
-            for p in out:
-                i = bisect_left(p, x)
-                if i == len(p):
-                    p.append(x)
-                    break
-                p[i], x = x, p[i]
-            else:
-                out.append([x])
+    n = max([row[-1] for row in rows if row] or [0]) + 1
+    top = [[n - x for x in reversed(rows[0])]] if rows else []
+    out = _insert(top, [n - x for row in rows[1:] for x in reversed(row)])
     out += [[] for _ in range(len(rows) - len(out))]
     if list(map(len, out)) != list(map(len, rows)):
         raise AssertionError("evacuate changed the shape")
@@ -178,25 +182,16 @@ def gk_profile(word, m: int) -> GKProfile:
 
     By Greene's theorem, the longest subword coverable by i nondecreasing
     subwords has the length of the first i rows, together, of the word's
-    insertion tableau.  One row-insertion pass builds it: each letter
-    bumps the leftmost strictly larger letter of a row into the next row,
-    or ends that row.
+    insertion tableau.  One pass of _insert with bisect_right builds it:
+    each letter bumps the leftmost strictly larger letter of a row into the
+    next row, or ends that row.
     """
     word = tuple(word)
     _check_ints(word, "letter")
     _check_ints((m,), "m")
     if m < 1:
         raise ValueError("m must be at least 1")
-    rows: list[list[int]] = []
-    for x in word:
-        for row in rows:
-            i = bisect_right(row, x)
-            if i == len(row):
-                row.append(x)
-                break
-            row[i], x = x, row[i]
-        else:
-            rows.append([x])
+    rows = _insert([], word, bisect_right)
     sums = list(accumulate(map(len, rows[:m])))
     return GKProfile((*sums, *[len(word)] * (m - len(sums))))
 

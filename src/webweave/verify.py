@@ -19,8 +19,7 @@ from .tableau import (
     _int_of,
     _is_int,
     _rotate_complement,
-    enumerate_russell,
-    enumerate_standard,
+    _sorted_tableaux,
 )
 
 
@@ -126,9 +125,7 @@ class Family:
 
     def tableaux(self) -> list[RowStrictTableau]:
         """Every tableau of the family, h by h, each h sorted by column word."""
-        if self.repetition is None:
-            return enumerate_standard(Shape(self.shape))
-        return [t for h in self.repetitions for t in enumerate_russell(self.shape[0], h)]
+        return [t for h in self.repetitions for t in _sorted_tableaux(Shape(self.shape), h)]
 
 
 @dataclass

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from webweave import verify
 from webweave.bijection import Arc, ArcDiagram, Crossing, _russell_parts, catalan_pairing, web_of_2row
-from webweave.jdt import _slide, delta, jdt_slide, slide_targets
+from webweave.jdt import _slide, jdt_slide, slide_targets
 from webweave.tableau import (
     EMPTY_TABLEAU,
     NotRussellError,
@@ -235,6 +235,37 @@ def tableau_gate_by_cells(shape: SkewShape, rows) -> None:
         raise ValueError(f"column {c} not weakly increasing at row {r}")
 
 
+# --- rectification and delta by slides --------------------------------------
+
+# The references for webweave.jdt.rectify and delta, which insert the row
+# reading word instead.
+def rectify_by_slides(t: RowStrictTableau) -> RowStrictTableau:
+    """Slide into the lexicographically last valid target until none is
+    left; the result is independent of this choice (a tested property)."""
+    while True:
+        targets = slide_targets(t)
+        if not targets:
+            return t
+        t = jdt_slide(t, targets[-1])
+
+
+def delta_by_slides(t: RowStrictTableau) -> RowStrictTableau:
+    """Delete the boxes containing 1, decrement the rest, and slide the holes
+    closed from the bottom hole up."""
+    if not t.is_straight:
+        raise ValueError("delta requires a straight shape")
+    if t.size == 0:
+        raise ValueError("delta requires a nonempty tableau")
+    cells = {cell: v - 1 for cell, v in t.entries.items() if v > 1}
+    ones = sorted(cell for cell, v in t.entries.items() if v == 1)
+    for hole in reversed(ones):
+        _slide(cells, hole)
+    out = tableau_from_cells(cells)
+    if not out.is_straight:
+        raise AssertionError("delta produced a non-straight shape")
+    return out
+
+
 # --- evacuation by n delta steps -------------------------------------------
 
 def evacuate_by_delta(t: RowStrictTableau) -> RowStrictTableau:
@@ -249,7 +280,7 @@ def evacuate_by_delta(t: RowStrictTableau) -> RowStrictTableau:
     shapes = [set(t.entries)]
     cur = t
     for _ in range(n):
-        cur = delta(cur)
+        cur = delta_by_slides(cur)
         shapes.append(set(cur.entries))
     cells: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):

@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from oracles import (
     _best_chain_cover,
     all_row_strict_fillings,
+    delta_by_slides,
     evacuate_by_cells,
     evacuate_by_delta,
     evacuate_rows_by_slides,
     random_filling,
     random_skew_filling,
+    random_skew_tableau,
+    rectify_by_slides,
     slide_targets_by_trial,
 )
+from webweave import jdt
 from webweave.jdt import (
     GKProfile,
     _evacuate_rows,
@@ -31,12 +35,14 @@ from webweave.tableau import (
     EMPTY_TABLEAU,
     RowStrictTableau,
     Shape,
+    SkewShape,
     enumerate_russell,
     enumerate_standard,
     rotate_complement,
     skew_shape_from_cells,
     tableau_from_cells,
 )
+from webweave.verify import Family
 
 T = RowStrictTableau.from_rows
 
@@ -229,6 +235,21 @@ class TestRectify:
             cur = jdt_slide(cur, rng.choice(targets))
         assert cur == rectify(t)
 
+    def test_boxless_skew_is_empty(self):
+        # it used to come back unchanged, skew and not straight
+        assert rectify(RowStrictTableau(SkewShape(Shape((2,)), Shape((2,))), ((),))) == EMPTY_TABLEAU
+        assert rectify(T([[], []], (3, 1))) == EMPTY_TABLEAU
+
+    def test_matches_slides_on_seeded_fillings(self):
+        # empty rows and inner shapes that are not tight included
+        rng = random.Random(22)
+        fillings = [draw(rng) for _ in range(10000) for draw in (random_skew_tableau, random_skew_filling)]
+        assert all(rectify(t) == EMPTY_TABLEAU for t in fillings if not t.size)
+        boxed = dict.fromkeys(t for t in fillings if t.size)  # each distinct filling once
+        assert len(boxed) > 12000
+        for t in boxed:
+            assert rectify(t) == rectify_by_slides(t), t
+
 
 class TestDelta:
     def test_paper_first_step(self):
@@ -257,6 +278,41 @@ class TestDelta:
             ones = sum(1 for v in t.values() if v == 1)
             assert out.size == t.size - ones
             assert out.max_entry == t.max_entry - 1
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 1), (2, 2, 2), (4, 2, 1), (3, 3, 3)])
+    def test_matches_slides_on_every_filling(self, shape):
+        # gapped fillings and values repeated down column 1 included
+        for t in all_row_strict_fillings(shape, 6):
+            assert delta(t) == delta_by_slides(t), t
+
+    @pytest.mark.parametrize("family", [Family((8, 8)), Family((4, 4, 4)), Family((4, 4, 4), "all")], ids=Family.describe)
+    def test_matches_slides_on_families(self, family):
+        for t in family.tableaux():
+            assert delta(t) == delta_by_slides(t), t
+
+
+def test_insertion_runs_no_slide(monkeypatch):
+    """rectify, delta and evacuate give the slide oracles' answers with the
+    slide kernel and the target search disabled."""
+    rng = random.Random(5)
+    skew_tableaux = [random_skew_tableau(rng) for _ in range(200)]
+    straight = enumerate_standard(Shape((3, 2, 1))) + all_row_strict_fillings((2, 2, 1), 5)
+    expected = (
+        [rectify_by_slides(t) for t in skew_tableaux],
+        [delta_by_slides(t) for t in straight],
+        [evacuate_by_delta(t) for t in straight],
+    )
+
+    def refuse(*args):
+        raise AssertionError("a slide ran")
+
+    monkeypatch.setattr(jdt, "_slide", refuse)
+    monkeypatch.setattr(jdt, "slide_targets", refuse)
+    assert (
+        [rectify(t) for t in skew_tableaux],
+        [delta(t) for t in straight],
+        [evacuate(t) for t in straight],
+    ) == expected
 
 
 class TestEvacuate:

@@ -24,7 +24,14 @@ from webweave.verify import (
     TimeBudgetExceeded,
     run_verification,
 )
-from webweave.tableau import RowStrictTableau, enumerate_russell, format_tableau, rotate_complement
+from webweave.tableau import (
+    RowStrictTableau,
+    Shape,
+    enumerate_russell,
+    enumerate_standard,
+    format_tableau,
+    rotate_complement,
+)
 from webweave.webcore import BLACK, Web, _fields, canonicalize, reflect_web
 
 T = RowStrictTableau.from_rows
@@ -46,6 +53,15 @@ class TestFamily:
     def test_all_stops_at_the_largest_repetition(self, k):
         every_h = [t for h in range(3 * k) for t in enumerate_russell(k, h)]
         assert Family((k, k, k), "all").tableaux() == every_h
+
+    @pytest.mark.parametrize("shape, repetition", [((4, 4), None), ((3, 3, 3), None), ((3, 3, 3), "all")])
+    def test_tableaux_keep_the_enumerators_order(self, shape, repetition):
+        family = Family(shape, repetition)
+        if repetition is None:
+            expected = enumerate_standard(Shape(shape))
+        else:
+            expected = [t for h in family.repetitions for t in enumerate_russell(shape[0], h)]
+        assert family.tableaux() == expected
 
     @pytest.mark.parametrize("h", [2.5, True])
     def test_rejects_non_integer_repetition(self, h):
