@@ -20,12 +20,12 @@ from .webcore import (
     WHITE,
     Matching,
     Web,
-    _augmented_faces,
     _canonical,
     _check_pairs,
     _check_structure,
     _contract,
     _defects,
+    _face_successors,
     _fields,
     _reflect_pairs,
     _reflect_parts,
@@ -352,17 +352,28 @@ def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
     if not boundary_colors:
         raise LookupError("a web without boundary vertices has no tableau")
     arc_base = 2 * len(edges)
-    faces, face_of = _augmented_faces(parts)
-    depth = [-1] * len(faces)
-    depth[face_of[-1]] = 0  # the last half-edge is the odd half of arc b-1
-    queue = [face_of[-1]]
-    for f in queue:
-        for h in faces[f]:
-            g = face_of[h ^ 1]
+    succ = _face_successors(parts)
+    # the depth of each half-edge's face, given to the whole face by walking
+    # its cycle when the search first reaches it, through a web edge
+    depth = [-1] * len(succ)
+    h = start = len(succ) - 1  # the odd half of arc b-1
+    while depth[h] < 0:
+        depth[h] = 0
+        h = succ[h]
+    queue = [start]  # one half-edge of each face reached, by depth
+    for first in queue:
+        d, h = depth[first] + 1, first
+        while True:
+            g = h ^ 1
             if h < arc_base and depth[g] < 0:
-                depth[g] = depth[f] + 1
                 queue.append(g)
-    after = [depth[f] for f in face_of[arc_base + 1 :: 2]]  # the disk face after each label
+                while depth[g] < 0:
+                    depth[g] = d
+                    g = succ[g]
+            h = succ[h]
+            if h == first:
+                break
+    after = depth[arc_base + 1 :: 2]  # the disk face after each label
     rows: tuple[list[int], ...] = ([], [], [])
     for i, color in enumerate(boundary_colors):
         state = after[i] - after[i - 1]

@@ -31,7 +31,12 @@ def slide_targets(t: RowStrictTableau) -> list[Cell]:
     edge with a box: it is an inner corner of the tight skew shape of t's
     boxes with a box to its right or below.
     """
-    shape = skew_shape_from_cells(t.entries)
+    return _slide_targets(t.entries)
+
+
+def _slide_targets(cells: dict[Cell, int]) -> list[Cell]:
+    """slide_targets of the tableau with these boxes."""
+    shape = skew_shape_from_cells(cells)
     inner, outer = shape.inner.row, shape.outer.row
     corners = ((r, inner(r)) for r in range(1, len(shape.inner) + 1))
     return [(r, c) for r, c in corners if inner(r + 1) < c and (outer(r) > c or outer(r + 1) >= c)]

@@ -172,12 +172,14 @@ def _check_theorem(p: Pipeline, rows):
     the theorem for t is the reflection of the theorem for e.  t is skipped
     when e < t, e is a member of the family and evac(e) == t: then e is grown
     too, is not skipped, and its check covers t, whatever the involution
-    check finds.  Otherwise t is checked in full; if it fails and e is its
-    skipped partner, e's record is written too, from the two webs built."""
+    check finds.  Otherwise t is checked in full, its web built once if
+    evacuation fixes it; if it fails and e is its skipped partner, e's
+    record is written too, from the two webs built."""
     e = tuple(map(tuple, _evacuate_rows(rows)))
     if e < rows and _is_partner(e, rows):
         return
-    parts, e_parts = p.parts(rows), p.parts(e)
+    parts = p.parts(rows)
+    e_parts = parts if e == rows else p.parts(e)
     actual, expected = p.key(p.reflect(parts)), p.key(e_parts)
     if actual != expected:
         yield _failure(rows, expected, actual)

@@ -154,31 +154,46 @@ def _other(edges, e: int, v: int) -> int:
     return b if v == a else a
 
 
-def _augmented_faces(parts):
-    """Faces of the map augmented with the boundary circle, given the plain
-    fields of a structurally sound web: each face as its list of half-edges in
-    order, and the face of each half-edge.  Half-edge 2e starts at edges[e][0]
-    and 2e+1 at edges[e][1]; with E edges, arc i from boundary vertex i to
-    i+1 (mod b) has the halves 2E+2i and 2E+2i+1.  The even arc halves make
-    the face outside the disk; the odd half of arc i lies in the disk face
+def _face_successors(parts) -> list[int]:
+    """The face permutation of the map augmented with the boundary circle,
+    given the plain fields of a structurally sound web: succ[h] follows the
+    half-edge h around its face.  Half-edge 2e starts at edges[e][0] and
+    2e+1 at edges[e][1]; with E edges, arc i from boundary vertex i to i+1
+    (mod b) has the halves 2E+2i and 2E+2i+1.  The even arc halves make the
+    face outside the disk; the odd half of arc i lies in the disk face
     between labels i+1 and i+2."""
     boundary_colors, _, edges, rotation = parts
     b = len(boundary_colors)
     arc_base = 2 * len(edges)
-    # succ[h] follows h around its face: the half-edge after h's twin, ccw at
-    # the twin's start.  Half-edges are named, not found by their endpoints,
-    # so parallel arcs (b == 2) and the arc loop (b == 1) stay well-formed.
+    # succ[h] is the half-edge after h's twin, ccw at the twin's start.
+    # Half-edges are named, not found by their endpoints, so parallel arcs
+    # (b == 2) and the arc loop (b == 1) stay well-formed.
     succ = [0] * (arc_base + 2 * b)
     for v, rot in enumerate(rotation):
-        halves = [2 * e + (edges[e][0] != v) for e in rot]
         if v < b:
             # ccw at a boundary vertex: arc toward the next label, the web
-            # edge into the disk, arc back toward the previous label
-            halves = [arc_base + 2 * v, *halves, arc_base + 2 * ((v - 1) % b) + 1]
-        prev = halves[-1] if halves else 0
-        for h in halves:
+            # edges into the disk, arc back toward the previous label
+            back = arc_base + 2 * ((v - 1) % b) + 1
+            prev = arc_base + 2 * v
+            succ[back ^ 1] = prev
+        elif rot:
+            e = rot[-1]
+            prev = 2 * e + (edges[e][0] != v)
+        for e in rot:
+            h = 2 * e + (edges[e][0] != v)
             succ[prev ^ 1] = h
             prev = h
+        if v < b:
+            succ[prev ^ 1] = back
+    return succ
+
+
+def _augmented_faces(parts):
+    """Faces of the map augmented with the boundary circle (see
+    _face_successors), given the plain fields of a structurally sound web:
+    each face as its list of half-edges in order, from its least, and the
+    face of each half-edge, faces numbered by their least half-edges."""
+    succ = _face_successors(parts)
     faces: list[list[int]] = []
     face_of = [-1] * len(succ)
     for start in range(len(succ)):
@@ -326,9 +341,9 @@ def _contract(parts, positions):
     # a removed edge joins a removed boundary vertex to a moved white, so no
     # other vertex's rotation loses an edge
     new_rotation = tuple(
-        tuple(edge_remap[e] for e in rotation[v] if e not in gone_edges)
+        tuple([edge_remap[e] for e in rotation[v] if e not in gone_edges])
         if v in whites
-        else tuple(edge_remap[e] for e in rotation[v])
+        else tuple([edge_remap[e] for e in rotation[v]])
         for v in order
     )
     colors = tuple(color[v] for v in order)

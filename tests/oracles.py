@@ -10,8 +10,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from webweave import verify
-from webweave.bijection import Arc, ArcDiagram, Crossing, _russell_parts, catalan_pairing, web_of_2row
-from webweave.jdt import _slide, jdt_slide, slide_targets
+from webweave.bijection import (
+    _ROWS_OF_STATE,
+    Arc,
+    ArcDiagram,
+    Crossing,
+    _russell_parts,
+    catalan_pairing,
+    web_of_2row,
+)
+from webweave.jdt import _slide, _slide_targets, jdt_slide, slide_targets
 from webweave.tableau import (
     EMPTY_TABLEAU,
     NotRussellError,
@@ -240,13 +248,17 @@ def tableau_gate_by_cells(shape: SkewShape, rows) -> None:
 # The references for webweave.jdt.rectify and delta, which insert the row
 # reading word instead.
 def rectify_by_slides(t: RowStrictTableau) -> RowStrictTableau:
-    """Slide into the lexicographically last valid target until none is
-    left; the result is independent of this choice (a tested property)."""
-    while True:
-        targets = slide_targets(t)
-        if not targets:
-            return t
-        t = jdt_slide(t, targets[-1])
+    """Slide one cell map into the lexicographically last valid target until
+    none is left; the result is independent of this choice (a tested
+    property).  A tableau with no target comes back as it is."""
+    cells = t.entries
+    targets = _slide_targets(cells)
+    if not targets:
+        return t
+    while targets:
+        _slide(cells, targets[-1])
+        targets = _slide_targets(cells)
+    return tableau_from_cells(cells)
 
 
 def delta_by_slides(t: RowStrictTableau) -> RowStrictTableau:
@@ -932,6 +944,81 @@ def mutate_web_parts(rng: random.Random, parts):
         if b <= vertex < nv and rng.randrange(2):
             del internal_colors[vertex - b]
     return boundary_colors, internal_colors, edges, rotation
+
+
+# --- faces as lists, and the inverse read off them -------------------------
+
+def augmented_faces_by_lists(parts):
+    """Faces of the map augmented with the boundary circle, given the plain
+    fields of a structurally sound web: each face as its list of half-edges in
+    order, and the face of each half-edge.  Half-edge 2e starts at edges[e][0]
+    and 2e+1 at edges[e][1]; with E edges, arc i from boundary vertex i to
+    i+1 (mod b) has the halves 2E+2i and 2E+2i+1.  The even arc halves make
+    the face outside the disk; the odd half of arc i lies in the disk face
+    between labels i+1 and i+2.  Each vertex's half-edges are listed
+    before they are linked.  The reference for webweave.webcore._augmented_faces
+    and _face_successors."""
+    boundary_colors, _, edges, rotation = parts
+    b = len(boundary_colors)
+    arc_base = 2 * len(edges)
+    # succ[h] follows h around its face: the half-edge after h's twin, ccw at
+    # the twin's start.  Half-edges are named, not found by their endpoints,
+    # so parallel arcs (b == 2) and the arc loop (b == 1) stay well-formed.
+    succ = [0] * (arc_base + 2 * b)
+    for v, rot in enumerate(rotation):
+        halves = [2 * e + (edges[e][0] != v) for e in rot]
+        if v < b:
+            # ccw at a boundary vertex: arc toward the next label, the web
+            # edge into the disk, arc back toward the previous label
+            halves = [arc_base + 2 * v, *halves, arc_base + 2 * ((v - 1) % b) + 1]
+        prev = halves[-1] if halves else 0
+        for h in halves:
+            succ[prev ^ 1] = h
+            prev = h
+    faces: list[list[int]] = []
+    face_of = [-1] * len(succ)
+    for start in range(len(succ)):
+        if face_of[start] < 0:
+            face, h = [], start
+            while face_of[h] < 0:
+                face_of[h] = len(faces)
+                face.append(h)
+                h = succ[h]
+            faces.append(face)
+    return faces, face_of
+
+
+def tableau_rows_by_face_lists(parts) -> tuple[tuple[int, ...], ...]:
+    """The rows of the 3-row filling whose web has these checked plain
+    fields.  A face's depth is the number of web edges crossed on a shortest
+    way to it from the disk face between labels b and 1, and label i places
+    the value i by its state.  A state outside -1..1 raises LookupError; any
+    other web outside the family gives rows that the forward map does not
+    send back to it.  Every face is listed before the search by depth
+    reads any of them.  The reference for webweave.bijection._tableau_rows."""
+    boundary_colors, _, edges, _ = parts
+    if not boundary_colors:
+        raise LookupError("a web without boundary vertices has no tableau")
+    arc_base = 2 * len(edges)
+    faces, face_of = augmented_faces_by_lists(parts)
+    depth = [-1] * len(faces)
+    depth[face_of[-1]] = 0  # the last half-edge is the odd half of arc b-1
+    queue = [face_of[-1]]
+    for f in queue:
+        for h in faces[f]:
+            g = face_of[h ^ 1]
+            if h < arc_base and depth[g] < 0:
+                depth[g] = depth[f] + 1
+                queue.append(g)
+    after = [depth[f] for f in face_of[arc_base + 1 :: 2]]  # the disk face after each label
+    rows: tuple[list[int], ...] = ([], [], [])
+    for i, color in enumerate(boundary_colors):
+        state = after[i] - after[i - 1]
+        if (color, state) not in _ROWS_OF_STATE:
+            raise LookupError(f"boundary vertex {i + 1} has state {state}, outside -1..1")
+        for r in _ROWS_OF_STATE[color, state]:
+            rows[r].append(i + 1)
+    return tuple(tuple(row) for row in rows)
 
 
 # --- the canonical key by breadth-first search on a Web ---------------------

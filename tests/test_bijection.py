@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    augmented_faces_by_lists,
     canonicalize_by_bfs,
     contract_pairs_one_by_one,
     expand_white,
@@ -14,6 +15,7 @@ from oracles import (
     random_filling,
     russell_parts_by_diagram,
     tableau_of_web_by_table,
+    tableau_rows_by_face_lists,
     tymoczko_parts_by_diagram,
 )
 from test_webcore import square_face_web
@@ -24,6 +26,7 @@ from webweave.bijection import (
     SL2,
     _catalan_pairs,
     _russell_parts,
+    _tableau_rows,
     _tymoczko_parts,
     catalan_pairing,
     find_crossings,
@@ -41,11 +44,13 @@ from webweave.tableau import (
     enumerate_standard,
     standardize_with_pairs,
 )
+from webweave.verify import Family
 from webweave.webcore import (
     BLACK,
     WHITE,
     Matching,
     Web,
+    _augmented_faces,
     _canonical,
     _fields,
     _reflect_parts,
@@ -61,6 +66,13 @@ T = RowStrictTableau.from_rows
 
 BIJ_RUSSELL = T([[1, 2, 3], [1, 4, 5], [3, 6, 7]])
 BIJ_STANDARD = T([[1, 3, 4], [2, 6, 7], [5, 8, 9]])
+
+# webs outside every family: boundary vertex 1 has two edges, to vertices 2
+# and 3, so the face after it is two edges deep; two black boundary vertices
+# joined by an edge read as the rows (1), (), (2); and a web without boundary
+FAN = Web((BLACK,) * 3, (), ((0, 1), (0, 2)), ((0, 1), (0,), (1,)))
+JOINED_BLACKS = Web((BLACK, BLACK), (), ((0, 1),), ((0,), (0,)))
+NO_BOUNDARY = Web((), (BLACK, WHITE), ((0, 1),), ((0,), (0,)))
 
 
 # --- pairing oracles (the two orders of the pairing remark) -----------------
@@ -456,24 +468,18 @@ class TestTableauOfWeb:
         # no square face, so only the round trip refuses it
         with pytest.raises(LookupError):
             tableau_of_web(square_face_web(), shape)
-        # boundary vertex 1 has two edges, to vertices 2 and 3, so the face
-        # after it is two edges deep
-        fan = Web((BLACK,) * 3, (), ((0, 1), (0, 2)), ((0, 1), (0,), (1,)))
         with pytest.raises(LookupError, match="boundary vertex 1 has state 2"):
-            tableau_of_web(fan, shape)
+            tableau_of_web(FAN, shape)
 
     def test_web_without_boundary_raises_lookup_error(self):
-        web = Web((), (BLACK, WHITE), ((0, 1),), ((0,), (0,)))
         with pytest.raises(LookupError, match="without boundary vertices"):
-            tableau_of_web(web, (1, 1, 1))
+            tableau_of_web(NO_BOUNDARY, (1, 1, 1))
 
     def test_rows_no_tableau_has_raise_lookup_error(self):
-        # two black boundary vertices joined by an edge read as the rows
-        # (1), (), (2), which RowStrictTableau.from_rows refuses
-        web = Web((BLACK, BLACK), (), ((0, 1),), ((0,), (0,)))
-        assert bijection.SL3_RUSSELL.inverse(_fields(web)) == ((1,), (), (2,))
+        # RowStrictTableau.from_rows refuses the rows (1), (), (2)
+        assert bijection.SL3_RUSSELL.inverse(_fields(JOINED_BLACKS)) == ((1,), (), (2,))
         with pytest.raises(LookupError, match=r"not in the image of the \(1, 1, 1\) family"):
-            tableau_of_web(web, (1, 1, 1))
+            tableau_of_web(JOINED_BLACKS, (1, 1, 1))
 
     def test_wrong_shape_is_refused(self):
         m, web = web_of_2row(T([[1, 3], [2, 4]])), russell_web(BIJ_RUSSELL)
@@ -508,6 +514,44 @@ class TestTableauOfWeb:
             assert tableau_of_web(russell_web(t), (6, 6, 6)) == t
             t = random_filling(rng, 2, 12)
             assert tableau_of_web(web_of_2row(t), (12, 12)) == t
+
+
+def _outcome(fn, parts):
+    """What fn gives on parts: its value, or its exception's type and message."""
+    try:
+        return fn(parts)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestInverseByOneFaceWalk:
+    """_tableau_rows traces each face when the search by depth first reaches
+    it, and _augmented_faces lists the faces of _face_successors; the bodies
+    they replace, which list every face first, are the oracles.  Each pair
+    gives equal rows or faces, or raises one exception with one message."""
+
+    @staticmethod
+    def assert_agree(parts):
+        assert _outcome(_tableau_rows, parts) == _outcome(tableau_rows_by_face_lists, parts)
+        assert _outcome(_augmented_faces, parts) == _outcome(augmented_faces_by_lists, parts)
+
+    @pytest.mark.parametrize(
+        "family", [*(Family((k, k, k)) for k in range(1, 6)), *(Family((k, k, k), "all") for k in range(1, 5))],
+        ids=Family.describe,
+    )
+    def test_every_web_and_its_reflection(self, family):
+        p = family.pipeline
+        for shard in family.shards():
+            for rows in family.grow(shard):
+                parts = p.parts(rows)
+                self.assert_agree(parts)
+                self.assert_agree(p.reflect(parts))
+
+    @pytest.mark.parametrize("web", [square_face_web(), FAN, JOINED_BLACKS, NO_BOUNDARY],
+                             ids=["square face", "fan", "joined blacks", "no boundary"])
+    def test_webs_outside_every_family(self, web):
+        self.assert_agree(_fields(web))
+        self.assert_agree(_fields(reflect_web(web)))
 
 
 class TestMainTheoremSmall:

@@ -506,13 +506,15 @@ class TestTheoremOrbits:
 
     @pytest.mark.parametrize(
         "family, skipped",
-        [(Family((5, 5, 5)), 2968), (Family((4, 4, 4), "all"), 6396), (Family((10, 10)), 8272)],
+        [(Family((4, 4)), 4), (Family((3, 3, 3), "all"), 280), (Family((5, 5, 5)), 2968),
+         (Family((4, 4, 4), "all"), 6396), (Family((10, 10)), 8272)],
         ids=lambda x: x.describe() if isinstance(x, Family) else str(x),
     )
     def test_each_orbit_is_checked_once(self, family, skipped, monkeypatch):
-        # a checked tableau builds its own web and its evacuation's, and
-        # every member of the family is checked or is the evacuation of one
-        # that is: coverage does not rest on the involution check
+        # a checked tableau builds its own web and, unless evacuation fixes
+        # it, its evacuation's, and every member of the family is checked or
+        # is the evacuation of one that is: coverage does not rest on the
+        # involution check, and each member is built exactly once
         built = []
 
         def counting(real, rows):
@@ -520,13 +522,17 @@ class TestTheoremOrbits:
             return real(rows)
 
         _patch_build(monkeypatch, family, counting)
-        members = {rows for shard in family.shards() for rows in family.grow(shard)}
+        members = [rows for shard in family.shards() for rows in family.grow(shard)]
         report = run_verification(family, "theorem", max_seconds=600)
         assert report.ok and report.total == len(members)
-        checked, partners = built[0::2], built[1::2]
-        assert len(built) == 2 * (len(members) - skipped)
-        assert all(_evacuated(rows) == e for rows, e in zip(checked, partners))
-        assert set(checked) <= members and set(checked) | set(partners) == members
+        checked, in_order = [], iter(built)
+        for rows in in_order:
+            checked.append(rows)
+            if _evacuated(rows) != rows:
+                assert next(in_order) == _evacuated(rows), rows
+        assert len(checked) == len(members) - skipped
+        assert any(_evacuated(rows) == rows for rows in checked)
+        assert sorted(built) == sorted(members)
 
 
 def _reflect_parts_unreversed(parts):
@@ -556,6 +562,31 @@ class TestShippedReflection:
         assert canonicalize(reflect_web(web)) != canonicalize_by_bfs(reflect_web_by_expansion(web))
         report = run_verification(family, "theorem", jobs=jobs)
         assert report.failures and report.to_json()["failures"] == theorem_failures_per_tableau(family)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_seeded_reflection_fault_on_fixed_points_fails_the_theorem(self, family, jobs, monkeypatch):
+        # a tableau that evacuation fixes builds its web once and checks it
+        # against its own reflection; the fault is seeded on exactly the webs
+        # of fixed points on which it shows, so those fail and no other does
+        p = family.pipeline
+        want, seeded = [], set()
+        for t in family.tableaux():
+            if _evacuated(t.rows) == t.rows:
+                key, actual = p.key(p.parts(t.rows)), p.key(_reflect_parts_unreversed(p.parts(t.rows)))
+                if actual != key:
+                    seeded.add(key)
+                    want.append({"tableau": format_tableau(t), "reading_word": list(reading_word(t)),
+                                 "expected": key, "actual": actual})
+        assert want
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+
+        def reflect_fixed_unreversed(parts):
+            return (_reflect_parts_unreversed if p.key(parts) in seeded else p.reflect)(parts)
+
+        _patch_pipeline(monkeypatch, family, reflect=reflect_fixed_unreversed)
+        report = run_verification(family, "theorem", jobs=jobs)
+        assert report.to_json()["failures"] == want
 
     @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((5, 5, 5)), Family((4, 4, 4), "all")],
                              ids=Family.describe)
