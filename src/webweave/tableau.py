@@ -220,10 +220,13 @@ def skew_shape_from_cells(cells) -> SkewShape:
         return SkewShape(EMPTY_SHAPE, EMPTY_SHAPE)
     if any(r < 1 or c < 1 for r, c in cells):
         raise ValueError("boxes must have positive coordinates")
-    max_row = max(r for r, _ in cells)
+    cols_of: dict[int, list[int]] = {}
+    for r, c in cells:
+        cols_of.setdefault(r, []).append(c)
+    max_row = max(cols_of)
     spans: list[tuple[int, int] | None] = []
     for r in range(1, max_row + 1):
-        cols = [c for (rr, c) in cells if rr == r]
+        cols = cols_of.get(r)
         if not cols:
             spans.append(None)
             continue

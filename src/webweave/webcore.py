@@ -188,25 +188,6 @@ def _face_successors(parts) -> list[int]:
     return succ
 
 
-def _augmented_faces(parts):
-    """Faces of the map augmented with the boundary circle (see
-    _face_successors), given the plain fields of a structurally sound web:
-    each face as its list of half-edges in order, from its least, and the
-    face of each half-edge, faces numbered by their least half-edges."""
-    succ = _face_successors(parts)
-    faces: list[list[int]] = []
-    face_of = [-1] * len(succ)
-    for start in range(len(succ)):
-        if face_of[start] < 0:
-            face, h = [], start
-            while face_of[h] < 0:
-                face_of[h] = len(faces)
-                face.append(h)
-                h = succ[h]
-            faces.append(face)
-    return faces, face_of
-
-
 def validate_web(web: Web) -> list[str]:
     """The violations of the web invariants that construction leaves open
     (empty iff the web is a valid non-elliptic diagram)."""
@@ -231,14 +212,28 @@ def _defects(parts) -> list[str]:
         if colors or edges:
             report.append("web without boundary vertices is not embeddable in the disk model")
         return report
-    faces, _ = _augmented_faces(parts)
-    euler = len(colors) - (len(edges) + b) + len(faces)
+    # trace each face from its least half-edge: count it, and note the size
+    # of each short internal one (no arc half), in the order of those halves
+    succ = _face_successors(parts)
+    arc_base = 2 * len(edges)
+    seen = [False] * len(succ)
+    faces, short = 0, []
+    for start in range(len(succ)):
+        if not seen[start]:
+            faces += 1
+            size, inside, h = 0, True, start
+            while not seen[h]:
+                seen[h] = True
+                size += 1
+                inside = inside and h < arc_base
+                h = succ[h]
+            if inside and size < 6:
+                short.append(size)
+    euler = len(colors) - (len(edges) + b) + faces
     if euler != 2:
         report.append(f"rotation system is not a planar disk embedding (V-E+F = {euler}, expected 2)")
         return report
-    for face in faces:
-        if len(face) < 6 and max(face) < 2 * len(edges):  # no arc half: internal
-            report.append(f"internal face of size {len(face)} < 6")
+    report.extend(f"internal face of size {size} < 6" for size in short)
     return report
 
 

@@ -21,6 +21,7 @@ from webweave.bijection import (
 )
 from webweave.jdt import _slide, _slide_targets, jdt_slide, slide_targets
 from webweave.tableau import (
+    EMPTY_SHAPE,
     EMPTY_TABLEAU,
     NotRussellError,
     RowStrictTableau,
@@ -190,6 +191,54 @@ def random_skew_filling(rng: random.Random) -> RowStrictTableau:
     while len(rows) > 1 and not outer[len(rows) - 1]:
         rows.pop()
     return RowStrictTableau.from_rows(rows, tuple(p for p in inner[: len(rows)] if p))
+
+
+def skew_shape_by_row_scans(cells) -> SkewShape:
+    """The tight skew shape covering exactly the given boxes, each row's
+    columns found by a scan of every box.  The reference for
+    webweave.tableau.skew_shape_from_cells, which groups the boxes by row
+    in one pass."""
+    cells = set(cells)
+    if not cells:
+        return SkewShape(EMPTY_SHAPE, EMPTY_SHAPE)
+    if any(r < 1 or c < 1 for r, c in cells):
+        raise ValueError("boxes must have positive coordinates")
+    max_row = max(r for r, _ in cells)
+    spans: list[tuple[int, int] | None] = []
+    for r in range(1, max_row + 1):
+        cols = [c for (rr, c) in cells if rr == r]
+        if not cols:
+            spans.append(None)
+            continue
+        lo, hi = min(cols), max(cols)
+        if len(cols) != hi - lo + 1:
+            raise ValueError(f"row {r} is not contiguous: {sorted(cols)}")
+        spans.append((lo, hi))
+    outer = [0] * max_row
+    inner = [0] * max_row
+    for r in range(max_row, 0, -1):
+        span = spans[r - 1]
+        if span is None:
+            below = outer[r] if r < max_row else 0
+            outer[r - 1] = inner[r - 1] = below
+        else:
+            outer[r - 1] = span[1]
+            inner[r - 1] = span[0] - 1
+    for r in range(1, max_row):
+        if outer[r] > outer[r - 1] or inner[r] > inner[r - 1]:
+            raise ValueError("cells do not form a skew diagram")
+    return SkewShape(Shape(tuple(outer)), Shape(tuple(p for p in inner if p > 0)))
+
+
+def random_box_set(rng: random.Random) -> set[tuple[int, int]]:
+    """Boxes in rows and columns up to 6: half the time the boxes of a random
+    skew filling, and otherwise each box of a grid kept with one random
+    chance, the grid starting at 0 a third of the time.  So some sets form
+    skew diagrams, and some have a box at 0, a broken row or no skew shape."""
+    if rng.randrange(2):
+        return set(random_skew_filling(rng).entries)
+    keep, low = rng.random(), rng.choice((0, 1, 1))
+    return {(r, c) for r in range(low, 7) for c in range(low, 7) if rng.random() < keep}
 
 
 # --- the tableau gate with a probe of the cell map --------------------------
@@ -946,6 +995,24 @@ def mutate_web_parts(rng: random.Random, parts):
     return boundary_colors, internal_colors, edges, rotation
 
 
+def turn_or_recolor(rng: random.Random, parts):
+    """The plain fields of a web with one vertex changed in a way the
+    structure gate passes: its rotation reversed or turned by one step, or
+    its color flipped."""
+    boundary_colors, internal_colors, edges, rotation = (list(field) for field in parts)
+    vertex = rng.randrange(len(rotation))
+    kind = rng.randrange(3)
+    if kind == 0:
+        rotation[vertex] = rotation[vertex][::-1]
+    elif kind == 1:
+        rotation[vertex] = (*rotation[vertex][1:], *rotation[vertex][:1])
+    else:
+        b = len(boundary_colors)
+        colors, i = (boundary_colors, vertex) if vertex < b else (internal_colors, vertex - b)
+        colors[i] = WHITE if colors[i] == BLACK else BLACK
+    return tuple(boundary_colors), tuple(internal_colors), tuple(edges), tuple(rotation)
+
+
 # --- faces as lists, and the inverse read off them -------------------------
 
 def augmented_faces_by_lists(parts):
@@ -956,8 +1023,8 @@ def augmented_faces_by_lists(parts):
     i+1 (mod b) has the halves 2E+2i and 2E+2i+1.  The even arc halves make
     the face outside the disk; the odd half of arc i lies in the disk face
     between labels i+1 and i+2.  Each vertex's half-edges are listed
-    before they are linked.  The reference for webweave.webcore._augmented_faces
-    and _face_successors."""
+    before they are linked.  The reference for webweave.webcore._face_successors,
+    whose cycles are these faces."""
     boundary_colors, _, edges, rotation = parts
     b = len(boundary_colors)
     arc_base = 2 * len(edges)
@@ -1019,6 +1086,37 @@ def tableau_rows_by_face_lists(parts) -> tuple[tuple[int, ...], ...]:
         for r in _ROWS_OF_STATE[color, state]:
             rows[r].append(i + 1)
     return tuple(tuple(row) for row in rows)
+
+
+def defects_by_face_lists(parts) -> list[str]:
+    """The violations of the plain fields of a structurally sound web, read
+    off the list of every face.  The reference for webweave.webcore._defects,
+    which traces each face once off the face permutation."""
+    boundary_colors, internal_colors, edges, rotation = parts
+    report: list[str] = []
+    b = len(boundary_colors)
+    colors = (*boundary_colors, *internal_colors)
+    for v, rot in enumerate(rotation):
+        want = 1 if v < b else 3
+        where = f"boundary vertex {v + 1}" if v < b else f"internal vertex {v - b}"
+        if len(rot) != want:
+            report.append(f"{where} has degree {len(rot)}, expected {want}")
+    for e, (x, y) in enumerate(edges):
+        if colors[x] == colors[y]:
+            report.append(f"edge {e} joins two {colors[x]} vertices")
+    if b == 0:
+        if colors or edges:
+            report.append("web without boundary vertices is not embeddable in the disk model")
+        return report
+    faces, _ = augmented_faces_by_lists(parts)
+    euler = len(colors) - (len(edges) + b) + len(faces)
+    if euler != 2:
+        report.append(f"rotation system is not a planar disk embedding (V-E+F = {euler}, expected 2)")
+        return report
+    for face in faces:
+        if len(face) < 6 and max(face) < 2 * len(edges):  # no arc half: internal
+            report.append(f"internal face of size {len(face)} < 6")
+    return report
 
 
 # --- the canonical key by breadth-first search on a Web ---------------------

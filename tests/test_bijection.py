@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
-    augmented_faces_by_lists,
     canonicalize_by_bfs,
     contract_pairs_one_by_one,
+    defects_by_face_lists,
     expand_white,
     find_crossings_by_fraction,
     m_diagram_by_pairing,
@@ -16,9 +16,10 @@ from oracles import (
     russell_parts_by_diagram,
     tableau_of_web_by_table,
     tableau_rows_by_face_lists,
+    turn_or_recolor,
     tymoczko_parts_by_diagram,
 )
-from test_webcore import square_face_web
+from test_webcore import square_face_web, tripod
 from webweave import bijection
 from webweave.bijection import (
     Arc,
@@ -50,11 +51,13 @@ from webweave.webcore import (
     WHITE,
     Matching,
     Web,
-    _augmented_faces,
     _canonical,
+    _check_structure,
+    _defects,
     _fields,
     _reflect_parts,
     canonicalize,
+    contract_pair,
     reflect_matching,
     reflect_web,
     validate_web,
@@ -73,6 +76,17 @@ BIJ_STANDARD = T([[1, 3, 4], [2, 6, 7], [5, 8, 9]])
 FAN = Web((BLACK,) * 3, (), ((0, 1), (0, 2)), ((0, 1), (0,), (1,)))
 JOINED_BLACKS = Web((BLACK, BLACK), (), ((0, 1),), ((0,), (0,)))
 NO_BOUNDARY = Web((), (BLACK, WHITE), ((0, 1),), ((0,), (0,)))
+
+
+def bigon_beside_square(backwards=False) -> Web:
+    """The square face web with its first leg replaced by a white and a
+    black joined by two edges, so a bigon sits beside the square; backwards
+    numbers the edges in reverse, giving the bigon the least half-edge."""
+    edges = ((9, 0), (5, 1), (6, 2), (7, 3), (4, 5), (5, 6), (6, 7), (7, 4), (4, 8), (8, 9), (8, 9))
+    rotation = ((0,), (1,), (2,), (3,), (4, 7, 8), (1, 5, 4), (2, 6, 5), (3, 7, 6), (8, 9, 10), (0, 10, 9))
+    if backwards:
+        edges, rotation = edges[::-1], tuple(tuple(10 - e for e in rot) for rot in rotation)
+    return Web((BLACK, WHITE, BLACK, WHITE), (WHITE, BLACK, WHITE, BLACK, BLACK, WHITE), edges, rotation)
 
 
 # --- pairing oracles (the two orders of the pairing remark) -----------------
@@ -526,14 +540,15 @@ def _outcome(fn, parts):
 
 class TestInverseByOneFaceWalk:
     """_tableau_rows traces each face when the search by depth first reaches
-    it, and _augmented_faces lists the faces of _face_successors; the bodies
-    they replace, which list every face first, are the oracles.  Each pair
-    gives equal rows or faces, or raises one exception with one message."""
+    it, and _defects traces each face from its least half-edge, both off
+    _face_successors; the bodies they replace, which list every face first,
+    are the oracles.  Each pair gives equal rows or reports, or raises one
+    exception with one message."""
 
     @staticmethod
     def assert_agree(parts):
         assert _outcome(_tableau_rows, parts) == _outcome(tableau_rows_by_face_lists, parts)
-        assert _outcome(_augmented_faces, parts) == _outcome(augmented_faces_by_lists, parts)
+        assert _outcome(_defects, parts) == _outcome(defects_by_face_lists, parts)
 
     @pytest.mark.parametrize(
         "family", [*(Family((k, k, k)) for k in range(1, 6)), *(Family((k, k, k), "all") for k in range(1, 5))],
@@ -547,11 +562,36 @@ class TestInverseByOneFaceWalk:
                 self.assert_agree(parts)
                 self.assert_agree(p.reflect(parts))
 
-    @pytest.mark.parametrize("web", [square_face_web(), FAN, JOINED_BLACKS, NO_BOUNDARY],
-                             ids=["square face", "fan", "joined blacks", "no boundary"])
+    @pytest.mark.parametrize(
+        "web",
+        [tripod(), contract_pair(tripod(), 1), square_face_web(), bigon_beside_square(),
+         bigon_beside_square(backwards=True), FAN, JOINED_BLACKS, NO_BOUNDARY],
+        ids=["tripod", "contracted tripod", "square face", "bigon beside square",
+             "bigon beside square backwards", "fan", "joined blacks", "no boundary"],
+    )
     def test_webs_outside_every_family(self, web):
         self.assert_agree(_fields(web))
         self.assert_agree(_fields(reflect_web(web)))
+
+    def test_short_faces_in_the_order_of_their_least_half_edges(self):
+        square, bigon = "internal face of size 4 < 6", "internal face of size 2 < 6"
+        assert _defects(_fields(square_face_web())) == [square]
+        assert _defects(_fields(bigon_beside_square())) == [square, bigon]
+        assert _defects(_fields(bigon_beside_square(backwards=True))) == [bigon, square]
+
+    @pytest.mark.parametrize("family", [Family((4, 4, 4)), Family((3, 3, 3), "all")], ids=Family.describe)
+    def test_seeded_gate_passing_mutations(self, family):
+        # a reversed or turned rotation, or a flipped color, passes the gate
+        # and may break planarity or join two vertices of one color
+        rng, p, said = random.Random(24), family.pipeline, set()
+        for shard in family.shards():
+            for rows in family.grow(shard):
+                parts = turn_or_recolor(rng, p.parts(rows))
+                _check_structure(parts)
+                self.assert_agree(parts)
+                said.update(_defects(parts))
+        assert any(line.startswith("rotation system is not a planar") for line in said)
+        assert any("joins two" in line for line in said)
 
 
 class TestMainTheoremSmall:

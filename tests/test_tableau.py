@@ -15,8 +15,10 @@ from oracles import (
     enumerate_russell_by_collapse,
     enumerate_standard_by_cells,
     first_fault,
+    random_box_set,
     random_skew_filling,
     random_skew_tableau,
+    skew_shape_by_row_scans,
     standardize_cells_by_splitting,
     standardize_with_pairs_by_splitting,
     tableau_gate_by_cells,
@@ -120,6 +122,45 @@ class TestTableauValidation:
         assert skew_shape_from_cells(()) == SkewShape(EMPTY_SHAPE, EMPTY_SHAPE)
         with pytest.raises(ValueError, match="^boxes must have positive coordinates$"):
             skew_shape_from_cells({(0, 1)})
+
+
+def _shape_or_message(infer, cells):
+    """The skew shape infer gives the boxes, or its ValueError's message."""
+    try:
+        return infer(cells)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSkewShapeOfCells:
+    """skew_shape_from_cells groups the boxes by row in one pass; the scan of
+    every box for each row, which it replaced, is the oracle."""
+
+    def test_matches_row_scans(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(4000):
+            cells = random_box_set(rng)
+            want = _shape_or_message(skew_shape_by_row_scans, cells)
+            assert _shape_or_message(skew_shape_from_cells, cells) == want, sorted(cells)
+            outcomes.add(want.split()[0] if isinstance(want, str) else "shape")
+        assert outcomes == {"shape", "boxes", "row", "cells"}
+
+    def test_names_a_box_below_1_first(self):
+        with pytest.raises(ValueError, match="^boxes must have positive coordinates$"):
+            skew_shape_from_cells({(1, 1), (1, 3), (2, 0)})
+
+    def test_names_a_row_that_is_not_contiguous(self):
+        with pytest.raises(ValueError, match=re.escape("row 2 is not contiguous: [1, 2, 4]")):
+            skew_shape_from_cells({(1, 1), (1, 2), (1, 3), (1, 4), (2, 4), (2, 1), (2, 2)})
+
+    def test_names_the_top_row_that_is_not_contiguous(self):
+        with pytest.raises(ValueError, match=re.escape("row 2 is not contiguous: [1, 3]")):
+            skew_shape_from_cells({(1, 1), (2, 1), (2, 3), (3, 1), (3, 4), (3, 6)})
+
+    def test_names_cells_that_form_no_skew_diagram(self):
+        with pytest.raises(ValueError, match="^cells do not form a skew diagram$"):
+            skew_shape_from_cells({(1, 1), (2, 1), (2, 2)})
 
 
 def _faulty_rows(rng, t):
