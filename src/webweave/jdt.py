@@ -5,7 +5,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import lt
 
 from .tableau import (
     RowStrictTableau,
@@ -66,9 +65,9 @@ def jdt_slide(t: RowStrictTableau, cell: Cell) -> RowStrictTableau:
     """One jeu de taquin slide of t into the empty cell."""
     cell = tuple(cell)
     _check_ints(cell, "cell coordinate")
-    if cell not in slide_targets(t):
-        raise ValueError(f"{cell} is not a valid slide target")
     cells = t.entries
+    if cell not in _slide_targets(cells):
+        raise ValueError(f"{cell} is not a valid slide target")
     _slide(cells, cell)
     return tableau_from_cells(cells)
 
@@ -92,30 +91,23 @@ def _insert(rows: list[list[int]], word, bisect=bisect_left) -> list[list[int]]:
     return rows
 
 
-def _straight(word, what: str) -> RowStrictTableau:
-    """The straight tableau that `word` inserts to; a result with a box less
-    than the one above it raises AssertionError."""
-    rows = _insert([], word)
-    if _broken_column(rows):
-        raise AssertionError(f"{what} broke a column")
-    return RowStrictTableau.from_rows(rows)
-
-
 def rectify(t: RowStrictTableau) -> RowStrictTableau:
     """The straight tableau t slides to, in any order of slides: the
     insertion tableau of t's row reading word, bottom row first and each row
-    left to right.  A tableau without boxes rectifies to EMPTY_TABLEAU."""
-    return _straight([x for row in reversed(t.rows) for x in row], "rectify")
+    left to right.  A tableau without boxes rectifies to EMPTY_TABLEAU.  The
+    tableau built checks the insertion's columns (ValueError)."""
+    return RowStrictTableau.from_rows(_insert([], [x for row in reversed(t.rows) for x in row]))
 
 
 def delta(t: RowStrictTableau) -> RowStrictTableau:
     """Delete the boxes containing 1, decrement the rest, and slide the holes
-    closed: the rectification of what remains."""
+    closed: the rectification of what remains, checked as rectify's is."""
     if not t.is_straight:
         raise ValueError("delta requires a straight shape")
     if t.size == 0:
         raise ValueError("delta requires a nonempty tableau")
-    return _straight([x - 1 for row in reversed(t.rows) for x in row if x > 1], "delta")
+    word = [x - 1 for row in reversed(t.rows) for x in row if x > 1]
+    return RowStrictTableau.from_rows(_insert([], word))
 
 
 def _evacuate_rows(rows) -> list[list[int]]:
@@ -127,17 +119,12 @@ def _evacuate_rows(rows) -> list[list[int]]:
     they make the first row, and _insert inserts the rest.  Only the values
     present are read, so a gapped filling costs no more.
 
-    Rows that are not strict, or a box less than the one above it, are
-    refused (ValueError).  A result without the input's shape or weak
-    columns raises AssertionError, so rows of no straight shape do too.
+    The rows are trusted to be strict with weak columns, as every caller's
+    are: evacuate passes a RowStrictTableau's, the campaigns rows from
+    _grow or rows this kernel returned, and insertion keeps rows strict.
+    Only the result is checked: without the input's shape or weak columns
+    it raises AssertionError.
     """
-    for r, row in enumerate(rows, 1):
-        if not all(map(lt, row, row[1:])):
-            raise ValueError(f"row {r} is not strictly increasing")
-    broken = _broken_column(rows)
-    if broken:
-        r, c = broken
-        raise ValueError(f"column {c} is not weakly increasing at row {r}")
     n = max([row[-1] for row in rows if row] or [0]) + 1
     top = [[n - x for x in reversed(rows[0])]] if rows else []
     out = _insert(top, [n - x for row in rows[1:] for x in reversed(row)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import factorial, inf
 from operator import le
 
@@ -212,10 +212,11 @@ def skew_shape_from_cells(cells) -> SkewShape:
     """Infer the tight skew shape covering exactly the given boxes.
 
     Rows above the top occupied row are retained as empty (the skew shape
-    keeps absolute coordinates).  Raises if the boxes do not form a skew
-    diagram.
+    keeps absolute coordinates).  Raises if a coordinate is not an integer
+    or the boxes do not form a skew diagram.
     """
     cells = set(cells)
+    _check_ints(chain.from_iterable(cells), "box coordinate")
     if not cells:
         return SkewShape(EMPTY_SHAPE, EMPTY_SHAPE)
     if any(r < 1 or c < 1 for r, c in cells):
@@ -348,6 +349,7 @@ def _rotate_complement(rows, n: int) -> list[list[int]]:
 
 def rotate_complement(t: RowStrictTableau, n: int) -> RowStrictTableau:
     """Rotate a rectangular tableau 180 degrees and send each entry x to n+1-x."""
+    _check_ints((n,), "alphabet size")
     if not t.is_rectangular:
         raise ValueError(f"shape {t.shape.outer.parts} is not rectangular")
     if t.size and n < t.max_entry:

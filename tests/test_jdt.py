@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ from webweave.tableau import (
     skew_shape_from_cells,
     tableau_from_cells,
 )
-from webweave.verify import Family
+from webweave.verify import Family, run_verification
 
 T = RowStrictTableau.from_rows
 
@@ -414,13 +415,23 @@ class TestEvacuateRowsAgainstOracles:
         assert _evacuate_rows(()) == []
 
     def test_checks_its_result(self):
-        # rows that are no tableau leave boxes unfilled, or fill them out of order
+        # rows of no straight shape leave boxes unfilled; rows that are not
+        # strict, or columns that are not weak, are refused by the tableau
+        # that evacuate takes, before the kernel runs
         with pytest.raises(AssertionError, match="changed the shape"):
             _evacuate_rows(((), (1,)))
-        with pytest.raises(ValueError, match="row 1 is not strictly increasing"):
-            _evacuate_rows(((2, 1),))
-        with pytest.raises(ValueError, match="column 1 is not weakly increasing"):
-            _evacuate_rows(((2,), (1,)))
+        with pytest.raises(ValueError, match="row 1 not strictly increasing"):
+            evacuate(T(((2, 1),)))
+        with pytest.raises(ValueError, match="column 1 not weakly increasing"):
+            evacuate(T(((2,), (1,))))
+
+    def test_result_checks_guard_campaigns(self, monkeypatch):
+        # the classical insertion bumps the wrong entry; campaigns pass the
+        # kernel checked rows only, so its result checks are what refuse it
+        insert = jdt._insert
+        monkeypatch.setattr(jdt, "_insert", lambda rows, word, bisect=None: insert(rows, word, bisect_right))
+        with pytest.raises(AssertionError, match="^evacuate changed the shape$"):
+            run_verification(Family((3, 3, 3), "all"), "lemma")
 
 
 def _agrees_with_slides(fillings):
@@ -486,21 +497,22 @@ class TestEvacuateRowsBySlides:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.integers(1, 6), max_size=4), max_size=4))
     def test_returns_only_on_straight_fillings(self, rows):
-        # rows of positive integers: refused unless rows strictly increase,
-        # columns weakly increase and lengths weakly decrease; then the
-        # slides agree
+        # rows of positive integers: evacuate refuses the tableau unless rows
+        # are nonempty and strictly increase, columns weakly increase and
+        # lengths weakly decrease; then the slides agree
         straight = (
-            all(a < b for row in rows for a, b in zip(row, row[1:]))
+            all(rows)
+            and all(a < b for row in rows for a, b in zip(row, row[1:]))
             and all(a <= b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
             and all(len(upper) >= len(lower) for upper, lower in zip(rows, rows[1:]))
         )
         try:
-            out = _evacuate_rows(rows)
-        except (ValueError, AssertionError):
+            out = evacuate(T(rows))
+        except ValueError:
             assert not straight, rows
         else:
             assert straight, rows
-            assert out == evacuate_rows_by_slides(rows), rows
+            assert list(map(list, out.rows)) == evacuate_rows_by_slides(rows), rows
 
 
 # --- Greene-Kleitman -------------------------------------------------------

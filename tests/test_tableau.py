@@ -162,6 +162,15 @@ class TestSkewShapeOfCells:
         with pytest.raises(ValueError, match="^cells do not form a skew diagram$"):
             skew_shape_from_cells({(1, 1), (2, 1), (2, 2)})
 
+    @pytest.mark.parametrize("cells, bad", [
+        ({(1, 1): 1, (1.5, 1): 5, (2, 1): 2}, "1.5"),
+        ({(True, 1): 1, (2, 1): 2}, "True"),
+        ({(1, 1): 1, (1, 2.0): 2}, "2.0"),
+    ])
+    def test_refuses_a_coordinate_that_is_not_an_integer(self, cells, bad):
+        with pytest.raises(ValueError, match=f"^bad box coordinate {re.escape(bad)}; expected an integer$"):
+            tableau_from_cells(cells)
+
 
 def _faulty_rows(rng, t):
     """t's rows with up to three seeded faults: entries that are floats, bools
@@ -336,6 +345,11 @@ class TestRotateComplement:
     def test_rejects_small_alphabet(self):
         with pytest.raises(ValueError):
             rotate_complement(T([[1, 2], [3, 4]]), 3)
+
+    @pytest.mark.parametrize("n", [True, 4.5])
+    def test_rejects_an_alphabet_size_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^bad alphabet size {re.escape(str(n))}; expected an integer$"):
+            rotate_complement(T([[1, 2], [3, 4]]), n)
 
     @given(st.sampled_from([(2, 2), (3, 3), (2, 2, 2)]), st.integers(0, 3))
     def test_involution(self, shape, extra):
