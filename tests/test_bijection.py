@@ -554,13 +554,11 @@ class TestInverseByOneFaceWalk:
         "family", [*(Family((k, k, k)) for k in range(1, 6)), *(Family((k, k, k), "all") for k in range(1, 5))],
         ids=Family.describe,
     )
-    def test_every_web_and_its_reflection(self, family):
+    def test_every_web_and_its_reflection(self, family, family_webs):
         p = family.pipeline
-        for shard in family.shards():
-            for rows in family.grow(shard):
-                parts = p.parts(rows)
-                self.assert_agree(parts)
-                self.assert_agree(p.reflect(parts))
+        for _, parts in family_webs(family):
+            self.assert_agree(parts)
+            self.assert_agree(p.reflect(parts))
 
     @pytest.mark.parametrize(
         "web",
@@ -579,17 +577,20 @@ class TestInverseByOneFaceWalk:
         assert _defects(_fields(bigon_beside_square())) == [square, bigon]
         assert _defects(_fields(bigon_beside_square(backwards=True))) == [bigon, square]
 
-    @pytest.mark.parametrize("family", [Family((4, 4, 4)), Family((3, 3, 3), "all")], ids=Family.describe)
-    def test_seeded_gate_passing_mutations(self, family):
+    @pytest.mark.parametrize(
+        "family",
+        [Family((4, 4, 4)), Family((3, 3, 3), "all"), Family((5, 5, 5)), Family((4, 4, 4), "all")],
+        ids=Family.describe,
+    )
+    def test_seeded_gate_passing_mutations(self, family, family_webs):
         # a reversed or turned rotation, or a flipped color, passes the gate
         # and may break planarity or join two vertices of one color
-        rng, p, said = random.Random(24), family.pipeline, set()
-        for shard in family.shards():
-            for rows in family.grow(shard):
-                parts = turn_or_recolor(rng, p.parts(rows))
-                _check_structure(parts)
-                self.assert_agree(parts)
-                said.update(_defects(parts))
+        rng, said = random.Random(24), set()
+        for _, parts in family_webs(family):
+            parts = turn_or_recolor(rng, parts)
+            _check_structure(parts)
+            self.assert_agree(parts)
+            said.update(_defects(parts))
         assert any(line.startswith("rotation system is not a planar") for line in said)
         assert any("joins two" in line for line in said)
 

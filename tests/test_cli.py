@@ -124,6 +124,11 @@ class TestIntegerSpellings:
         assert code == 2 and out == ""
         assert err == "error: max_seconds must be a number of seconds >= 0, got inf\n"
 
+    def test_tableau_entry(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["evacuate"], "1_0 11", monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: line 1: bad entry '1_0'; expected an integer\n"
+
     def test_spaces_around_shape_parts(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["verify", "--shape", " 3, 3 ", "--check", "lemma"], monkeypatch=monkeypatch)
         assert code == 0
@@ -230,6 +235,8 @@ class TestReflectCommand:
                  "bad endpoint 'b'"),
                 ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b01","b0"]]}',
                  "bad endpoint 'b01'"),
+                ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b01","b0"]],'
+                 '"rotation":[[0]]}', "bad endpoint 'b01'"),
                 ('{"boundary":[{"color":"black"}],"internal_count":0,"internal_colors":[],"edges":[["b0"]]}',
                  "each edge must have two endpoints"),
                 ('{"n":-1,"pairs":[]}', "pairs do not partition"),

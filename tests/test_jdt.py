@@ -244,7 +244,7 @@ class TestRectify:
     def test_matches_slides_on_seeded_fillings(self):
         # empty rows and inner shapes that are not tight included
         rng = random.Random(22)
-        fillings = [draw(rng) for _ in range(10000) for draw in (random_skew_tableau, random_skew_filling)]
+        fillings = [draw(rng) for _ in range(20000) for draw in (random_skew_tableau, random_skew_filling)]
         assert all(rectify(t) == EMPTY_TABLEAU for t in fillings if not t.size)
         boxed = dict.fromkeys(t for t in fillings if t.size)  # each distinct filling once
         assert len(boxed) > 12000

@@ -590,17 +590,15 @@ class TestShippedReflection:
 
     @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((5, 5, 5)), Family((4, 4, 4), "all")],
                              ids=Family.describe)
-    def test_reflection_stage_against_expansion_oracle(self, family):
+    def test_reflection_stage_against_expansion_oracle(self, family, family_webs):
         # the pipeline's reflection is an involution on plain fields, and its
         # key is that of reflecting the long way round, by expanding white
         # boundary vertices into black pairs
         p, total = family.pipeline, 0
-        for shard in family.shards():
-            for rows in family.grow(shard):
-                parts = tuple(map(tuple, p.parts(rows)))
-                assert tuple(map(tuple, p.reflect(p.reflect(parts)))) == parts, rows
-                assert p.key(p.reflect(parts)) == canonicalize_by_bfs(reflect_web_by_expansion(Web(*parts))), rows
-                total += 1
+        for rows, parts in family_webs(family):
+            assert tuple(map(tuple, p.reflect(p.reflect(parts)))) == parts, rows
+            assert p.key(p.reflect(parts)) == canonicalize_by_bfs(reflect_web_by_expansion(Web(*parts))), rows
+            total += 1
         assert total == len(family.tableaux())
 
 

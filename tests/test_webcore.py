@@ -543,24 +543,22 @@ class TestOneGate:
                 assert first_fault(gate, fields) == outcome
 
     @pytest.mark.parametrize("family", [Family((5, 5, 5)), Family((4, 4, 4), "all")], ids=Family.describe)
-    def test_one_gate_matches_the_passes_oracle(self, family):
+    def test_one_gate_matches_the_passes_oracle(self, family, family_webs):
         # every web of the family, each also with one seeded fault and every
         # fourth with a second, so that the first of two faults is named:
         # Web and the family's pipeline check give the oracle's outcome and
         # message (both pipelines hold the one gate)
         rng = random.Random(family.describe())
         p, faults = family.pipeline, set()
-        for shard in family.shards():
-            for rows in family.grow(shard):
-                parts = p.build(rows)
-                variants = [parts, mutate_web_parts(rng, parts)]
-                if not rng.randrange(4):
-                    variants.append(mutate_web_parts(rng, variants[-1]))
-                for fields in variants:
-                    want = first_fault(web_gate_by_passes, fields)
-                    for gate in (lambda f: Web(*f), p.check):
-                        assert first_fault(gate, fields) == want, fields
-                    faults.add(want and " ".join(want[1].split()[:2]))
+        for _, parts in family_webs(family):
+            variants = [parts, mutate_web_parts(rng, parts)]
+            if not rng.randrange(4):
+                variants.append(mutate_web_parts(rng, variants[-1]))
+            for fields in variants:
+                want = first_fault(web_gate_by_passes, fields)
+                for gate in (lambda f: Web(*f), p.check):
+                    assert first_fault(gate, fields) == want, fields
+                faults.add(want and " ".join(want[1].split()[:2]))
         assert {None, "bad id", "bad color", "rotation lists"} <= faults
 
     def test_web_defects_is_validate_web_on_plain_fields(self):
@@ -596,6 +594,7 @@ class TestOneGate:
             (((0, 1),), ((0.0,), (0,)), 0.0),
             (((False, True),), ((0,), (0,)), False),
             (((0, 1),), ((0,), (False,)), False),
+            (((0.0, 1),), ((0,), (0,)), 0.0),
         ],
     )
     def test_non_integer_ids_are_refused(self, edges, rotation, bad):
