@@ -14,7 +14,7 @@ from functools import cmp_to_key
 from math import inf
 from typing import Callable, NamedTuple
 
-from .tableau import RowStrictTableau, _check_ints, _russell_rows, _standardize
+from .tableau import RowStrictTableau, _check_ints, _rectangle, _russell_rows, _standardize
 from .webcore import (
     BLACK,
     WHITE,
@@ -415,19 +415,14 @@ def tableau_of_web(web, shape) -> RowStrictTableau:
     """Invert the Catalan or Russell map directly, at any size: a matching's
     openers form the top row, and a web's rows are read off its face depths
     (see _tableau_rows).  `shape` is (n, n) for matchings or (k, k, k) for
-    webs.  The result must map forward to the input again, so a matching or
-    web outside the family raises LookupError.  The input was checked when it
-    was made, so the one check is of the round trip's pairs or fields."""
-    shape = tuple(shape)
-    _check_ints(shape, "shape part")
+    webs, each side a positive integer, as a verify.Family's.  The result
+    must map forward to the input again, so a matching or web outside the
+    family raises LookupError.  The input was checked when it was made, so
+    the one check is of the round trip's pairs or fields."""
     if isinstance(web, Matching):
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"matching families have shape (n, n), got {shape}")
-        p, parts = SL2, web.pairs
+        shape, p, parts = _rectangle(shape, (2,), "matching families have shape (n, n)"), SL2, web.pairs
     else:
-        if len(shape) != 3 or len(set(shape)) != 1:
-            raise ValueError(f"web families have shape (k, k, k), got {shape}")
-        p, parts = SL3_RUSSELL, _fields(web)
+        shape, p, parts = _rectangle(shape, (3,), "web families have shape (k, k, k)"), SL3_RUSSELL, _fields(web)
     rows = p.inverse(parts)
     try:
         t = RowStrictTableau.from_rows(rows)

@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .bijection import m_diagram, russell_web, web_of_2row
+from .bijection import SL2, m_diagram, russell_web, web_of_2row
 from .jdt import evacuate
 from .render import render_matching_svg, render_mdiagram_svg, render_web_svg
 from .tableau import (
@@ -98,7 +98,7 @@ def _cmd_to_web(args) -> int:
     t = parse_tableau(_read_input(args.input))
     obj = _object_from_tableau(t)
     if args.canonical:
-        _emit(str(obj.pairs) if isinstance(obj, Matching) else canonicalize(obj), None)
+        _emit(SL2.key(obj.pairs) if isinstance(obj, Matching) else canonicalize(obj), None)
         return 0
     doc = matching_to_json(obj) if isinstance(obj, Matching) else web_to_json(obj)
     _emit(json.dumps(doc, separators=(",", ":")), None)

@@ -18,6 +18,7 @@ from .tableau import (
     _grow,
     _int_of,
     _is_int,
+    _rectangle,
     _rotate_complement,
     _sorted_tableaux,
 )
@@ -30,15 +31,14 @@ class FamilyBoundError(ValueError):
 class _Kind(NamedTuple):
     pipeline: Pipeline
     bound: int  # the largest side checked without an explicit time budget
-    bounded: str  # the refusal of a larger side, less " <= bound"
     depth: int  # the value after which shards() cuts the growth trees
 
 
-# by (rows, is_russell); Russell values branch into more boxes, so cut sooner
+# by (rows, is_russell: can a value be doubled); doubled values branch into more boxes, so cut sooner
 _KINDS = {
-    (2, False): _Kind(SL2, 8, "2-row families are bounded at n", 10),
-    (3, False): _Kind(SL3_STANDARD, 5, "3-row standard families are bounded at k", 10),
-    (3, True): _Kind(SL3_RUSSELL, 4, "Russell families are bounded at k", 5),
+    (2, False): _Kind(SL2, 8, 10),
+    (3, False): _Kind(SL3_STANDARD, 5, 10),
+    (3, True): _Kind(SL3_RUSSELL, 4, 5),
 }
 
 
@@ -50,16 +50,15 @@ class TimeBudgetExceeded(RuntimeError):
 class Family:
     """An enumerable verification domain: (n, n), or (k, k, k) with an
     optional repetition (None = standard tableaux, "all" = every h).  A (k,k,k)
-    filling has at most 3k // 2 doubled values, so a larger h is refused."""
+    filling has at most 3k // 2 doubled values, so a larger h is refused.
+    The kind follows from the tableaux held: h = 0 holds exactly the standard
+    tableaux, so it has their kind, and only describe() tells them apart."""
 
     shape: tuple[int, ...]
     repetition: int | str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(self.shape))
-        if len(self.shape) not in (2, 3) or len(set(self.shape)) != 1:
-            raise ValueError(f"families are rectangles (n,n) or (k,k,k), got {self.shape}")
-        Shape(self.shape)  # refuses sides that are not positive integers
+        object.__setattr__(self, "shape", _rectangle(self.shape, (2, 3), "families are rectangles (n,n) or (k,k,k)"))
         if self.repetition is not None and len(self.shape) == 2:
             raise ValueError("2-row families do not take a repetition")
         if self.repetition not in (None, "all"):
@@ -80,7 +79,8 @@ class Family:
 
     @property
     def is_russell(self) -> bool:
-        return self.rows == 3 and self.repetition is not None
+        """Whether the family's fillings can double a value."""
+        return self.rows == 3 and self.repetition not in (None, 0)
 
     @property
     def kind(self) -> _Kind:
@@ -97,8 +97,9 @@ class Family:
         return f"russell({base}, h={self.repetition})"
 
     def check_bounds(self) -> None:
-        if self.shape[0] > self.kind.bound:
-            raise FamilyBoundError(f"{self.kind.bounded} <= {self.kind.bound}")
+        bound = self.kind.bound
+        if self.shape[0] > bound:
+            raise FamilyBoundError(f"{self.describe()}: its kind is bounded at side <= {bound} without a time budget")
 
     @property
     def repetitions(self) -> range:

@@ -333,14 +333,7 @@ def _contract(parts, positions):
         if e not in gone_edges:
             edge_remap[e] = len(kept)
             kept.append((remap[x], remap[y]))
-    # a removed edge joins a removed boundary vertex to a moved white, so no
-    # other vertex's rotation loses an edge
-    new_rotation = tuple(
-        tuple([edge_remap[e] for e in rotation[v] if e not in gone_edges])
-        if v in whites
-        else tuple([edge_remap[e] for e in rotation[v]])
-        for v in order
-    )
+    new_rotation = tuple(tuple([edge_remap[e] for e in rotation[v] if e not in gone_edges]) for v in order)
     colors = tuple(color[v] for v in order)
     return colors[:nb], colors[nb:], tuple(kept), new_rotation
 

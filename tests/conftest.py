@@ -2,6 +2,8 @@ import functools
 
 import pytest
 
+from webweave.verify import Family
+
 
 def _frozen(value):
     """A deep copy of a build's output in tuples, so no test can change
@@ -24,3 +26,19 @@ def family_webs():
     work.  A test that patches a pipeline, evacuation or insertion grows
     its own members instead."""
     return _grown_and_built
+
+
+@functools.cache
+def _tableaux(family):
+    if family.repetition == "all":  # h by h, as Family.tableaux() lists them
+        return tuple(t for h in family.repetitions for t in _tableaux(Family(family.shape, h)))
+    return tuple(family.tableaux())
+
+
+@pytest.fixture(scope="session")
+def family_tableaux():
+    """Every tableau of a family, validated, as Family.tableaux() lists
+    them, in a tuple.  Each family is enumerated once per session, and a
+    family at every h is read from its families at each h, so the oracle
+    comparisons that walk Russell (4,4,4) at every h share that work."""
+    return _tableaux

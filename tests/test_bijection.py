@@ -504,6 +504,13 @@ class TestTableauOfWeb:
             with pytest.raises(ValueError, match=r"web families have shape \(k, k, k\)"):
                 tableau_of_web(web, shape)
 
+    def test_sides_that_are_not_positive_are_refused(self):
+        # these used to fall through to "not in the image of the (-1, -1) family"
+        m, web = web_of_2row(T([[1, 3], [2, 4]])), russell_web(BIJ_RUSSELL)
+        for obj, shape in ((m, (-1, -1)), (m, (0, 0)), (web, (0, 0, 0))):
+            with pytest.raises(ValueError, match=f"^shape parts must be positive, got {shape[0]}$"):
+                tableau_of_web(obj, shape)
+
     @pytest.mark.parametrize("shape, bad", [((True, True), True), ((1.0, 1.0), 1.0), ((1, 1, 1.5), 1.5)])
     def test_non_integer_shape_is_refused(self, shape, bad):
         # (True, True) and (1.0, 1.0) used to give the tableau of (1, 1)

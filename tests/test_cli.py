@@ -312,6 +312,24 @@ class TestVerifyCommand:
         assert code == 2
         assert "bounded" in err
 
+    def test_no_doubled_value_runs_as_standard(self, capsys, monkeypatch):
+        # h = 0 holds the standard tableaux, so it has their bound and report
+        docs = []
+        for repetition in ([], ["--repetition", "0"]):
+            argv = ["verify", "--shape", "5,5,5", *repetition, "--check", "theorem", "--json"]
+            code, out, _ = run(capsys, argv, monkeypatch=monkeypatch)
+            assert code == 0
+            docs.append(json.loads(out))
+            del docs[-1]["elapsed_ms"]
+        assert [doc.pop("family") for doc in docs] == ["standard(5,5,5)", "russell(5,5,5, h=0)"]
+        assert docs[0] == docs[1] and docs[0]["total"] == 6006
+
+    def test_no_doubled_value_keeps_the_standard_bound(self, capsys, monkeypatch):
+        argv = ["verify", "--shape", "6,6,6", "--repetition", "0", "--check", "theorem"]
+        code, out, err = run(capsys, argv, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: russell(6,6,6, h=0): its kind is bounded at side <= 5 without a time budget\n"
+
     def test_nan_budget_exits_2(self, capsys, monkeypatch):
         code, _, err = run(
             capsys,

@@ -1,5 +1,5 @@
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -287,8 +287,8 @@ class TestDelta:
             assert delta(t) == delta_by_slides(t), t
 
     @pytest.mark.parametrize("family", [Family((8, 8)), Family((4, 4, 4)), Family((4, 4, 4), "all")], ids=Family.describe)
-    def test_matches_slides_on_families(self, family):
-        for t in family.tableaux():
+    def test_matches_slides_on_families(self, family, family_tableaux):
+        for t in family_tableaux(family):
             assert delta(t) == delta_by_slides(t), t
 
 
@@ -404,9 +404,9 @@ class TestEvacuateRowsAgainstOracles:
         _agrees_with_oracles(enumerate_standard(Shape(shape)))
 
     @pytest.mark.parametrize("k", range(1, 5))
-    def test_russell_every_h(self, k):
+    def test_russell_every_h(self, k, family_tableaux):
         for h in range(3 * k // 2 + 1):
-            _agrees_with_oracles(enumerate_russell(k, h))
+            _agrees_with_oracles(family_tableaux(Family((k, k, k), h)))
 
     def test_gapped_and_empty(self):
         assert _evacuate_rows(((1, 3),)) == [[1, 3]]
@@ -432,6 +432,18 @@ class TestEvacuateRowsAgainstOracles:
         monkeypatch.setattr(jdt, "_insert", lambda rows, word, bisect=None: insert(rows, word, bisect_right))
         with pytest.raises(AssertionError, match="^evacuate changed the shape$"):
             run_verification(Family((3, 3, 3), "all"), "lemma")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_broken_column_is_refused(self, jobs, monkeypatch):
+        # an insertion that returns its rows bottom-up keeps a rectangle's
+        # row lengths, so only the column check can refuse its result; pool
+        # workers are forked and see the patch
+        insert = jdt._insert
+        monkeypatch.setattr(jdt, "_insert", lambda rows, word, bisect=bisect_left: insert(rows, word, bisect)[::-1])
+        with pytest.raises(AssertionError, match="^evacuate broke a column$"):
+            evacuate(T([[1, 3], [2, 4]]))
+        with pytest.raises(AssertionError, match="^evacuate broke a column$"):
+            run_verification(Family((3, 3, 3), "all"), "lemma", jobs=jobs)
 
 
 def _agrees_with_slides(fillings):
@@ -468,8 +480,8 @@ class TestEvacuateRowsBySlides:
         _agrees_with_slides(t.rows for t in enumerate_standard(Shape(shape)))
 
     @pytest.mark.parametrize("k", range(1, 5))
-    def test_russell_every_h(self, k):
-        _agrees_with_slides(t.rows for h in range(3 * k // 2 + 1) for t in enumerate_russell(k, h))
+    def test_russell_every_h(self, k, family_tableaux):
+        _agrees_with_slides(t.rows for t in family_tableaux(Family((k, k, k), "all")))
 
     @pytest.mark.parametrize("shape", [(2, 2, 1), (3, 2), (2, 2, 2), (3, 2, 1), (3, 3), (2, 1, 1, 1)])
     def test_every_filling_up_to_six(self, shape):
@@ -539,6 +551,10 @@ class TestGKProfile:
         # 2.5 raised TypeError and True ran as 1
         with pytest.raises(ValueError, match=f"bad m {m!r}"):
             gk_profile((1, 2), m)
+
+    def test_rejects_no_chains(self):
+        with pytest.raises(ValueError, match="^m must be at least 1$"):
+            gk_profile((1, 2), 0)
 
     def test_profile_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from oracles import (
 )
 from test_webcore import square_face_web
 from webweave import cli, tableau, verify, webcore
+from webweave.bijection import _russell_parts, _tymoczko_parts
 from webweave.jdt import _evacuate_rows, reading_word
 from webweave.verify import (
     Family,
@@ -93,7 +94,41 @@ class TestFamily:
             Family((6, 6, 6)).check_bounds()
         with pytest.raises(FamilyBoundError):
             Family((5, 5, 5), "all").check_bounds()
+        with pytest.raises(FamilyBoundError):
+            Family((6, 6, 6), 0).check_bounds()
         Family((8, 8)).check_bounds()
+        Family((5, 5, 5), 0).check_bounds()
+
+    @pytest.mark.parametrize(
+        "family, bound",
+        [(Family((9, 9)), 8), (Family((6, 6, 6)), 5), (Family((6, 6, 6), 0), 5), (Family((5, 5, 5), "all"), 4),
+         (Family((5, 5, 5), 1), 4)],
+        ids=lambda value: value.describe() if isinstance(value, Family) else f"bound {value}",
+    )
+    def test_refusal_names_the_family_and_its_bound(self, family, bound):
+        with pytest.raises(FamilyBoundError) as refused:
+            family.check_bounds()
+        message = str(refused.value)
+        assert message.startswith(family.describe() + ":") and "bounded" in message and f"<= {bound} " in message
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_no_doubled_value_is_the_standard_kind(self, k):
+        # h = 0 holds exactly the standard tableaux, so it is built, bounded
+        # and sharded as they are, and only describe() tells them apart
+        family, standard = Family((k, k, k), 0), Family((k, k, k))
+        assert family.pipeline.build is _tymoczko_parts
+        assert family.kind == standard.kind and not family.is_russell
+        assert family.shards() == standard.shards()
+        assert family.describe() == f"russell({k},{k},{k}, h=0)"
+        if k == 4:
+            assert len(family.shards()) == 462
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_doubled_values_keep_the_russell_kind(self, k):
+        for repetition in [*range(1, 3 * k // 2 + 1), "all"]:
+            family = Family((k, k, k), repetition)
+            assert family.pipeline.build is _russell_parts and family.is_russell
+            assert family.kind == verify._KINDS[3, True]
 
 
 class TestRunVerification:
