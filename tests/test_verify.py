@@ -94,8 +94,6 @@ class TestFamily:
             Family((6, 6, 6)).check_bounds()
         with pytest.raises(FamilyBoundError):
             Family((5, 5, 5), "all").check_bounds()
-        with pytest.raises(FamilyBoundError):
-            Family((6, 6, 6), 0).check_bounds()
         Family((8, 8)).check_bounds()
         Family((5, 5, 5), 0).check_bounds()
 
