@@ -8,6 +8,7 @@ rational abscissa; no floating point appears anywhere.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -29,6 +30,7 @@ from .webcore import (
     _fields,
     _reflect_pairs,
     _reflect_parts,
+    _same_web,
 )
 
 Pair = tuple[int, int]
@@ -387,13 +389,16 @@ def _tableau_rows(parts) -> tuple[tuple[int, ...], ...]:
 class Pipeline(NamedTuple):
     """What a kind of family does with the rows of each tableau: build the
     sorted pairs of its matching or the plain fields of its web, check them,
-    key them canonically, reflect them, list their defects, and read the
-    tableau's rows back off them.  `parts` builds and checks once; the other
-    stages trust it, as the functions that take a Matching or a Web do."""
+    key them canonically, tell whether two are the same (exactly when their
+    keys are equal, without building the keys), reflect them, list their
+    defects, and read the tableau's rows back off them.  `parts` builds and
+    checks once; the other stages trust it, as the functions that take a
+    Matching or a Web do."""
 
     build: Callable
     check: Callable[..., None]
     key: Callable[..., str]
+    same: Callable[..., bool]
     reflect: Callable
     defects: Callable[..., list[str]]
     inverse: Callable[..., tuple]
@@ -404,11 +409,13 @@ class Pipeline(NamedTuple):
         return parts
 
 
-# a matching that passes the partition and noncrossing check has no other defect
-SL2 = Pipeline(_catalan_pairs, lambda pairs: _check_pairs(len(pairs), pairs), str, _reflect_pairs, lambda pairs: [],
-               _matching_rows)
-SL3_STANDARD = Pipeline(_tymoczko_parts, _check_structure, _canonical, _reflect_parts, _defects, _tableau_rows)
-SL3_RUSSELL = Pipeline(_russell_parts, _check_structure, _canonical, _reflect_parts, _defects, _tableau_rows)
+# a matching that passes the partition and noncrossing check has no other defect;
+# its sorted pairs are tuples of ints, so they are equal exactly when their strings are
+SL2 = Pipeline(_catalan_pairs, lambda pairs: _check_pairs(len(pairs), pairs), str, operator.eq, _reflect_pairs,
+               lambda pairs: [], _matching_rows)
+SL3_STANDARD = Pipeline(_tymoczko_parts, _check_structure, _canonical, _same_web, _reflect_parts, _defects,
+                        _tableau_rows)
+SL3_RUSSELL = SL3_STANDARD._replace(build=_russell_parts)
 
 
 def tableau_of_web(web, shape) -> RowStrictTableau:
@@ -426,7 +433,7 @@ def tableau_of_web(web, shape) -> RowStrictTableau:
     rows = p.inverse(parts)
     try:
         t = RowStrictTableau.from_rows(rows)
-        if p.key(p.parts(rows)) == p.key(parts) and all(len(row) == shape[0] for row in rows):
+        if p.same(p.parts(rows), parts) and all(len(row) == shape[0] for row in rows):
             return t
     except ValueError:
         pass

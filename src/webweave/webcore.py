@@ -274,6 +274,41 @@ def _canonical(parts) -> str:
     return "|".join(chunks)
 
 
+def _same_web(a, b) -> bool:
+    """_canonical(a) == _canonical(b) for sound webs, without the strings:
+    one breadth-first walk of both from the boundary in label order names
+    each vertex pair when first reached, reads each rotation from the edge
+    it was found by, and stops at the first difference.  Colors compare by
+    value, so lists meet tuples.  Walks that agree to the end with a vertex
+    unreached raise ValueError, as _canonical does."""
+    (outer_a, inner_a, edges_a, rot_a), (outer_b, inner_b, edges_b, rot_b) = a, b
+    nb = len(outer_a)
+    if len(inner_a) != len(inner_b) or list(outer_a) != list(outer_b):
+        return False
+    name_a, name_b = [*range(nb), *[-1] * len(inner_a)], [*range(nb), *[-1] * len(inner_b)]
+    queue = [(v, v, rot_a[v], rot_b[v]) for v in range(nb)]  # grows as vertex pairs are named
+    for va, vb, ra, rb in queue:
+        if len(ra) != len(rb):
+            return False
+        for ea, eb in zip(ra, rb):
+            x, y = edges_a[ea]
+            wa = y if x == va else x
+            x, y = edges_b[eb]
+            wb = y if x == vb else x
+            if name_a[wa] != name_b[wb]:
+                return False
+            if name_a[wa] < 0:
+                if inner_a[wa - nb] != inner_b[wb - nb]:
+                    return False
+                name_a[wa] = name_b[wb] = len(queue)
+                r, s = rot_a[wa], rot_b[wb]
+                i, j = r.index(ea), s.index(eb)
+                queue.append((wa, wb, r[i:] + r[:i], s[j:] + s[:j]))
+    if len(queue) != len(name_a):
+        raise ValueError("web has vertices unreachable from the boundary")
+    return True
+
+
 def webs_equal(a: Web, b: Web) -> bool:
     return canonicalize(a) == canonicalize(b)
 

@@ -1013,6 +1013,29 @@ def turn_or_recolor(rng: random.Random, parts):
     return tuple(boundary_colors), tuple(internal_colors), tuple(edges), tuple(rotation)
 
 
+def renumber_web_parts(rng: random.Random, parts):
+    """The plain fields of the same web up to isotopy, written another way:
+    its internal vertices and its edges renumbered at random, each edge's
+    ends in either order, and each internal rotation read from a random
+    start.  The boundary keeps its labels."""
+    boundary_colors, internal_colors, edges, rotation = parts
+    b, ni = len(boundary_colors), len(internal_colors)
+    order = rng.sample(range(b, b + ni), ni)  # the old vertex at each new internal id
+    vertex = list(range(b + ni))
+    for new_v, v in enumerate(order, b):
+        vertex[v] = new_v
+    edge = rng.sample(range(len(edges)), len(edges))  # the new id of each old edge
+    new_edges = [()] * len(edges)
+    for e, (x, y) in enumerate(edges):
+        new_edges[edge[e]] = (vertex[x], vertex[y]) if rng.randrange(2) else (vertex[y], vertex[x])
+    new_rotation = [tuple(edge[e] for e in rotation[v]) for v in (*range(b), *order)]
+    for v in range(b, b + ni):
+        turn = rng.randrange(len(new_rotation[v]) or 1)
+        new_rotation[v] = new_rotation[v][turn:] + new_rotation[v][:turn]
+    new_colors = tuple(internal_colors[v - b] for v in order)
+    return tuple(boundary_colors), new_colors, tuple(new_edges), tuple(new_rotation)
+
+
 # --- faces as lists, and the inverse read off them -------------------------
 
 def augmented_faces_by_lists(parts):

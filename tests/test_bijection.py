@@ -517,6 +517,17 @@ class TestTableauOfWeb:
         with pytest.raises(ValueError, match=f"^bad shape part {bad!r}; expected an integer$"):
             tableau_of_web(Matching(1, ((1, 2),)), shape)
 
+    def test_round_trip_meets_lists_and_tuples(self):
+        # a Web's fields are tuples, and the pipeline builds lists when it
+        # contracts no pair (h = 0) and tuples when it does: the round trip
+        # compares them by value
+        contracted = enumerate_russell(3, 2)[7]
+        for t in (*enumerate_russell(3, 0), contracted):
+            web, built = russell_web(t), bijection.SL3_RUSSELL.parts(t.rows)
+            assert isinstance(built[0], list if t != contracted else tuple), t.rows
+            assert bijection.SL3_RUSSELL.same(built, _fields(web)), t.rows
+            assert tableau_of_web(web, (3, 3, 3)) == t
+
     def test_result_is_checked_by_round_trip(self, monkeypatch):
         t, other = T([[1, 3], [2, 5], [4, 6]]), T([[1, 2], [3, 4], [5, 6]])
         wrong = bijection.SL3_RUSSELL._replace(inverse=lambda parts: other.rows)

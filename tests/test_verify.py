@@ -1,5 +1,7 @@
 import concurrent.futures
 import itertools
+import operator
+import random
 import re
 from fractions import Fraction
 from math import inf
@@ -11,6 +13,7 @@ from oracles import (
     canonicalize_by_bfs,
     collision_check,
     reflect_web_by_expansion,
+    renumber_web_parts,
     russell_parts_by_diagram,
     theorem_failures_per_tableau,
     tymoczko_parts_by_diagram,
@@ -512,6 +515,29 @@ class TestTheoremOrbits:
         failed = {f["tableau"] for f in want}
         assert all(format_tableau(T(rows)) in failed for rows in victims)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partner_record_only_when_the_partner_fails(self, jobs, monkeypatch):
+        # reflection seeded to leave rotations unreversed on the webs of the
+        # tableaux t < evac(t) only, so it is no involution: each such t is
+        # checked and fails, and its skipped partner evac(t), whose web is
+        # reflected right, passes, so it gets no record
+        family = Family((3, 3, 3))
+        _seed_unreversed_reflection(monkeypatch, family, lambda e, t: e > t)
+        want = theorem_failures_per_tableau(family)
+        assert len(want) == 18
+        assert run_verification(family, "theorem", jobs=jobs).to_json()["failures"] == want
+
+    def test_skip_rests_on_the_reflection(self, monkeypatch):
+        # the same fault on the webs of the tableaux t > evac(t): each such t
+        # is skipped and its partner passes, so the campaign cannot see it.
+        # The skip is sound only for a reflection that is an involution
+        # sending isotopic webs to isotopic webs, as the shipped one is
+        # (TestShippedReflection)
+        family = Family((3, 3, 3))
+        _seed_unreversed_reflection(monkeypatch, family, lambda e, t: e < t)
+        assert len(theorem_failures_per_tableau(family)) == 18
+        assert run_verification(family, "theorem").ok
+
     def test_no_skip_without_an_involution(self, monkeypatch):
         # evacuation seeded to send every tableau to the least one: each of
         # the others has a smaller partner in the family that does not
@@ -577,13 +603,44 @@ def _reflect_parts_unreversed(parts):
     return boundary_colors[::-1], internal_colors, edges, [rotation[v] for v in remap]
 
 
+def _seed_unreversed_reflection(monkeypatch, family, side):
+    """Seed the one web reflection, so reflect_web, the oracle's path, and
+    the family's pipeline, to leave rotations unreversed on the webs of the
+    tableaux t with side(evac(t), t) only; pool workers are forked and see
+    it."""
+    p, real = family.pipeline, webcore._reflect_parts
+    seeded = {p.key(p.parts(t.rows)) for t in family.tableaux() if side(_evacuated(t.rows), t.rows)}
+
+    def reflect(parts):
+        return (_reflect_parts_unreversed if p.key(parts) in seeded else real)(parts)
+
+    monkeypatch.setattr(webcore, "_reflect_parts", reflect)
+    _patch_pipeline(monkeypatch, family, reflect=reflect)
+
+
 class TestShippedReflection:
     """The theorem check reflects with the one reflection per kind that the
-    public reflect_matching and reflect_web call."""
+    public reflect_matching and reflect_web call, and compares with the one
+    equality per kind."""
 
     def test_one_reflection_per_kind(self):
         assert verify.SL2.reflect is webcore._reflect_pairs
         assert verify.SL3_STANDARD.reflect is verify.SL3_RUSSELL.reflect is webcore._reflect_parts
+
+    def test_one_equality_per_kind(self):
+        assert verify.SL2.same is operator.eq
+        assert verify.SL3_STANDARD.same is verify.SL3_RUSSELL.same is webcore._same_web
+
+    @pytest.mark.parametrize("family", [Family((5, 5, 5)), Family((4, 4, 4), "all")], ids=Family.describe)
+    def test_reflection_sends_isotopic_webs_to_isotopic_webs(self, family, family_webs):
+        # what the theorem check's skip rests on, beside the involution that
+        # test_reflection_stage_against_expansion_oracle pins: the web
+        # written another way reflects to the same web
+        rng, p = random.Random(family.describe()), family.pipeline
+        for rows, parts in family_webs(family):
+            renumbered = renumber_web_parts(rng, parts)
+            assert webcore._same_web(renumbered, parts), rows
+            assert webcore._same_web(p.reflect(renumbered), p.reflect(parts)), rows
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((2, 2, 2), "all")], ids=Family.describe)

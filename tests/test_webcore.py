@@ -13,6 +13,8 @@ from oracles import (
     first_fault,
     mutate_web_parts,
     reflect_web_by_expansion,
+    renumber_web_parts,
+    turn_or_recolor,
     web_gate_by_passes,
 )
 from webweave import bijection, cli, webcore
@@ -25,6 +27,7 @@ from webweave.bijection import (
     tymoczko_web,
     web_of_2row,
 )
+from webweave.jdt import _evacuate_rows
 from webweave.tableau import Shape, enumerate_russell, enumerate_standard, format_tableau
 from webweave.verify import Family
 from webweave.webcore import (
@@ -38,6 +41,7 @@ from webweave.webcore import (
     _defects,
     _fields,
     _reflect_parts,
+    _same_web,
     canonicalize,
     contract_pair,
     contract_pairs,
@@ -263,6 +267,60 @@ class TestCanonicalize:
         )
         with pytest.raises(ValueError, match="unreachable"):
             canonicalize(web)
+        with pytest.raises(ValueError, match="unreachable"):
+            _same_web(_fields(web), _fields(web))
+
+
+class TestSameAgainstKeys:
+    """A pipeline's `same` says two builds are equal exactly when their
+    keys are; the keys are the oracle."""
+
+    @pytest.mark.parametrize("family", [Family((5, 5, 5)), Family((4, 4, 4), "all")], ids=Family.describe)
+    def test_same_web_is_key_equality(self, family, family_webs):
+        # every reflected web against its evacuation's web, as the theorem
+        # check compares them, and near misses: the next member's web, a
+        # copy with one vertex turned or recolored, and that copy renumbered
+        rng = random.Random(family.describe())
+        p, members = family.pipeline, family_webs(family)
+        web_of = dict(members)
+        outcomes = set()
+        for (rows, parts), (_, after) in zip(members, members[1:] + members[:1]):
+            reflected = p.reflect(parts)
+            near = turn_or_recolor(rng, parts)
+            pairs = [(reflected, web_of[tuple(map(tuple, _evacuate_rows(rows)))]), (reflected, after),
+                     (parts, after), (parts, near), (renumber_web_parts(rng, near), parts)]
+            for a, b in pairs:
+                same = _same_web(a, b)
+                assert same == (_canonical(a) == _canonical(b)), rows
+                outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_small_webs(self):
+        # a vertex of another degree (one edge against two parallel ones), a
+        # mirror image, a web against itself, and webs of other sizes
+        one = ((BLACK, WHITE), (), ((0, 1),), ((0,), (0,)))
+        two = ((BLACK, WHITE), (), ((0, 1), (0, 1)), ((0, 1), (1, 0)))
+        tri, square = _fields(tripod()), _fields(square_face_web())
+        webs = [one, two, tri, _reflect_parts(tri), _fields(contract_pair(tripod(), 1)), square]
+        outcomes = set()
+        for a, b in itertools.product(webs, repeat=2):
+            same = _same_web(a, b)
+            assert same == (_canonical(a) == _canonical(b)), (a, b)
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_sl2_same_is_string_equality(self, family_webs):
+        p, members = SL2, family_webs(Family((8, 8)))
+        web_of = dict(members)
+        outcomes = set()
+        for (rows, pairs), (_, after) in zip(members, members[1:] + members[:1]):
+            reflected = p.reflect(pairs)
+            for a, b in ((reflected, web_of[tuple(map(tuple, _evacuate_rows(rows)))]), (reflected, after),
+                         (pairs, after), (pairs, pairs)):
+                same = p.same(a, b)
+                assert same == (str(a) == str(b)), rows
+                outcomes.add(same)
+        assert outcomes == {True, False}
 
 
 class TestPartsKey:
