@@ -317,14 +317,53 @@ def russell_web(t: RowStrictTableau) -> Web:
     return Web(*_russell_parts(_russell_rows(t)))
 
 
-def _russell_parts(rows):
+def _russell_parts(rows, webs=None, shared=None):
     """The fields of the Russell web of a filling given by its rows, no pair
     contracted without doubled values.  _standardize makes russell_repetition's
     checks on the rows, and the standardized rows need no more: standardizing
-    keeps rows strict and columns weak, and _arc_ends checks the values."""
+    keeps rows strict and columns weak, and _arc_ends checks the values.
+
+    Without `webs` (the CLI, russell_web, tableau_of_web) the
+    standardization's Tymoczko web is built per call.  A campaign batch
+    passes two fresh dicts (verify._check_batch): `webs` keeps each
+    standardization's web, keyed by its flat rows, as tuples that share
+    equal small tuples through `shared` (see _frozen), so it is built once
+    per batch.  A build that raises leaves nothing behind, and the
+    standardizing and the contraction still run per filling.
+
+    The contraction reads the built fields before the pipeline's gate
+    does, so when it fails on fields that the gate refuses, the gate's
+    refusal is raised: a float id, say, is a ValueError naming it, as a
+    standard tableau's build would give, not the remap's TypeError."""
     rows, pair_starts = _standardize(rows)
-    parts = _tymoczko_parts(rows)
-    return _contract(parts, pair_starts) if pair_starts else parts
+    if webs is None:
+        parts = _tymoczko_parts(rows)
+    else:
+        key = (*rows[0], *rows[1], *rows[2])  # all three rows have length k
+        parts = webs.get(key)
+        if parts is None:
+            parts = webs[key] = _frozen(_tymoczko_parts(rows), shared)
+    if not pair_starts:
+        return parts
+    try:
+        return _contract(parts, pair_starts)
+    except (TypeError, ValueError, IndexError):
+        _check_structure(parts)
+        raise
+
+
+def _frozen(parts, shared):
+    """Web fields as tuples, no caller can change them: each color sequence,
+    edge and rotation is the equal tuple already in `shared`, entered there
+    if new.  Only tuples of exact ints or strs are shared, so an id of
+    another type, a float equal to an int, say, keeps its type."""
+
+    def share(items):
+        t = tuple(items)
+        return shared.setdefault(t, t) if all(type(x) is int or type(x) is str for x in t) else t
+
+    boundary_colors, internal_colors, edges, rotation = parts
+    return share(boundary_colors), share(internal_colors), tuple(map(share, edges)), tuple(map(share, rotation))
 
 
 # --- the inverse, by face depth ----------------------------------------------
@@ -393,7 +432,10 @@ class Pipeline(NamedTuple):
     keys are equal, without building the keys), reflect them, list their
     defects, and read the tableau's rows back off them.  `parts` builds and
     checks once; the other stages trust it, as the functions that take a
-    Matching or a Web do."""
+    Matching or a Web do.  The pipelines here build per call; a campaign
+    batch gives SL3_RUSSELL's build a memo of the Tymoczko web of each
+    standardization for the batch's length (verify._check_batch), and the
+    check still runs on every filling."""
 
     build: Callable
     check: Callable[..., None]

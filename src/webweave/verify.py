@@ -5,9 +5,10 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, NamedTuple
 
-from .bijection import SL2, SL3_RUSSELL, SL3_STANDARD, Pipeline
+from .bijection import SL2, SL3_RUSSELL, SL3_STANDARD, Pipeline, _russell_parts
 from .jdt import _evacuate_rows
 from .tableau import (
     RowStrictTableau,
@@ -245,9 +246,15 @@ def _check_batch(args) -> tuple[int, list[dict]]:
     its skipped partner's record with its own (see `_check_theorem`).
     Raise TimeBudgetExceeded once this call has run longer than
     `seconds_left` (inf: no budget), growing included.  The budget is a
-    duration, so a pool worker can measure it on its own clock."""
+    duration, so a pool worker can measure it on its own clock.
+
+    A Russell build gets this call's own memo of each standardization's
+    Tymoczko web (see `_russell_parts`), dropped when the call returns; a
+    build that is not `_russell_parts` runs as given."""
     check, family, shards, max_seconds, seconds_left = args
     fn, pipeline = _PER_TABLEAU[check], family.pipeline
+    if pipeline.build is _russell_parts:
+        pipeline = pipeline._replace(build=partial(_russell_parts, webs={}, shared={}))
     start = time.monotonic()
     count = 0
     failures = []

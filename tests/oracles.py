@@ -952,6 +952,30 @@ def _other_type(rng: random.Random, v):
     return rng.choice((float(v), v + 0.5, bool(v % 2), str(v)))
 
 
+def with_float_bar(build):
+    """The web builder `build` with a seeded fault: the first endpoint of its
+    last edge, which joins two internal vertices when the Tymoczko builder
+    resolves a crossing, is a float equal to it."""
+
+    def seeded(rows):
+        boundary_colors, internal_colors, edges, rotation = build(rows)
+        *edges, (a, b) = edges
+        return boundary_colors, internal_colors, [*edges, (float(a), b)], rotation
+
+    return seeded
+
+
+def without_last_vertex(build):
+    """The web builder `build` with a seeded fault: its last internal vertex
+    is dropped, color and rotation, and the edges still name it."""
+
+    def seeded(rows):
+        boundary_colors, internal_colors, edges, rotation = build(rows)
+        return boundary_colors, internal_colors[:-1], edges, rotation[:-1]
+
+    return seeded
+
+
 def mutate_web_parts(rng: random.Random, parts):
     """The plain fields of a web with one seeded fault in one field: an id
     that is a float, a bool or a str, in an edge or in the rotation; an id

@@ -18,6 +18,8 @@ from oracles import (
     tableau_rows_by_face_lists,
     turn_or_recolor,
     tymoczko_parts_by_diagram,
+    with_float_bar,
+    without_last_vertex,
 )
 from test_webcore import square_face_web, tripod
 from webweave import bijection
@@ -25,6 +27,7 @@ from webweave.bijection import (
     Arc,
     ArcDiagram,
     SL2,
+    SL3_RUSSELL,
     _catalan_pairs,
     _russell_parts,
     _tableau_rows,
@@ -440,6 +443,86 @@ class TestRussellWeb:
                 u, starts = standardize_with_pairs(t)
                 want = web_to_json(contract_pairs_one_by_one(tymoczko_web(u), starts))
                 assert web_to_json(russell_web(t)) == want, t.rows
+
+
+class TestBatchMemo:
+    """_russell_parts with a campaign batch's memo of the Tymoczko web of
+    each standardization (see verify._check_batch), against the build
+    without one, which is the oracle."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_memo_build_equals_the_build(self, k):
+        # every filling at every h, in growth order: a standardization is
+        # built the first time it is met, at h = 0, and read at every other h
+        family, webs, shared = Family((k, k, k), "all"), {}, {}
+        for shard in family.shards():
+            for rows in family.grow(shard):
+                assert _as_tuples(_russell_parts(rows, webs, shared)) == _as_tuples(_russell_parts(rows)), rows
+        standardizations = {tuple(itertools.chain(*t.rows)) for t in enumerate_standard(Shape((k, k, k)))}
+        assert set(webs) == standardizations and len(webs) == {2: 5, 3: 42, 4: 462}[k]
+
+    def test_memo_holds_shared_tuples(self):
+        # no caller can change what another reads, and equal color
+        # sequences, edges and rotations are one object
+        webs, shared = {}, {}
+        for t in Family((3, 3, 3), "all").tableaux():
+            _russell_parts(t.rows, webs, shared)
+        small = []
+        for parts in webs.values():
+            assert type(parts) is tuple and all(type(field) is tuple for field in parts)
+            small += [parts[0], parts[1], *parts[2], *parts[3]]
+        assert all(type(t) is tuple for t in small)
+        assert len({id(t) for t in small}) == len(set(small)) < len(small)
+
+    def test_shared_tuples_keep_their_types(self):
+        # an id equal to a shared one but of another type is not replaced
+        shared = {}
+        sound = bijection._frozen(([BLACK, BLACK], [], [(0, 1)], [(0,), (0,)]), shared)
+        seeded = bijection._frozen(([BLACK, BLACK], [], [(0.0, 1)], [(0,), (False,)]), shared)
+        assert seeded == sound and seeded[3][0] is sound[3][0]
+        assert type(seeded[2][0][0]) is float and type(seeded[3][1][0]) is bool
+
+    def test_a_raise_is_not_remembered(self, monkeypatch):
+        real, calls = bijection._tymoczko_parts, []
+
+        def refused_once(rows):
+            calls.append(rows)
+            if len(calls) == 1:
+                raise ValueError("seeded fault")
+            return real(rows)
+
+        monkeypatch.setattr(bijection, "_tymoczko_parts", refused_once)
+        webs, shared = {}, {}
+        with pytest.raises(ValueError, match="^seeded fault$"):
+            _russell_parts(BIJ_RUSSELL.rows, webs, shared)
+        assert webs == {}
+        assert _russell_parts(BIJ_RUSSELL.rows, webs, shared) == _russell_parts(BIJ_RUSSELL.rows)
+        assert _russell_parts(BIJ_RUSSELL.rows, webs, shared) == _russell_parts(BIJ_RUSSELL.rows)
+        assert len(webs) == 1 and len(calls) == 4  # refused, built once, and twice without the memo
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("fault", ["float id", "dropped vertex"])
+    def test_fault_is_named_through_the_contraction(self, fault, memo, monkeypatch):
+        # the contraction reads the built fields before the gate does; when
+        # it fails on fields the gate refuses, the gate's refusal is raised,
+        # where the remap raised TypeError or IndexError
+        real = bijection._tymoczko_parts
+        a = real(BIJ_STANDARD.rows)[2][-1][0]
+        assert a >= 3 * 3 and len(real(BIJ_STANDARD.rows)[1]) > 3  # the last edge is an H bar
+        if fault == "float id":
+            seeded, says = with_float_bar(real), rf"bad id {a}\.0; expected an integer"
+        else:
+            seeded, says = without_last_vertex(real), r"edge \d+ endpoint out of range"
+        with pytest.raises(ValueError, match=f"^{says}$") as gate:
+            _check_structure(seeded(BIJ_STANDARD.rows))
+        monkeypatch.setattr(bijection, "_tymoczko_parts", seeded)
+        webs = ({}, {}) if memo else ()
+        for rows in (BIJ_RUSSELL.rows, BIJ_STANDARD.rows):
+            with pytest.raises(ValueError) as refused:
+                SL3_RUSSELL.check(_russell_parts(rows, *webs))
+            assert str(refused.value) == str(gate.value), rows
+        if memo and fault == "float id":
+            assert type(webs[0][tuple(itertools.chain(*BIJ_STANDARD.rows))][2][-1][0]) is float
 
 
 class TestTableauOfWeb:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import itertools
 import operator
 import random
@@ -17,9 +18,11 @@ from oracles import (
     russell_parts_by_diagram,
     theorem_failures_per_tableau,
     tymoczko_parts_by_diagram,
+    with_float_bar,
+    without_last_vertex,
 )
 from test_webcore import square_face_web
-from webweave import cli, tableau, verify, webcore
+from webweave import bijection, cli, tableau, verify, webcore
 from webweave.bijection import _russell_parts, _tymoczko_parts
 from webweave.jdt import _evacuate_rows, reading_word
 from webweave.verify import (
@@ -31,6 +34,7 @@ from webweave.verify import (
 from webweave.tableau import (
     RowStrictTableau,
     Shape,
+    _standardize,
     enumerate_russell,
     enumerate_standard,
     format_tableau,
@@ -736,3 +740,147 @@ class TestOneWebGate:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and re.fullmatch(f"error: {message}\n", err), err
+
+
+def _doc(family, check, jobs=1):
+    """The campaign's report as JSON, less its elapsed time."""
+    doc = run_verification(family, check, jobs=jobs).to_json()
+    del doc["elapsed_ms"]
+    return doc
+
+
+def _memo_free(monkeypatch, family):
+    """Put a wrapper of the family's build in verify._KINDS: a build that is
+    not _russell_parts runs as given, so the campaign keeps no memo."""
+    _patch_build(monkeypatch, family, lambda real, rows: real(rows))
+
+
+def _standardized(rows):
+    return tuple(map(tuple, _standardize(rows)[0]))
+
+
+# a standardization whose m-diagram has crossings, so its Tymoczko web's
+# last edge is an H bar between internal vertices
+VICTIM = ((1, 3, 4), (2, 6, 7), (5, 8, 9))
+
+
+class TestBatchMemo:
+    """A campaign batch over a Russell family builds the Tymoczko web of each
+    standardization once (bijection._russell_parts with the memo that
+    _check_batch gives it); the memo-free campaign is the oracle.  Pool
+    workers are forked and see every patch."""
+
+    FAMILY = Family((3, 3, 3), "all")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("check", ["theorem", "validity", "injectivity"])
+    def test_report_equals_the_memo_free_campaign(self, check, jobs, monkeypatch):
+        memo = _doc(self.FAMILY, check, jobs)
+        _memo_free(monkeypatch, self.FAMILY)
+        assert memo == _doc(self.FAMILY, check, jobs) and memo["total"] == 576
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_theorem_records_equal_the_memo_free_campaign(self, jobs, monkeypatch):
+        # with evacuation the identity the theorem fails wherever a web is
+        # not its own reflection, so the records are compared too
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
+        memo = _doc(self.FAMILY, "theorem", jobs)
+        _memo_free(monkeypatch, self.FAMILY)
+        assert memo["failures"] and memo == _doc(self.FAMILY, "theorem", jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fault", ["float id", "dropped vertex", "raise"])
+    def test_seeded_fault_in_one_standardization(self, fault, jobs, monkeypatch):
+        # one record per filling of the family with that standardization,
+        # the contracted ones too, saying what the gate says of the built
+        # fields; a raise is not remembered, so each of them builds it
+        # again, and every other standardization is built once
+        real, calls = bijection._tymoczko_parts, []
+        faulty = {"float id": with_float_bar(real), "dropped vertex": without_last_vertex(real)}.get(fault)
+        says = "seeded fault"
+        if faulty:
+            with pytest.raises(ValueError) as gate:
+                webcore._check_structure(faulty(VICTIM))
+            says = str(gate.value)
+        if fault == "float id":
+            assert says == f"bad id {float(real(VICTIM)[2][-1][0])!r}; expected an integer"
+
+        def seeded(rows):
+            calls.append(tuple(map(tuple, rows)))
+            if calls[-1] != VICTIM:
+                return real(rows)
+            if fault == "raise":
+                raise ValueError("seeded fault")
+            return faulty(rows)
+
+        monkeypatch.setattr(bijection, "_tymoczko_parts", seeded)
+        victims = [t for t in self.FAMILY.tableaux() if _standardized(t.rows) == VICTIM]
+        want = [{"tableau": format_tableau(t), "reading_word": list(reading_word(t)), "expected": "", "actual": says}
+                for t in victims]
+        want.sort(key=lambda f: tuple(f["reading_word"]))
+        memo = _doc(self.FAMILY, "validity", jobs)
+        assert len(victims) > 1 and memo["failures"] == want
+        if jobs == 1:
+            built = len(victims) if fault == "raise" else 1
+            assert calls.count(VICTIM) == built and len(calls) == 41 + built
+        _memo_free(monkeypatch, self.FAMILY)
+        assert memo == _doc(self.FAMILY, "validity", jobs)
+
+    @pytest.mark.parametrize(
+        "family, check, built",
+        [(family, check, built) for family, built in ((Family((3, 3, 3), "all"), 42), (Family((4, 4, 4), "all"), 462))
+         for check in ("theorem", "validity", "injectivity")] + [(Family((3, 3, 3), 2), "injectivity", 42)],
+        ids=lambda x: x.describe() if isinstance(x, Family) else str(x),
+    )
+    def test_one_build_per_standardization(self, family, check, built, monkeypatch):
+        # a serial campaign builds each standardization's web once, 462 times
+        # where Russell (4,4,4) has 12,976 members; without the memo it
+        # builds one per member (the theorem check builds each member once,
+        # test_each_orbit_is_checked_once)
+        real, calls = bijection._tymoczko_parts, []
+        monkeypatch.setattr(bijection, "_tymoczko_parts", lambda rows: calls.append(rows) or real(rows))
+        report = run_verification(family, check)
+        assert report.ok and len(calls) == built
+        if family.shape == (3, 3, 3):
+            calls.clear()
+            _memo_free(monkeypatch, family)
+            assert run_verification(family, check).total == len(calls) == len(family.tableaux())
+
+    def test_no_memo_outlives_a_campaign(self, monkeypatch):
+        # a build patched between two campaigns changes the second
+        assert run_verification(self.FAMILY, "validity").ok
+        real = bijection._tymoczko_parts
+        monkeypatch.setattr(bijection, "_tymoczko_parts",
+                            lambda rows: with_float_bar(real)(rows) if _standardized(rows) == VICTIM else real(rows))
+        failed = {f["tableau"] for f in run_verification(self.FAMILY, "validity").failures}
+        assert failed == {format_tableau(t) for t in self.FAMILY.tableaux() if _standardized(t.rows) == VICTIM}
+
+    def test_no_memo_outlives_a_cli_call(self, monkeypatch, capsys):
+        # to-web builds per call: a build patched between two calls on one
+        # Russell tableau changes the second, and undone, gives the first back
+        text = "1 2 3\n1 4 5\n3 6 7\n"  # standardizes to VICTIM
+        outputs = []
+
+        def to_web():
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            outputs.append((cli.main(["to-web"]), *capsys.readouterr()))
+
+        to_web()
+        with monkeypatch.context() as patched:
+            patched.setattr(bijection, "_tymoczko_parts", with_float_bar(bijection._tymoczko_parts))
+            to_web()
+        to_web()
+        first, second, third = outputs
+        assert first[0] == 0 and first[1].startswith("{") and first == third
+        assert second[:2] == (2, "") and re.fullmatch(r"error: bad id \d+\.0; expected an integer\n", second[2])
+
+    @pytest.mark.parametrize("check", ["theorem", "validity", "injectivity"])
+    def test_a_build_in_the_kinds_runs_per_filling(self, check, monkeypatch):
+        # a build that a test puts in verify._KINDS is not _russell_parts, so
+        # it keeps no memo: it is called once per filling the check builds
+        family, built = self.FAMILY, []
+        _patch_build(monkeypatch, family, lambda real, rows: built.append(rows) or real(rows))
+        members = [rows for shard in family.shards() for rows in family.grow(shard)]
+        report = run_verification(family, check)
+        assert report.ok and report.total == len(members) == 576
+        assert sorted(built) == sorted(members)
