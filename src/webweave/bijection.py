@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from math import inf
 from typing import Callable, NamedTuple
 
@@ -319,13 +319,14 @@ def russell_web(t: RowStrictTableau) -> Web:
 
 def _russell_parts(rows, webs=None, shared=None):
     """The fields of the Russell web of a filling given by its rows, no pair
-    contracted without doubled values.  _standardize makes russell_repetition's
-    checks on the rows, and the standardized rows need no more: standardizing
+    contracted without doubled values.  The rows strictly increase, as a
+    tableau's and a growth's do; _standardize makes russell_repetition's
+    checks on them, and the standardized rows need no more: standardizing
     keeps rows strict and columns weak, and _arc_ends checks the values.
 
     Without `webs` (the CLI, russell_web, tableau_of_web) the
-    standardization's Tymoczko web is built per call.  A campaign batch
-    passes two fresh dicts (verify._check_batch): `webs` keeps each
+    standardization's Tymoczko web is built per call.  A campaign batch's
+    pipeline passes two fresh dicts (Pipeline.batch): `webs` keeps each
     standardization's web, keyed by its flat rows, as tuples that share
     equal small tuples through `shared` (see _frozen), so it is built once
     per batch.  A build that raises leaves nothing behind, and the
@@ -432,10 +433,8 @@ class Pipeline(NamedTuple):
     keys are equal, without building the keys), reflect them, list their
     defects, and read the tableau's rows back off them.  `parts` builds and
     checks once; the other stages trust it, as the functions that take a
-    Matching or a Web do.  The pipelines here build per call; a campaign
-    batch gives SL3_RUSSELL's build a memo of the Tymoczko web of each
-    standardization for the batch's length (verify._check_batch), and the
-    check still runs on every filling."""
+    Matching or a Web do.  The pipelines here build per call; `batch` gives
+    the pipeline that one campaign batch runs."""
 
     build: Callable
     check: Callable[..., None]
@@ -449,6 +448,15 @@ class Pipeline(NamedTuple):
         parts = self.build(rows)
         self.check(parts)
         return parts
+
+    def batch(self) -> Pipeline:
+        """The pipeline one campaign batch runs: SL3_RUSSELL's build with a
+        fresh memo of each standardization's Tymoczko web (see
+        _russell_parts), dropped with the batch, and the check still run on
+        every filling; any other pipeline as given."""
+        if self.build is _russell_parts:
+            return self._replace(build=partial(_russell_parts, webs={}, shared={}))
+        return self
 
 
 # a matching that passes the partition and noncrossing check has no other defect;

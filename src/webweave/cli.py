@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--shape", required=True)
     verify.add_argument("--repetition", default=None)
     verify.add_argument("--check", required=True, choices=CHECK_NAMES)
-    verify.add_argument("--jobs", default="1", help="worker processes (capped by WEBWEAVE_THREADS)")
+    verify.add_argument("--jobs", default="1",
+                        help="worker processes; a family with under 4 shards per worker runs in-process")
     verify.add_argument("--max-seconds", type=_parse_seconds, default=None,
                         help="time budget, e.g. 30 or 0.5; also lifts the size bounds")
     verify.add_argument("--json", action="store_true")

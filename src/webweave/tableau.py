@@ -304,9 +304,11 @@ def _standardize(rows) -> tuple[list[list[int]], tuple[int, ...]]:
     Also return, in increasing order, the start j of the pair (j, j+1) that
     each doubled value became.  The rows come back as plain lists.
 
-    The pass makes russell_repetition's checks on the rows (NotRussellError):
-    three rows of one length, and each of 1..max once or twice, the two
-    copies of a doubled value in different rows.
+    The rows must each strictly increase, as those of a RowStrictTableau
+    and of `_grow` do, so the two copies of a doubled value are in
+    different rows.  The pass makes russell_repetition's other checks on
+    them (NotRussellError): three rows of one length, and each of 1..max
+    once or twice.
     """
     parts = tuple(map(len, rows))
     if len(parts) != 3 or not parts[0] == parts[1] == parts[2]:
@@ -325,9 +327,7 @@ def _standardize(rows) -> tuple[list[list[int]], tuple[int, ...]]:
         if len(spots) > 2:
             raise NotRussellError(f"value {v} appears {len(spots)} times")
         if len(spots) == 2:
-            (upper, _), (lower, c) = spots
-            if upper == lower:
-                raise NotRussellError(f"doubled value {v} appears twice in row {upper + 1}")
+            _, (lower, c) = spots
             out[lower][c] = smaller + 2
             starts.append(smaller + 1)
         r, c = spots[0]

@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator, NamedTuple
 
-from .bijection import SL2, SL3_RUSSELL, SL3_STANDARD, Pipeline, _russell_parts
+from .bijection import SL2, SL3_RUSSELL, SL3_STANDARD, Pipeline
 from .jdt import _evacuate_rows
 from .tableau import (
     RowStrictTableau,
@@ -17,7 +15,6 @@ from .tableau import (
     _column_word,
     _format_rows,
     _grow,
-    _int_of,
     _is_int,
     _rectangle,
     _rotate_complement,
@@ -246,15 +243,11 @@ def _check_batch(args) -> tuple[int, list[dict]]:
     its skipped partner's record with its own (see `_check_theorem`).
     Raise TimeBudgetExceeded once this call has run longer than
     `seconds_left` (inf: no budget), growing included.  The budget is a
-    duration, so a pool worker can measure it on its own clock.
-
-    A Russell build gets this call's own memo of each standardization's
-    Tymoczko web (see `_russell_parts`), dropped when the call returns; a
-    build that is not `_russell_parts` runs as given."""
+    duration, so a pool worker can measure it on its own clock.  The checks
+    run the pipeline that `Pipeline.batch` gives for this call, so a memo
+    it keeps is dropped when the call returns."""
     check, family, shards, max_seconds, seconds_left = args
-    fn, pipeline = _PER_TABLEAU[check], family.pipeline
-    if pipeline.build is _russell_parts:
-        pipeline = pipeline._replace(build=partial(_russell_parts, webs={}, shared={}))
+    fn, pipeline = _PER_TABLEAU[check], family.pipeline.batch()
     start = time.monotonic()
     count = 0
     failures = []
@@ -265,21 +258,6 @@ def _check_batch(args) -> tuple[int, list[dict]]:
             if time.monotonic() - start > seconds_left:
                 raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
     return count, failures
-
-
-def _worker_count(jobs: int | None) -> int:
-    if jobs is None:
-        jobs = 1
-    _check_ints((jobs,), "jobs")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    cap = os.environ.get("WEBWEAVE_THREADS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, _int_of(cap.strip(), "WEBWEAVE_THREADS")))
-        except ValueError:
-            raise ValueError(f"WEBWEAVE_THREADS must be an integer, got {cap!r}") from None
-    return jobs
 
 
 def run_verification(
@@ -293,9 +271,11 @@ def run_verification(
     Families beyond the desk-scale bounds are refused unless a time budget is
     given; exceeding a given budget, growing included, aborts with
     TimeBudgetExceeded, and a negative (-0.0 too), infinite or NaN budget or jobs < 1
-    is refused with ValueError before anything is grown.  Each tableau is
-    grown where it is checked: in-process, or with `jobs` workers in a pool
-    worker that grows every `jobs`-th shard of the family.  The theorem is
+    is refused with ValueError before anything is grown.  `jobs` (None: 1)
+    alone sets the workers.  The shards are dealt into `jobs` batches, each
+    of every `jobs`-th shard, and each tableau is grown where its batch is
+    checked: in a pool worker, or in-process when jobs is 1 or the family
+    has fewer than 4 * jobs shards, which makes one batch.  The theorem is
     checked once per evacuation orbit, and a skipped tableau's failure is
     recorded by its partner's check, in whichever worker grew it; records
     are sorted by reading word, so the report does not depend on `jobs`.
@@ -310,27 +290,32 @@ def run_verification(
         and math.copysign(1.0, max_seconds) > 0  # also NaN and -0.0
     ):
         raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds!r}")
-    jobs = _worker_count(jobs)
+    if jobs is None:
+        jobs = 1
+    _check_ints((jobs,), "jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
 
     def seconds_left() -> float:
         return math.inf if max_seconds is None else max_seconds - (time.monotonic() - start)
 
     shards = family.shards()
-    if jobs == 1 or len(shards) < 4 * jobs:
-        total, failures = _check_batch((check, family, shards, max_seconds, seconds_left()))
+    if len(shards) < 4 * jobs:
+        jobs = 1
+    batches = [(check, family, shards[i::jobs], max_seconds, seconds_left()) for i in range(jobs)]
+    if jobs == 1:
+        results = [_check_batch(batches[0])]
     else:
         # imported here, so a serial campaign and the CLI load no process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = [(check, family, shards[i::jobs], max_seconds, seconds_left()) for i in range(jobs)]
             results = list(pool.map(_check_batch, batches))
-        total = sum(count for count, _ in results)
-        failures = [bad for _, batch in results for bad in batch]
         if seconds_left() < 0:
             raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
 
-    failures.sort(key=lambda f: tuple(f["reading_word"]))
+    total = sum(count for count, _ in results)
+    failures = sorted((bad for _, batch in results for bad in batch), key=lambda f: tuple(f["reading_word"]))
     elapsed = (time.monotonic() - start) * 1000.0
     return VerifyReport(family.describe(), check, total, failures, elapsed)

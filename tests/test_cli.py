@@ -678,8 +678,7 @@ class TestImports:
         ])
         assert out.splitlines()[-1] == "0 [0, 0] []"
 
-    def test_forking_campaign_loads_the_pool(self, monkeypatch):
-        monkeypatch.delenv("WEBWEAVE_THREADS", raising=False)
+    def test_forking_campaign_loads_the_pool(self):
         _, out, _ = run_python([
             "-c",
             "import sys, webweave.cli as cli\n"

@@ -293,22 +293,43 @@ class TestRunVerification:
         assert serial.total == parallel.total == 42
         assert serial.failures == parallel.failures == []
 
-    def test_thread_cap_env(self, monkeypatch):
+    def test_jobs_alone_sets_the_workers(self, monkeypatch):
+        # WEBWEAVE_THREADS once capped the workers; no variable is read now
         monkeypatch.setenv("WEBWEAVE_THREADS", "1")
-        result = run_verification(Family((3, 3, 3)), "theorem", jobs=8)
-        assert result.ok and result.total == 42
+        sent = []
 
-    def test_thread_cap_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("WEBWEAVE_THREADS", "x")
-        with pytest.raises(ValueError, match="WEBWEAVE_THREADS"):
-            run_verification(Family((3, 3, 3)), "theorem", jobs=2)
+        class RecordingPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
 
-    @pytest.mark.parametrize("cap", ["1_0", "+2", "\u0662", "02"])
-    def test_thread_cap_env_is_spelled_one_way(self, monkeypatch, cap):
-        # int() read each of these, so they used to cap the workers
-        monkeypatch.setenv("WEBWEAVE_THREADS", cap)
-        with pytest.raises(ValueError, match="WEBWEAVE_THREADS must be an integer"):
-            verify._worker_count(4)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, batches):
+                sent.extend(batches)
+                return [fn(batch) for batch in batches]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        report = run_verification(Family((4, 4, 4)), "theorem", jobs=2)
+        assert len(sent) == 2 and report.ok and report.total == 462
+
+    @pytest.mark.parametrize("jobs", [2, 8])
+    def test_family_with_few_shards_runs_in_process(self, jobs, monkeypatch):
+        # (3,3) has 5 shards, fewer than 4 per worker, so it is checked as
+        # one batch in-process; with evacuation the identity the theorem
+        # fails on every matching that is not its own reflection
+        def no_pool(max_workers):
+            raise AssertionError("a process pool was built")
+
+        family = Family((3, 3))
+        assert len(family.shards()) == 5
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
+        serial = _doc(family, "theorem")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert serial["failures"] and _doc(family, "theorem", jobs) == serial
 
 
 class TestShards:
@@ -884,3 +905,50 @@ class TestBatchMemo:
         report = run_verification(family, check)
         assert report.ok and report.total == len(members) == 576
         assert sorted(built) == sorted(members)
+
+
+class TestContractionRefusal:
+    """When the contraction refuses fields that the gate accepts,
+    bijection._russell_parts raises the contraction's own ValueError; a
+    standardization with a pair start shifted off its pair is the seed.
+    Pool workers are forked and see the patch."""
+
+    FAMILY = Family((3, 3, 3), "all")
+
+    @staticmethod
+    def _shift_victim_pairs(monkeypatch):
+        # the first pair of each filling that standardizes to VICTIM moves
+        # one label on, where its two boundary vertices share no white
+        real = bijection._standardize
+
+        def shifted(rows):
+            out, starts = real(rows)
+            if starts and tuple(map(tuple, out)) == VICTIM:
+                starts = (starts[0] + 1, *starts[1:])
+            return out, starts
+
+        monkeypatch.setattr(bijection, "_standardize", shifted)
+
+    def test_the_contraction_error_is_raised(self, monkeypatch):
+        rows = ((1, 2, 3), (1, 5, 6), (4, 7, 8))  # standardizes to VICTIM, pair (1, 2)
+        webcore._check_structure(_tymoczko_parts(VICTIM))
+        self._shift_victim_pairs(monkeypatch)
+        with pytest.raises(ValueError, match=r"^boundary vertices 2 and 3 have no common white neighbor$"):
+            _russell_parts(rows)
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "memo-free"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_validity_record_per_affected_filling(self, memo, jobs, monkeypatch):
+        victims = []
+        for t in self.FAMILY.tableaux():
+            rows, starts = _standardize(t.rows)
+            if starts and tuple(map(tuple, rows)) == VICTIM:
+                says = f"boundary vertices {starts[0] + 1} and {starts[0] + 2} have no common white neighbor"
+                victims.append({"tableau": format_tableau(t), "reading_word": list(reading_word(t)),
+                                "expected": "", "actual": says})
+        victims.sort(key=lambda f: tuple(f["reading_word"]))
+        self._shift_victim_pairs(monkeypatch)
+        if not memo:
+            _memo_free(monkeypatch, self.FAMILY)
+        doc = _doc(self.FAMILY, "validity", jobs)
+        assert len(victims) == 7 and doc["total"] == 576 and doc["failures"] == victims
