@@ -430,11 +430,11 @@ class Pipeline(NamedTuple):
     """What a kind of family does with the rows of each tableau: build the
     sorted pairs of its matching or the plain fields of its web, check them,
     key them canonically, tell whether two are the same (exactly when their
-    keys are equal, without building the keys), reflect them, list their
-    defects, and read the tableau's rows back off them.  `parts` builds and
-    checks once; the other stages trust it, as the functions that take a
-    Matching or a Web do.  The pipelines here build per call; `batch` gives
-    the pipeline that one campaign batch runs."""
+    keys are equal, raising when a key would, without printing the keys),
+    reflect them, list their defects, and read the tableau's rows back off
+    them.  `parts` builds and checks once; the other stages trust it, as
+    the functions that take a Matching or a Web do.  The pipelines here
+    build per call; `batch` gives the pipeline that one campaign batch runs."""
 
     build: Callable
     check: Callable[..., None]

@@ -460,6 +460,17 @@ def enumerate_standard(shape: Shape) -> list[RowStrictTableau]:
     return _sorted_tableaux(shape, 0)
 
 
+def _max_repetition(k: int) -> int:
+    """The most doubled values of a (k,k,k) filling: each fills 2 of 3k boxes."""
+    return 3 * k // 2
+
+
+def _check_repetition(k: int, h: int) -> None:
+    """Refuse a number h of doubled values that no (k,k,k) filling has."""
+    if not 0 <= h <= _max_repetition(k):
+        raise ValueError(f"repetition {h} out of range 0..{_max_repetition(k)} for k={k}")
+
+
 def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     """All 3-row rectangular once-or-twice fillings with exactly h doubled values.
 
@@ -472,8 +483,7 @@ def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_ints((h,), "repetition")
-    if h < 0 or h > 3 * k - 1:
-        raise ValueError(f"repetition {h} out of range for k={k}")
+    _check_repetition(k, h)
     return _sorted_tableaux(Shape((k, k, k)), h)
 
 

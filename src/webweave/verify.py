@@ -12,10 +12,12 @@ from .tableau import (
     RowStrictTableau,
     Shape,
     _check_ints,
+    _check_repetition,
     _column_word,
     _format_rows,
     _grow,
     _is_int,
+    _max_repetition,
     _rectangle,
     _rotate_complement,
     _sorted_tableaux,
@@ -47,8 +49,8 @@ class TimeBudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class Family:
     """An enumerable verification domain: (n, n), or (k, k, k) with an
-    optional repetition (None = standard tableaux, "all" = every h).  A (k,k,k)
-    filling has at most 3k // 2 doubled values, so a larger h is refused.
+    optional repetition (None = standard tableaux, "all" = every h).  An h
+    that no (k,k,k) filling has is refused, as enumerate_russell refuses it.
     The kind follows from the tableaux held: h = 0 holds exactly the standard
     tableaux, so it has their kind, and only describe() tells them apart."""
 
@@ -62,10 +64,7 @@ class Family:
         if self.repetition not in (None, "all"):
             if not _is_int(self.repetition):
                 raise ValueError(f"bad repetition {self.repetition!r}; expected an integer or 'all'")
-            if not 0 <= self.repetition <= self.max_repetition:
-                raise ValueError(
-                    f"repetition {self.repetition} out of range 0..{self.max_repetition} for k={self.shape[0]}"
-                )
+            _check_repetition(self.shape[0], self.repetition)
 
     @property
     def rows(self) -> int:
@@ -73,7 +72,7 @@ class Family:
 
     @property
     def max_repetition(self) -> int:
-        return 3 * self.shape[0] // 2
+        return _max_repetition(self.shape[0])
 
     @property
     def is_russell(self) -> bool:

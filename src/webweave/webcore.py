@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .tableau import _check_ints, _field, _is_int, _typed, _typed_items
 
 BLACK = "black"
 WHITE = "white"
+_MARK = {BLACK: "B", WHITE: "W"}  # a color's letter in canonical keys
 
 
 class WebStructureError(ValueError):
@@ -237,80 +239,68 @@ def _defects(parts) -> list[str]:
     return report
 
 
-def canonicalize(web: Web) -> str:
-    """Deterministic encoding, equal for isotopic webs with the same boundary.
-
-    Breadth-first from the boundary vertices in label order; each internal
-    vertex's rotation is read counterclockwise starting from its discovery
-    edge, so internal vertex names and rotation phases wash out.
-    """
-    return _canonical(_fields(web))
-
-
-def _canonical(parts) -> str:
-    """canonicalize on the plain fields of a structurally sound web."""
+def _walk(parts) -> list:
+    """The word of a structurally sound web, equal for two webs exactly when
+    they are isotopic with the boundary fixed: one breadth-first walk from
+    the boundary in label order names each vertex by its place in the walk
+    and reads its rotation counterclockwise from the edge it was reached by.
+    The word is the numbers of boundary vertices and of vertices, then each
+    vertex's color, degree and neighbors' names, in walk order, one field at
+    a time.  An unreachable vertex raises ValueError."""
     boundary_colors, internal_colors, edges, rotation = parts
     b = len(boundary_colors)
-    marks = ["B" if c == BLACK else "W" for c in (*boundary_colors, *internal_colors)]
+    colors = (*boundary_colors, *internal_colors)
+    name = [*range(b), *[-1] * len(internal_colors)]
     order = list(range(b))  # vertex of each name
-    name: list[str | None] = [str(v) for v in order] + [None] * len(internal_colors)
     reading = list(rotation[:b])
-    chunks = ["".join(marks[:b])]
-    for v, rot in zip(order, reading):  # both grow as vertices are discovered
-        nbrs = []
+    names = []
+    for v, rot in zip(order, reading):  # both grow as vertices are reached
         for e in rot:
             x, y = edges[e]
             w = y if x == v else x
-            if name[w] is None:
-                name[w] = str(len(order))
+            n = name[w]
+            if n < 0:
+                n = name[w] = len(order)
                 order.append(w)
                 r = rotation[w]
                 i = r.index(e)
                 reading.append(r[i:] + r[:i])
-            nbrs.append(name[w])
-        chunks.append(f"{marks[v]}({','.join(nbrs)})")
-    if len(order) != len(marks):
+            names.append(n)
+    if len(order) != len(colors):
         raise ValueError("web has vertices unreachable from the boundary")
-    return "|".join(chunks)
+    return [b, len(order), *[colors[v] for v in order], *map(len, reading), *names]
+
+
+@cache
+def _chunk(color: str, degree: int) -> str:
+    """The key's format for a vertex of this color and degree."""
+    return f"{_MARK[color]}({','.join(['%d'] * degree)})"
+
+
+def canonicalize(web: Web) -> str:
+    """Deterministic encoding, equal for isotopic webs with the same boundary:
+    the word of _walk printed as the boundary's color marks, then one
+    `mark(neighbor names)` chunk per vertex, all joined by '|'."""
+    return _canonical(_fields(web))
+
+
+def _canonical(parts) -> str:
+    """canonicalize on plain fields, printed from the word alone."""
+    word = _walk(parts)
+    b, n = word[0], word[1]
+    colors = word[2:n + 2]
+    form = "|".join(["".join([_MARK[c] for c in colors[:b]]), *map(_chunk, colors, word[n + 2:2 * n + 2])])
+    return form % tuple(word[2 * n + 2:])
 
 
 def _same_web(a, b) -> bool:
-    """_canonical(a) == _canonical(b) for sound webs, without the strings:
-    one breadth-first walk of both from the boundary in label order names
-    each vertex pair when first reached, reads each rotation from the edge
-    it was found by, and stops at the first difference.  Colors compare by
-    value, so lists meet tuples.  Walks that agree to the end with a vertex
-    unreached raise ValueError, as _canonical does."""
-    (outer_a, inner_a, edges_a, rot_a), (outer_b, inner_b, edges_b, rot_b) = a, b
-    nb = len(outer_a)
-    if len(inner_a) != len(inner_b) or list(outer_a) != list(outer_b):
-        return False
-    name_a, name_b = [*range(nb), *[-1] * len(inner_a)], [*range(nb), *[-1] * len(inner_b)]
-    queue = [(v, v, rot_a[v], rot_b[v]) for v in range(nb)]  # grows as vertex pairs are named
-    for va, vb, ra, rb in queue:
-        if len(ra) != len(rb):
-            return False
-        for ea, eb in zip(ra, rb):
-            x, y = edges_a[ea]
-            wa = y if x == va else x
-            x, y = edges_b[eb]
-            wb = y if x == vb else x
-            if name_a[wa] != name_b[wb]:
-                return False
-            if name_a[wa] < 0:
-                if inner_a[wa - nb] != inner_b[wb - nb]:
-                    return False
-                name_a[wa] = name_b[wb] = len(queue)
-                r, s = rot_a[wa], rot_b[wb]
-                i, j = r.index(ea), s.index(eb)
-                queue.append((wa, wb, r[i:] + r[:i], s[j:] + s[:j]))
-    if len(queue) != len(name_a):
-        raise ValueError("web has vertices unreachable from the boundary")
-    return True
+    """_canonical(a) == _canonical(b) for sound webs, raising alike, without the strings."""
+    return _walk(a) == _walk(b)
 
 
 def webs_equal(a: Web, b: Web) -> bool:
-    return canonicalize(a) == canonicalize(b)
+    """Whether two webs are isotopic with the boundary fixed, as their keys say."""
+    return _same_web(_fields(a), _fields(b))
 
 
 def _contract(parts, positions):

@@ -64,7 +64,7 @@ def families_2_to_4():
     fams = [(("standard", (n, n)), enumerate_standard(Shape((n, n)))) for n in range(1, 9)]
     fams += [(("standard", (k, k, k)), enumerate_standard(Shape((k, k, k)))) for k in range(1, 5)]
     for k in range(1, 4):
-        for h in range(0, 3 * k):
+        for h in range(3 * k // 2 + 1):
             family = enumerate_russell(k, h)
             if family:
                 fams.append((("russell", (k, k, k), h), family))
@@ -150,7 +150,7 @@ def test_criterion_4_theorem_russell():
     start = time.monotonic()
     total = failures = 0
     for k in range(1, 4):
-        for h in range(0, 3 * k):
+        for h in range(3 * k // 2 + 1):
             for t in enumerate_russell(k, h):
                 total += 1
                 if canonicalize(reflect_web(russell_web(t))) != canonicalize(russell_web(evacuate(t))):

@@ -355,7 +355,7 @@ class TestEvacuate:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_delta_oracle_russell(self, k):
-        for h in range(3 * k):
+        for h in range(3 * k // 2 + 1):
             for t in enumerate_russell(k, h):
                 assert evacuate(t) == evacuate_by_delta(t)
 

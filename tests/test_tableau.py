@@ -293,7 +293,7 @@ class TestStandardize:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_splitting_oracle(self, k):
-        for h in range(3 * k):
+        for h in range(3 * k // 2 + 1):
             for t in enumerate_russell(k, h):
                 assert standardize_with_pairs(t) == standardize_with_pairs_by_splitting(t), t.rows
 
@@ -428,7 +428,8 @@ class TestEnumerateRussell:
             except NotRussellError:
                 continue
             by_h.setdefault(h, set()).add(t)
-        for h in range(0, 3 * k):
+        assert max(by_h) <= 3 * k // 2  # no filling doubles more values
+        for h in range(3 * k // 2 + 1):
             assert set(enumerate_russell(k, h)) == by_h.get(h, set()), f"h={h}"
 
     @pytest.mark.parametrize("h", [1.5, True])
@@ -440,10 +441,12 @@ class TestEnumerateRussell:
     def test_rejects_k_or_repetition_out_of_range(self):
         with pytest.raises(ValueError, match="^k must be at least 1$"):
             enumerate_russell(0, 0)
-        with pytest.raises(ValueError, match="^repetition 3 out of range for k=1$"):
-            enumerate_russell(1, 3)
-        with pytest.raises(ValueError, match="^repetition -1 out of range for k=1$"):
+        with pytest.raises(ValueError, match="^repetition 2 out of range 0..1 for k=1$"):
+            enumerate_russell(1, 2)
+        with pytest.raises(ValueError, match="^repetition -1 out of range 0..1 for k=1$"):
             enumerate_russell(1, -1)
+        with pytest.raises(ValueError, match="^repetition 4 out of range 0..3 for k=2$"):
+            enumerate_russell(2, 4)
 
     @pytest.mark.parametrize("k", [2.5, True])
     def test_rejects_non_integer_k(self, k):
@@ -453,11 +456,11 @@ class TestEnumerateRussell:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_collapse_oracle(self, k):
-        for h in range(0, 3 * k):
+        for h in range(3 * k // 2 + 1):
             assert enumerate_russell(k, h) == enumerate_russell_by_collapse(k, h), f"h={h}"
 
     def test_standardization_closure(self):
-        for h in range(5):
+        for h in range(4):
             for t in enumerate_russell(2, h):
                 u = standardize(t)
                 assert is_standard(u)

@@ -297,17 +297,31 @@ class TestSameAgainstKeys:
 
     def test_small_webs(self):
         # a vertex of another degree (one edge against two parallel ones), a
-        # mirror image, a web against itself, and webs of other sizes
+        # mirror image, a web against itself, webs of other sizes, and the
+        # theta web of test_unreachable_vertex_rejected against each of them
+        # (a path among them has its size): same and webs_equal raise exactly
+        # when a key does
         one = ((BLACK, WHITE), (), ((0, 1),), ((0,), (0,)))
         two = ((BLACK, WHITE), (), ((0, 1), (0, 1)), ((0, 1), (1, 0)))
+        path = ((BLACK, WHITE), (WHITE, BLACK), ((0, 2), (2, 3), (3, 1)), ((0,), (2,), (0, 1), (1, 2)))
+        theta = ((BLACK, WHITE), (WHITE, BLACK), ((0, 1), (2, 3), (2, 3), (2, 3)), ((0,), (0,), (1, 2, 3), (1, 3, 2)))
         tri, square = _fields(tripod()), _fields(square_face_web())
-        webs = [one, two, tri, _reflect_parts(tri), _fields(contract_pair(tripod(), 1)), square]
+        webs = [one, two, path, theta, tri, _reflect_parts(tri), _fields(contract_pair(tripod(), 1)), square]
         outcomes = set()
         for a, b in itertools.product(webs, repeat=2):
+            try:
+                keys_equal = _canonical(a) == _canonical(b)
+            except ValueError:
+                for equal in (_same_web, lambda a, b: webs_equal(Web(*a), Web(*b))):
+                    with pytest.raises(ValueError, match="unreachable"):
+                        equal(a, b)
+                outcomes.add("raises")
+                continue
             same = _same_web(a, b)
-            assert same == (_canonical(a) == _canonical(b)), (a, b)
+            assert same == keys_equal, (a, b)
+            assert webs_equal(Web(*a), Web(*b)) == (canonicalize(Web(*a)) == canonicalize(Web(*b))), (a, b)
             outcomes.add(same)
-        assert outcomes == {True, False}
+        assert outcomes == {True, False, "raises"}
 
     def test_sl2_same_is_string_equality(self, family_webs):
         p, members = SL2, family_webs(Family((8, 8)))
@@ -417,7 +431,7 @@ class TestReflectWeb:
         assert reflected.boundary_colors == (BLACK, WHITE)
 
     def test_direct_mirror_matches_expansion_oracle(self):
-        webs = [russell_web(t) for k in (1, 2, 3) for h in range(3 * k) for t in enumerate_russell(k, h)]
+        webs = [russell_web(t) for k in (1, 2, 3) for h in range(3 * k // 2 + 1) for t in enumerate_russell(k, h)]
         assert len(webs) == 612  # 3 + 33 + 576 over k = 1, 2, 3
         webs += [tymoczko_web(t) for k in (3, 4) for t in enumerate_standard(Shape((k, k, k)))]
         for web in webs:
