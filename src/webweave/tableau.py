@@ -298,42 +298,40 @@ def _russell_rows(t: RowStrictTableau) -> tuple[tuple[int, ...], ...]:
 
 
 def _standardize(rows) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Standardize the rows of a 3-row rectangular once-or-twice filling in
-    one pass: a box's new value is the number of entries with a smaller
-    original value, plus 1, plus 1 more in the lower copy of a doubled value.
-    Also return, in increasing order, the start j of the pair (j, j+1) that
-    each doubled value became.  The rows come back as plain lists.
+    """Standardize the rows of a 3-row rectangular once-or-twice filling by
+    one stable sort of its boxes, row by row, by value: a box's new value is
+    its rank, the number of entries with a smaller original value, plus 1,
+    plus 1 more in the lower copy of a doubled value.  Also return, in
+    increasing order, the start j of the pair (j, j+1) that each doubled
+    value became.  The rows come back as plain lists.
 
-    The rows must each strictly increase, as those of a RowStrictTableau
-    and of `_grow` do, so the two copies of a doubled value are in
-    different rows.  The pass makes russell_repetition's other checks on
-    them (NotRussellError): three rows of one length, and each of 1..max
-    once or twice.
+    The rows must each strictly increase and hold positive values, as those
+    of a RowStrictTableau and of `_grow` do, so the two copies of a doubled
+    value are in different rows.  One walk over the ranks makes
+    russell_repetition's other checks (NotRussellError): three rows of one
+    length, and each of 1..max once or twice.
     """
     parts = tuple(map(len, rows))
     if len(parts) != 3 or not parts[0] == parts[1] == parts[2]:
         raise NotRussellError(f"shape {parts} is not a 3-row rectangle")
-    boxes: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(rows):  # row by row, so each list runs top down
-        for c, v in enumerate(row):
-            boxes.setdefault(v, []).append((r, c))
-    out = [list(row) for row in rows]
+    flat = [*rows[0], *rows[1], *rows[2]]
+    out = flat[:]
     starts = []
-    smaller = 0
-    for v in range(1, max(boxes, default=0) + 1):
-        spots = boxes.get(v)
-        if spots is None:
-            raise NotRussellError(f"value {v} is missing")
-        if len(spots) > 2:
-            raise NotRussellError(f"value {v} appears {len(spots)} times")
-        if len(spots) == 2:
-            _, (lower, c) = spots
-            out[lower][c] = smaller + 2
-            starts.append(smaller + 1)
-        r, c = spots[0]
-        out[r][c] = smaller + 1
-        smaller += len(spots)
-    return out, tuple(starts)
+    prev, doubled = 0, False
+    for rank, i in enumerate(sorted(range(len(flat)), key=flat.__getitem__), 1):
+        v = flat[i]
+        if v == prev:
+            if doubled:
+                raise NotRussellError(f"value {v} appears {flat.count(v)} times")
+            doubled = True
+            starts.append(rank - 1)
+        elif v == prev + 1:
+            prev, doubled = v, False
+        else:
+            raise NotRussellError(f"value {prev + 1} is missing")
+        out[i] = rank
+    k = parts[0]
+    return [out[:k], out[k:2 * k], out[2 * k:]], tuple(starts)
 
 
 def standardize(t: RowStrictTableau) -> RowStrictTableau:
@@ -392,29 +390,31 @@ def _fill(parts, rows: list[list[int]], v: int, left: int, remaining: int, last:
     Each value takes one addable box or, for exactly `left` of the values,
     an addable box plus a box in a lower row that is addable once the first
     is placed (never right of the first, since the filled boxes form a
-    partition).  Rows then strictly and columns weakly increase.  A child
-    with more doubled values left than half its empty boxes is dead and is
-    not made.
+    partition): a row is addable while shorter than its part and than the
+    row above, whose length the loops carry (with the upper box placed, for
+    the lower).  Rows then strictly and columns weakly increase.  A child
+    with more doubled values left than half its empty boxes is not made.
     """
-
-    def addable(r: int) -> bool:
-        n = len(rows[r])
-        return n < parts[r] and (r == 0 or len(rows[r - 1]) > n)
-
     cut = v >= last
-    for r in range(len(parts)):
-        if not addable(r):
-            continue
-        rows[r].append(v)
-        if 2 * left < remaining:
-            yield rows if cut or remaining == 1 else _fill(parts, rows, v + 1, left, remaining - 1, last)
-        if left:
-            for s in range(r + 1, len(parts)):
-                if addable(s):
-                    rows[s].append(v)
-                    yield rows if cut or remaining == 2 else _fill(parts, rows, v + 1, left - 1, remaining - 2, last)
-                    rows[s].pop()
-        rows[r].pop()
+    above, r = inf, 0
+    for row in rows:
+        n = len(row)
+        if n < parts[r] and n < above:
+            row.append(v)
+            if 2 * left < remaining:
+                yield rows if cut or remaining == 1 else _fill(parts, rows, v + 1, left, remaining - 1, last)
+            if left:
+                up = n + 1
+                for s in range(r + 1, len(rows)):
+                    lower = rows[s]
+                    m = len(lower)
+                    if m < parts[s] and m < up:
+                        lower.append(v)
+                        yield rows if cut or remaining == 2 else _fill(parts, rows, v + 1, left - 1, remaining - 2, last)
+                        lower.pop()
+                    up = m
+            row.pop()
+        above, r = n, r + 1
 
 
 def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = (), last: float = inf):

@@ -8,6 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from webweave import verify
 from webweave.bijection import (
@@ -521,6 +522,58 @@ def enumerate_standard_by_cells(shape: Shape) -> list[RowStrictTableau]:
     return results
 
 
+def _fill_by_closures(parts, rows, v, left, remaining, last):
+    """webweave.tableau._fill with one `addable` closure per growth node,
+    asked again for every row, where `_fill` carries the length of the row
+    above through its row loops."""
+
+    def addable(r: int) -> bool:
+        n = len(rows[r])
+        return n < parts[r] and (r == 0 or len(rows[r - 1]) > n)
+
+    cut = v >= last
+    for r in range(len(parts)):
+        if not addable(r):
+            continue
+        rows[r].append(v)
+        if 2 * left < remaining:
+            yield rows if cut or remaining == 1 else _fill_by_closures(parts, rows, v + 1, left, remaining - 1, last)
+        if left:
+            for s in range(r + 1, len(parts)):
+                if addable(s):
+                    rows[s].append(v)
+                    yield (rows if cut or remaining == 2
+                           else _fill_by_closures(parts, rows, v + 1, left - 1, remaining - 2, last))
+                    rows[s].pop()
+        rows[r].pop()
+
+
+def grow_by_closures(shape: Shape, doubled: int, prefix=(), last=inf) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows webweave.tableau._grow(shape, doubled, prefix, last) yields,
+    in its order, grown by `_fill_by_closures` from the same explicit stack.
+    The reference for the order of `_grow` and of Family.shards()."""
+    parts = shape.parts
+    rows = [list(row) for row in prefix] or [[] for _ in parts]
+    placed = sum(map(len, rows))
+    top = max(map(max, filter(None, rows)), default=0)
+    left, remaining = doubled - (placed - top), shape.size - placed
+    if 2 * left > remaining:
+        return []
+    if remaining == 0 or top >= last:
+        return [tuple(map(tuple, rows))]
+    out = []
+    stack = [_fill_by_closures(parts, rows, top + 1, left, remaining, last)]
+    while stack:
+        for child in stack[-1]:
+            if child is not rows:
+                stack.append(child)
+                break
+            out.append(tuple(map(tuple, rows)))
+        else:
+            stack.pop()
+    return out
+
+
 def _merge_sets(limit: int, h: int) -> list[tuple[int, ...]]:
     """Size-h subsets of 1..limit with no two consecutive members."""
     out = []
@@ -594,6 +647,35 @@ def standardize_cells_by_splitting(t: RowStrictTableau) -> tuple[dict[tuple[int,
             raise NotRussellError(f"doubled value {v} split into non-consecutive {j}, {j1}")
         pair_starts[v] = j
     return cells, pair_starts
+
+
+def standardize_rows_by_values(rows) -> tuple[list[list[int]], tuple[int, ...]]:
+    """webweave.tableau._standardize as a dict of box lists walked value by
+    value: the reference for the sort's results and refusals."""
+    parts = tuple(map(len, rows))
+    if len(parts) != 3 or not parts[0] == parts[1] == parts[2]:
+        raise NotRussellError(f"shape {parts} is not a 3-row rectangle")
+    boxes: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(rows):  # row by row, so each list runs top down
+        for c, v in enumerate(row):
+            boxes.setdefault(v, []).append((r, c))
+    out = [list(row) for row in rows]
+    starts = []
+    smaller = 0
+    for v in range(1, max(boxes, default=0) + 1):
+        spots = boxes.get(v)
+        if spots is None:
+            raise NotRussellError(f"value {v} is missing")
+        if len(spots) > 2:
+            raise NotRussellError(f"value {v} appears {len(spots)} times")
+        if len(spots) == 2:
+            _, (lower, c) = spots
+            out[lower][c] = smaller + 2
+            starts.append(smaller + 1)
+        r, c = spots[0]
+        out[r][c] = smaller + 1
+        smaller += len(spots)
+    return out, tuple(starts)
 
 
 def standardize_with_pairs_by_splitting(t: RowStrictTableau) -> tuple[RowStrictTableau, tuple[int, ...]]:

@@ -66,8 +66,8 @@ def families_2_to_4():
     for k in range(1, 4):
         for h in range(3 * k // 2 + 1):
             family = enumerate_russell(k, h)
-            if family:
-                fams.append((("russell", (k, k, k), h), family))
+            assert family, f"russell k={k} h={h} grows no filling"
+            fams.append((("russell", (k, k, k), h), family))
     return fams
 
 

@@ -15,11 +15,13 @@ from oracles import (
     enumerate_russell_by_collapse,
     enumerate_standard_by_cells,
     first_fault,
+    grow_by_closures,
     random_box_set,
     random_skew_filling,
     random_skew_tableau,
     skew_shape_by_row_scans,
     standardize_cells_by_splitting,
+    standardize_rows_by_values,
     standardize_with_pairs_by_splitting,
     tableau_gate_by_cells,
 )
@@ -31,6 +33,7 @@ from webweave.tableau import (
     SkewShape,
     _broken_column,
     _column_word,
+    _grow,
     _int_of,
     _standardize,
     count_standard,
@@ -48,6 +51,7 @@ from webweave.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
+from webweave.verify import _KINDS
 
 T = RowStrictTableau.from_rows
 
@@ -326,6 +330,33 @@ class TestStandardize:
         assert kernel == [outcome(oracle_kernel, t) for t in gapless]
         assert NotRussellError in kernel
 
+    def test_refuses_and_ranks_like_the_value_walk(self):
+        # the sort must give the dict walk's rows and pair starts, or its
+        # refusal word for word: the missing value, the count of a value
+        # that appears three times, the shape
+        rng = random.Random(32)
+
+        def outcome(fn, rows):
+            try:
+                return fn(rows)
+            except NotRussellError as e:
+                return str(e)
+
+        seen = set()
+        for _ in range(20000):
+            k = rng.randint(0, 4)
+            top = rng.randint(k, 3 * k + 2)
+            lengths = [k, k, k]
+            if rng.random() < 0.1:
+                lengths[rng.randrange(3)] = rng.randint(0, k + 1)
+            rows = [sorted(rng.sample(range(1, top + 1), min(n, top))) for n in lengths]
+            if rng.random() < 0.05:
+                del rows[rng.randrange(3)]
+            got = outcome(_standardize, rows)
+            assert got == outcome(standardize_rows_by_values, rows), rows
+            seen.add(re.sub(r"\d+|\(.*\)", "#", got) if isinstance(got, str) else "ranked")
+        assert seen == {"ranked", "value # is missing", "value # appears # times", "shape # is not a #-row rectangle"}
+
 
 class TestRotateComplement:
     def test_lemma_example(self):
@@ -403,6 +434,31 @@ class TestCounting:
             assert ref() is None
         finally:
             gc.enable()
+
+
+_GROWN = (
+    [((n, n), 0) for n in range(1, 9)]
+    + [((k, k, k), 0) for k in range(1, 5)]
+    + [((k, k, k), h) for k in range(1, 4) for h in range(3 * k // 2 + 1)]
+    + [((3, 2, 1), 0), ((4, 2, 2), 0), ((5, 3), 0)]
+)
+
+
+class TestGrowthOrder:
+    # --jobs deals shards by position and the enumeration oracles compare
+    # sorted sets, so the order of growth is checked on its own
+
+    @pytest.mark.parametrize("shape,h", _GROWN)
+    def test_matches_closure_growth_in_order(self, shape, h):
+        assert list(_grow(Shape(shape), h)) == grow_by_closures(Shape(shape), h)
+
+    @pytest.mark.parametrize("shape,h", [(shape, h) for shape, h in _GROWN if len(shape) > 1 and shape[0] == shape[-1]])
+    def test_cut_trees_and_their_shards_match_closure_growth(self, shape, h):
+        for depth in sorted({kind.depth for kind in _KINDS.values()}):
+            prefixes = list(_grow(Shape(shape), h, (), depth))
+            assert prefixes == grow_by_closures(Shape(shape), h, (), depth)
+            for prefix in prefixes:
+                assert list(_grow(Shape(shape), h, prefix)) == grow_by_closures(Shape(shape), h, prefix)
 
 
 class TestEnumerateRussell:

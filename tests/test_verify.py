@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     canonicalize_by_bfs,
     collision_check,
+    grow_by_closures,
     reflect_web_by_expansion,
     renumber_web_parts,
     russell_parts_by_diagram,
@@ -403,6 +404,18 @@ class TestShards:
         # h = size - largest entry, so this is the order of Family.tableaux()
         grown.sort(key=lambda t: (t.size - t.max_entry, t.column_word()))
         assert grown == family.tableaux()
+
+    @pytest.mark.parametrize(
+        "family", [Family((8, 8)), Family((5, 5, 5)), Family((4, 4, 4), "all")], ids=Family.describe
+    )
+    def test_shards_keep_closure_growth_order(self, family):
+        # --jobs deals shards by position, so the shard list and each
+        # shard's stream must come in the order the closure growth gives
+        shape, depth = Shape(family.shape), family.kind.depth
+        shards = [(h, prefix) for h in family.repetitions for prefix in grow_by_closures(shape, h, (), depth)]
+        assert family.shards() == shards
+        for h, prefix in shards:
+            assert list(family.grow((h, prefix))) == grow_by_closures(shape, h, prefix)
 
 
 class TestFailureRecords:
