@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true")
 
     render = with_input(command("render", _cmd_render, "draw a tableau, web, or matching"))
-    render.add_argument("--format", default="svg", choices=("svg",), help="output format")
     render.add_argument("--stage", default="web", choices=("web", "mdiagram"))
     render.add_argument("--output", default=None, help="output file (default: stdout)")
 

@@ -262,7 +262,7 @@ def _check_batch(args) -> tuple[int, list[dict]]:
 def run_verification(
     family: Family,
     check: str,
-    jobs: int | None = None,
+    jobs: int = 1,
     max_seconds: float | None = None,
 ) -> VerifyReport:
     """Run one named property exhaustively over a family.
@@ -270,9 +270,9 @@ def run_verification(
     Families beyond the desk-scale bounds are refused unless a time budget is
     given; exceeding a given budget, growing included, aborts with
     TimeBudgetExceeded, and a negative (-0.0 too), infinite or NaN budget or jobs < 1
-    is refused with ValueError before anything is grown.  `jobs` (None: 1)
-    alone sets the workers.  The shards are dealt into `jobs` batches, each
-    of every `jobs`-th shard, and each tableau is grown where its batch is
+    is refused with ValueError before anything is grown.  `jobs` alone sets
+    the workers.  The shards are dealt into `jobs` batches, each of every
+    `jobs`-th shard, and each tableau is grown where its batch is
     checked: in a pool worker, or in-process when jobs is 1 or the family
     has fewer than 4 * jobs shards, which makes one batch.  The theorem is
     checked once per evacuation orbit, and a skipped tableau's failure is
@@ -289,8 +289,6 @@ def run_verification(
         and math.copysign(1.0, max_seconds) > 0  # also NaN and -0.0
     ):
         raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds!r}")
-    if jobs is None:
-        jobs = 1
     _check_ints((jobs,), "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

@@ -190,6 +190,26 @@ def _face_successors(parts) -> list[int]:
     return succ
 
 
+def _depths_after_labels(parts) -> list[int]:
+    """The depth of the disk face after each boundary label of a sound web
+    with a boundary: the number of web edges crossed on a shortest way to it
+    from the disk face between labels b and 1.  A breadth-first search queues
+    a half-edge of each face reached across a web edge, and traces the face
+    at one more than its twin's depth when it takes it; no face is listed."""
+    arc_base = 2 * len(parts[2])
+    succ = _face_successors(parts)
+    depth = [-1] * len(succ)
+    queue = [len(succ) - 1]  # the odd half of arc b-1: its twin, outside the disk, stays at depth -1
+    for h in queue:
+        d = depth[h ^ 1] + 1
+        while depth[h] < 0:
+            depth[h] = d
+            if h < arc_base:
+                queue.append(h ^ 1)
+            h = succ[h]
+    return depth[arc_base + 1 :: 2]
+
+
 def validate_web(web: Web) -> list[str]:
     """The violations of the web invariants that construction leaves open
     (empty iff the web is a valid non-elliptic diagram)."""
@@ -373,9 +393,11 @@ def contract_pairs(web: Web, positions) -> Web:
     """Contract the black boundary pairs at several positions, all given as
     labels of this web, in one pass; the result equals contracting them one
     at a time, lowest first, each earlier contraction shifting the later
-    positions down by one.  Overlapping pairs, and two pairs with the same
-    white neighbor, raise ValueError.  No positions return the web itself."""
+    positions down by one.  A position that is not an integer, overlapping
+    pairs, and two pairs with the same white neighbor raise ValueError.  No
+    positions return the web itself."""
     positions = tuple(positions)
+    _check_ints(positions, "position")
     if not positions:
         return web
     return Web(*_contract(_fields(web), positions))

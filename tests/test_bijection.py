@@ -284,6 +284,24 @@ class TestMDiagram:
         with pytest.raises(ValueError, match="^middle point 2 carries 1 designated ends, expected 2$"):
             ArcDiagram(3, (Arc(1, 2, 2),))
 
+    @pytest.mark.parametrize("fields, bad", [((1.5, 3, 1.5), 1.5), ((True, 3, True), True), ((1, 3.5, 1), 3.5),
+                                             ((1, 3, "1"), "'1'")])
+    def test_arc_ends_that_are_not_integers_are_refused(self, fields, bad):
+        # each used to make an Arc; 3.5 then made find_crossings raise TypeError
+        with pytest.raises(ValueError, match=f"^bad point {bad}; expected an integer$"):
+            Arc(*fields)
+
+    @pytest.mark.parametrize("left", [-1, 0])
+    def test_arc_left_end_below_1_is_refused(self, left):
+        # ArcDiagram(2, (Arc(-1, 2, 2), Arc(0, 2, 2))) used to be made
+        with pytest.raises(ValueError, match=f"^arc left end {left} is below 1$"):
+            Arc(left, 2, 2)
+
+    @pytest.mark.parametrize("points", [True, 2.0])
+    def test_diagram_point_count_that_is_not_an_integer_is_refused(self, points):
+        with pytest.raises(ValueError, match=f"^bad number of points {points}; expected an integer$"):
+            ArcDiagram(points, ())
+
     def test_two_column(self):
         # hand-run of both pairings: top pairs (2,3),(1,4); bottom (3,6),(4,5)
         d = m_diagram(T([[1, 2], [3, 4], [5, 6]]))
@@ -528,77 +546,68 @@ class TestBatchMemo:
 class TestTableauOfWeb:
     def test_matching_roundtrip(self):
         t = T([[1, 3], [2, 4]])
-        assert tableau_of_web(web_of_2row(t), (2, 2)) == t
+        assert tableau_of_web(web_of_2row(t)) == t
 
     def test_russell_roundtrip(self):
-        assert tableau_of_web(russell_web(BIJ_RUSSELL), (3, 3, 3)) == BIJ_RUSSELL
+        assert tableau_of_web(russell_web(BIJ_RUSSELL)) == BIJ_RUSSELL
 
     def test_tripod(self):
-        assert tableau_of_web(tymoczko_web(T([[1], [2], [3]])), (1, 1, 1)) == T([[1], [2], [3]])
+        assert tableau_of_web(tymoczko_web(T([[1], [2], [3]]))) == T([[1], [2], [3]])
 
-    def test_not_in_family(self):
-        with pytest.raises(LookupError):
-            tableau_of_web(Matching(2, ((1, 2), (3, 4))), (3, 3))
+    def test_one_call_recovers_every_family(self):
+        # the rows say which family the input is in; the old signature
+        # refused each of these whenever the shape passed was another's
+        russell = enumerate_russell(2, 1)[0]
+        assert russell.shape.outer.parts == (2, 2, 2) and russell.max_entry == 5
+        one, two, two_rows = T([[1], [2], [3]]), T([[1, 3], [2, 5], [4, 6]]), T([[1, 2, 4], [3, 5, 6]])
+        for obj, t in ((tymoczko_web(one), one), (tymoczko_web(two), two), (russell_web(russell), russell),
+                       (web_of_2row(two_rows), two_rows)):
+            assert tableau_of_web(obj) == t, t.rows
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matching_matches_table_oracle(self, n):
         for t in enumerate_standard(Shape((n, n))):
             m = web_of_2row(t)
-            assert tableau_of_web(m, (n, n)) == tableau_of_web_by_table(m, (n, n)) == t
+            assert tableau_of_web(m) == tableau_of_web_by_table(m, (n, n)) == t
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_standard_matches_table_oracle(self, k):
         for t in enumerate_standard(Shape((k, k, k))):
             web = tymoczko_web(t)
-            assert tableau_of_web(web, (k, k, k)) == tableau_of_web_by_table(web, (k, k, k)) == t
+            assert tableau_of_web(web) == tableau_of_web_by_table(web, (k, k, k)) == t
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_russell_matches_table_oracle(self, k):
         for h in range(3 * k // 2 + 1):
             for t in enumerate_russell(k, h):
                 web = russell_web(t)
-                assert tableau_of_web(web, (k, k, k)) == tableau_of_web_by_table(web, (k, k, k)) == t, t.rows
+                assert tableau_of_web(web) == tableau_of_web_by_table(web, (k, k, k)) == t, t.rows
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
-    def test_web_outside_family_raises_lookup_error(self, shape):
+    def test_web_outside_family_raises_lookup_error(self):
         # its states give the (2,2,2) filling 1 2 / 2 4 / 3 4, whose web has
         # no square face, so only the round trip refuses it
-        with pytest.raises(LookupError):
-            tableau_of_web(square_face_web(), shape)
+        with pytest.raises(LookupError, match="^not in the image of a rectangular family$"):
+            tableau_of_web(square_face_web())
         with pytest.raises(LookupError, match="boundary vertex 1 has state 2"):
-            tableau_of_web(FAN, shape)
+            tableau_of_web(FAN)
+
+    def test_rows_that_are_no_rectangle_raise_lookup_error(self):
+        # the tripod with label 3 recolored white: its states give rows of
+        # lengths 1, 2, 1, which no rectangular family has
+        web = Web((BLACK, BLACK, WHITE), (WHITE,), tripod().edges, tripod().rotation)
+        assert bijection.SL3_RUSSELL.inverse(_fields(web)) == ((1,), (2, 3), (3,))
+        with pytest.raises(LookupError, match="^not in the image of a rectangular family$"):
+            tableau_of_web(web)
 
     def test_web_without_boundary_raises_lookup_error(self):
         with pytest.raises(LookupError, match="without boundary vertices"):
-            tableau_of_web(NO_BOUNDARY, (1, 1, 1))
+            tableau_of_web(NO_BOUNDARY)
 
     def test_rows_no_tableau_has_raise_lookup_error(self):
         # RowStrictTableau.from_rows refuses the rows (1), (), (2)
         assert bijection.SL3_RUSSELL.inverse(_fields(JOINED_BLACKS)) == ((1,), (), (2,))
-        with pytest.raises(LookupError, match=r"not in the image of the \(1, 1, 1\) family"):
-            tableau_of_web(JOINED_BLACKS, (1, 1, 1))
-
-    def test_wrong_shape_is_refused(self):
-        m, web = web_of_2row(T([[1, 3], [2, 4]])), russell_web(BIJ_RUSSELL)
-        for shape in ((2, 2, 2), (2, 3), (2,)):
-            with pytest.raises(ValueError, match=r"matching families have shape \(n, n\)"):
-                tableau_of_web(m, shape)
-        for shape in ((3, 3), (3, 3, 2), (3, 3, 3, 3)):
-            with pytest.raises(ValueError, match=r"web families have shape \(k, k, k\)"):
-                tableau_of_web(web, shape)
-
-    def test_sides_that_are_not_positive_are_refused(self):
-        # these used to fall through to "not in the image of the (-1, -1) family"
-        m, web = web_of_2row(T([[1, 3], [2, 4]])), russell_web(BIJ_RUSSELL)
-        for obj, shape in ((m, (-1, -1)), (m, (0, 0)), (web, (0, 0, 0))):
-            with pytest.raises(ValueError, match=f"^shape parts must be positive, got {shape[0]}$"):
-                tableau_of_web(obj, shape)
-
-    @pytest.mark.parametrize("shape, bad", [((True, True), True), ((1.0, 1.0), 1.0), ((1, 1, 1.5), 1.5)])
-    def test_non_integer_shape_is_refused(self, shape, bad):
-        # (True, True) and (1.0, 1.0) used to give the tableau of (1, 1)
-        with pytest.raises(ValueError, match=f"^bad shape part {bad!r}; expected an integer$"):
-            tableau_of_web(Matching(1, ((1, 2),)), shape)
+        with pytest.raises(LookupError, match="^not in the image of a rectangular family$"):
+            tableau_of_web(JOINED_BLACKS)
 
     def test_round_trip_meets_lists_and_tuples(self):
         # a Web's fields are tuples, and the pipeline builds lists when it
@@ -609,26 +618,26 @@ class TestTableauOfWeb:
             web, built = russell_web(t), bijection.SL3_RUSSELL.parts(t.rows)
             assert isinstance(built[0], list if t != contracted else tuple), t.rows
             assert bijection.SL3_RUSSELL.same(built, _fields(web)), t.rows
-            assert tableau_of_web(web, (3, 3, 3)) == t
+            assert tableau_of_web(web) == t
 
     def test_result_is_checked_by_round_trip(self, monkeypatch):
         t, other = T([[1, 3], [2, 5], [4, 6]]), T([[1, 2], [3, 4], [5, 6]])
         wrong = bijection.SL3_RUSSELL._replace(inverse=lambda parts: other.rows)
         monkeypatch.setattr(bijection, "SL3_RUSSELL", wrong)
         with pytest.raises(LookupError):
-            tableau_of_web(tymoczko_web(t), (2, 2, 2))
-        assert tableau_of_web(tymoczko_web(other), (2, 2, 2)) == other
+            tableau_of_web(tymoczko_web(t))
+        assert tableau_of_web(tymoczko_web(other)) == other
 
     def test_round_trip_beyond_the_desk_scale(self):
         # the table inverse refused k = 6 and n = 12 as beyond its bounds
         rng = random.Random(12)
         for _ in range(3):
             t = random_filling(rng, 3, 6)
-            assert tableau_of_web(tymoczko_web(t), (6, 6, 6)) == t
+            assert tableau_of_web(tymoczko_web(t)) == t
             t = random_filling(rng, 3, 6, doubled=5)
-            assert tableau_of_web(russell_web(t), (6, 6, 6)) == t
+            assert tableau_of_web(russell_web(t)) == t
             t = random_filling(rng, 2, 12)
-            assert tableau_of_web(web_of_2row(t), (12, 12)) == t
+            assert tableau_of_web(web_of_2row(t)) == t
 
 
 def _outcome(fn, parts):
@@ -640,11 +649,12 @@ def _outcome(fn, parts):
 
 
 class TestInverseByOneFaceWalk:
-    """_tableau_rows traces each face when the search by depth first reaches
-    it, and _defects traces each face from its least half-edge, both off
-    _face_successors; the bodies they replace, which list every face first,
-    are the oracles.  Each pair gives equal rows or reports, or raises one
-    exception with one message."""
+    """_tableau_rows reads the depths of webcore._depths_after_labels, which
+    traces each face when its search by depth takes it, and _defects traces
+    each face from its least half-edge, both off _face_successors; the
+    bodies they replace, which list every face first, are the oracles.
+    Each pair gives equal rows or reports, or raises one exception with one
+    message."""
 
     @staticmethod
     def assert_agree(parts):

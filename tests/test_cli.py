@@ -635,7 +635,7 @@ class TestSharedParser:
         seen = []
         real = cli.run_verification
 
-        def recording(family, check, jobs=None, max_seconds=None):
+        def recording(family, check, jobs=1, max_seconds=None):
             seen.append((jobs, max_seconds, family.repetition))
             return real(family, check, jobs=1, max_seconds=max_seconds)
 

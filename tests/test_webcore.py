@@ -28,7 +28,7 @@ from webweave.bijection import (
     web_of_2row,
 )
 from webweave.jdt import _evacuate_rows
-from webweave.tableau import Shape, enumerate_russell, enumerate_standard, format_tableau
+from webweave.tableau import RowStrictTableau, Shape, enumerate_russell, enumerate_standard, format_tableau
 from webweave.verify import Family
 from webweave.webcore import (
     BLACK,
@@ -387,6 +387,14 @@ class TestExpandContract:
         with pytest.raises(ValueError, match="common white"):
             contract_pair(web, 2)
 
+    @pytest.mark.parametrize("position", [True, 1.0, "1"])
+    def test_position_that_is_not_an_integer_is_refused(self, position):
+        # True was read as label 1, and 1.0 and "1" raised TypeError
+        web = tymoczko_web(RowStrictTableau.from_rows(((1, 2), (3, 4), (5, 6))))
+        for contract in (lambda: contract_pair(web, position), lambda: contract_pairs(web, (1, position))):
+            with pytest.raises(ValueError, match=f"^bad position {position!r}; expected an integer$"):
+                contract()
+
     def test_contract_seam_position(self):
         contracted = contract_pair(tripod(), 3)
         assert contracted.boundary_colors == (BLACK, WHITE)
@@ -590,14 +598,14 @@ class TestOneGate:
         t = enumerate_russell(3, 2)[7]
         web = russell_web(t)
         gate_calls.clear()
-        tableau_of_web(web, (3, 3, 3))
+        tableau_of_web(web)
         assert gate_calls == [bijection._russell_parts(t.rows)]
 
     def test_tableau_of_web_checks_its_matching_once(self, pairs_calls):
         # likewise, the one check is of the round trip's pairs
         m = web_of_2row(enumerate_standard(Shape((4, 4)))[5])
         pairs_calls.clear()
-        tableau_of_web(m, (4, 4))
+        tableau_of_web(m)
         assert pairs_calls == [m.pairs]
 
     @pytest.mark.parametrize("seeded, outcome", [(_refuse_every_web, (ValueError, "seeded")), (_pass_every_web, None)])
