@@ -39,35 +39,37 @@ Pair = tuple[int, int]
 _NOT_2ROW = "expected a standard tableau of shape (n, n)"
 
 
-def _stack_pairs(top, bottom) -> tuple[Pair, ...]:
-    """Pair each bottom value with the largest unpaired smaller top value, in
-    one stack pass that merges the two rows in increasing order; the pairs
-    come sorted by their top values.  Raises ValueError unless every bottom
-    value finds a partner (the lattice condition), and ValueError(_NOT_2ROW)
-    unless the merged values strictly increase, as the rows of a standard
-    tableau do (catalan_pairing checks that first, with its own messages)."""
-    partner = [0] * len(top)
-    unpaired: list[int] = []  # indices into top
+def _pair_rows(top, bottom) -> list[Pair]:
+    """The Catalan pairs of two rows, in bottom-row order: each bottom value
+    with the largest unpaired smaller top value, in one stack pass that
+    merges the rows in increasing order.  Raises ValueError unless every
+    bottom value finds a partner (the lattice condition), and
+    ValueError(_NOT_2ROW) unless the merged values strictly increase, as the
+    rows of a standard tableau do; a caller with other refusals makes them
+    first."""
+    pairs: list[Pair] = []
+    unpaired: list[int] = []
     i, n, last = 0, len(top), -inf
     for v in bottom:
         while i < n and top[i] < v:
             if top[i] <= last:
                 raise ValueError(_NOT_2ROW)
             last = top[i]
-            unpaired.append(i)
+            unpaired.append(last)
             i += 1
         if v <= last:
             raise ValueError(_NOT_2ROW)
         last = v
         if not unpaired:
-            raise ValueError(f"bottom value {v} precedes every unpaired top value")
-        partner[unpaired.pop()] = v
-    return tuple(zip(top, partner))
+            raise ValueError(f"value {v} precedes every unpaired value of the row above")
+        pairs.append((unpaired.pop(), v))
+    return pairs
 
 
 def catalan_pairing(top_row, bottom_row) -> tuple[Pair, ...]:
     """Match each bottom-row value with the largest unpaired smaller top-row
-    value (the unique matching-parenthesis pairing; noncrossing).
+    value (the unique matching-parenthesis pairing; noncrossing), by the one
+    stack pass _pair_rows; the pairs come sorted.
 
     The two rows must be strictly increasing, of equal length, and disjoint.
     Rejects inputs where some bottom value precedes every available top value.
@@ -81,16 +83,18 @@ def catalan_pairing(top_row, bottom_row) -> tuple[Pair, ...]:
         raise ValueError("rows differ in length")
     if set(top) & set(bottom):
         raise ValueError("rows are not disjoint")
-    return _stack_pairs(top, bottom)
+    return tuple(sorted(_pair_rows(top, bottom)))
 
 
 def _catalan_pairs(rows) -> tuple[Pair, ...]:
     """The pairs, sorted, of the noncrossing matching of a standard (n, n)
-    tableau given by its rows: one stack pass (_stack_pairs), which also
-    checks that the rows hold 1..2n each once and the lattice condition."""
+    tableau given by its rows: those of _pair_rows, which checks the lattice
+    condition and that the rows merge strictly.  The merge's least and
+    greatest values, the first pair's top and the last bottom value, then
+    show that the rows hold 1..2n once."""
     if len(rows) != 2 or len(rows[0]) != len(rows[1]):
         raise ValueError(_NOT_2ROW)
-    pairs = _stack_pairs(*rows)
+    pairs = tuple(sorted(_pair_rows(*rows)))
     if pairs and (pairs[0][0] < 1 or rows[1][-1] > 2 * len(pairs)):
         raise ValueError(_NOT_2ROW)
     return pairs
@@ -154,38 +158,21 @@ def _arc_ends(rows) -> list[tuple[int, int]]:
     whose middle end is on the right, then the arc to its partner in the
     bottom row, whose middle end is on the left.
 
-    `rows` must hold each of 1..3k once in three rows of k.  One pass over the
-    values, with a stack of unpaired entries per row pair, finds the Catalan
-    partners and checks the lattice condition.
+    `rows` must be three strictly increasing rows of k that hold each of
+    1..3k once, so every refusal but the lattice one names (k, k, k).  The
+    partners are the sl2 pairs (_pair_rows) of rows 1-2, in middle-row
+    order, and of rows 2-3, sorted into it; _pair_rows checks the lattice
+    condition.
     """
-    if len(rows) != 3 or not len(rows[0]) == len(rows[1]) == len(rows[2]):
+    if len(rows) != 3:
         raise ValueError(_NOT_STANDARD)
-    m = 3 * len(rows[1])
-    row_of = [-1] * (m + 1)
-    for r, row in enumerate(rows):
-        for v in row:
-            if not 0 < v <= m or row_of[v] >= 0:
-                raise ValueError(_NOT_STANDARD)
-            row_of[v] = r
-    ends: list[tuple[int, int]] = []
-    unpaired_top: list[int] = []
-    unpaired_middle: list[int] = []  # index in `ends` of each one's bottom arc
-    for v in range(1, m + 1):
-        r = row_of[v]
-        if r == 0:
-            unpaired_top.append(v)
-        elif r == 1:
-            if not unpaired_top:
-                raise ValueError(f"middle value {v} precedes every unpaired top value")
-            ends.append((unpaired_top.pop(), v))
-            unpaired_middle.append(len(ends))
-            ends.append((v, 0))
-        else:
-            if not unpaired_middle:
-                raise ValueError(f"bottom value {v} precedes every unpaired middle value")
-            arc = unpaired_middle.pop()
-            ends[arc] = (ends[arc][0], v)
-    return ends
+    top, middle, bottom = rows
+    k = len(middle)
+    values = [*top, *middle, *bottom]
+    if not (len(top) == k == len(bottom) and sorted(values) == list(range(1, 3 * k + 1))
+            and values == [*sorted(top), *sorted(middle), *sorted(bottom)]):
+        raise ValueError(_NOT_STANDARD)
+    return [arc for arcs in zip(_pair_rows(top, middle), sorted(_pair_rows(middle, bottom))) for arc in arcs]
 
 
 def m_diagram(u: RowStrictTableau) -> ArcDiagram:

@@ -86,17 +86,6 @@ class Shape:
 EMPTY_SHAPE = Shape(())
 
 
-def _rectangle(shape, rows, refusal: str) -> tuple[int, ...]:
-    """The parts of a family's shape, by the one rule every family argument
-    follows: integers, one of `rows` many and all equal (else ValueError
-    `refusal`, with the shape), and positive."""
-    shape = tuple(shape)
-    _check_ints(shape, "shape part")
-    if len(shape) not in rows or len(set(shape)) != 1:
-        raise ValueError(f"{refusal}, got {shape}")
-    return Shape(shape).parts  # refuses sides that are not positive
-
-
 @dataclass(frozen=True)
 class SkewShape:
     """A set difference outer/inner of two nested Young diagrams."""

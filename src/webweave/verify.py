@@ -18,7 +18,6 @@ from .tableau import (
     _grow,
     _is_int,
     _max_repetition,
-    _rectangle,
     _rotate_complement,
     _sorted_tableaux,
 )
@@ -58,7 +57,11 @@ class Family:
     repetition: int | str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", _rectangle(self.shape, (2, 3), "families are rectangles (n,n) or (k,k,k)"))
+        shape = tuple(self.shape)
+        _check_ints(shape, "shape part")
+        if len(shape) not in (2, 3) or len(set(shape)) != 1:
+            raise ValueError(f"families are rectangles (n,n) or (k,k,k), got {shape}")
+        object.__setattr__(self, "shape", Shape(shape).parts)  # refuses sides that are not positive
         if self.repetition is not None and len(self.shape) == 2:
             raise ValueError("2-row families do not take a repetition")
         if self.repetition not in (None, "all"):

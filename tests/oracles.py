@@ -17,7 +17,6 @@ from webweave.bijection import (
     ArcDiagram,
     Crossing,
     _russell_parts,
-    catalan_pairing,
     web_of_2row,
 )
 from webweave.jdt import _slide, _slide_targets, jdt_slide, slide_targets
@@ -856,15 +855,44 @@ def reflect_web_by_expansion(web: Web) -> Web:
     return contract_pairs_one_by_one(mirrored, [m - p for p in exp.contractible])
 
 
+# --- the pairing remark's two orders, each by min or max over a list -------
+
+def pairing_bottom_first(top, bottom):
+    """Pair each bottom value, in increasing order, with the largest unpaired
+    smaller top value, found by max over a list; the pairs sorted.  The
+    reference for webweave.bijection.catalan_pairing."""
+    unpaired = sorted(top)
+    pairs = []
+    for b in sorted(bottom):
+        t = max(x for x in unpaired if x < b)
+        unpaired.remove(t)
+        pairs.append((t, b))
+    return tuple(sorted(pairs))
+
+
+def pairing_top_first(top, bottom):
+    """Pair each top value, in decreasing order, with the least unpaired
+    larger bottom value; the pairs sorted.  The pairing remark says this
+    gives catalan_pairing's pairs too."""
+    unpaired = sorted(bottom)
+    pairs = []
+    for t in sorted(top, reverse=True):
+        b = min(x for x in unpaired if x > t)
+        unpaired.remove(b)
+        pairs.append((t, b))
+    return tuple(sorted(pairs))
+
+
 # --- the m-diagram, its crossings and the web, by objects and Fractions -----
 
 def m_diagram_by_pairing(u: RowStrictTableau) -> ArcDiagram:
-    """Join each middle-row entry to its catalan_pairing partners in the rows
-    above and below.  The reference for webweave.bijection.m_diagram."""
+    """Join each middle-row entry to its pairing_bottom_first partners in the
+    rows above and below.  The reference for webweave.bijection.m_diagram;
+    it shares no pairing code with the library."""
     if not (u.is_rectangular and len(u.rows) == 3 and is_standard(u)):
         raise ValueError("expected a standard tableau of shape (k, k, k)")
-    top_partner = {b: t for t, b in catalan_pairing(u.rows[0], u.rows[1])}
-    bottom_partner = {t: b for t, b in catalan_pairing(u.rows[1], u.rows[2])}
+    top_partner = {b: t for t, b in pairing_bottom_first(u.rows[0], u.rows[1])}
+    bottom_partner = {t: b for t, b in pairing_bottom_first(u.rows[1], u.rows[2])}
     arcs = []
     for mid in u.rows[1]:
         arcs.append(Arc(top_partner[mid], mid, middle=mid))

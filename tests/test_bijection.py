@@ -11,6 +11,8 @@ from oracles import (
     expand_white,
     find_crossings_by_fraction,
     m_diagram_by_pairing,
+    pairing_bottom_first,
+    pairing_top_first,
     pairs_key_by_reflection,
     random_filling,
     russell_parts_by_diagram,
@@ -90,28 +92,6 @@ def bigon_beside_square(backwards=False) -> Web:
     if backwards:
         edges, rotation = edges[::-1], tuple(tuple(10 - e for e in rot) for rot in rotation)
     return Web((BLACK, WHITE, BLACK, WHITE), (WHITE, BLACK, WHITE, BLACK, BLACK, WHITE), edges, rotation)
-
-
-# --- pairing oracles (the two orders of the pairing remark) -----------------
-
-def pairing_bottom_first(top, bottom):
-    unpaired = sorted(top)
-    pairs = []
-    for b in sorted(bottom):
-        t = max(x for x in unpaired if x < b)
-        unpaired.remove(t)
-        pairs.append((t, b))
-    return tuple(sorted(pairs))
-
-
-def pairing_top_first(top, bottom):
-    unpaired = sorted(bottom)
-    pairs = []
-    for t in sorted(top, reverse=True):
-        b = min(x for x in unpaired if x > t)
-        unpaired.remove(b)
-        pairs.append((t, b))
-    return tuple(sorted(pairs))
 
 
 def cyclic_equal(a, b):
@@ -377,6 +357,13 @@ class TestIntegerBuilderAgainstOracle:
             _tymoczko_parts(((2,), (1,), (3,)))
         with pytest.raises(ValueError, match="precedes"):
             _tymoczko_parts(((1,), (3,), (2,)))
+
+    @pytest.mark.parametrize("rows", [((2, 1), (3, 4), (5, 6)), ((1, 2), (4, 3), (5, 6)), ((1, 2), (3, 4), (6, 5))])
+    def test_rejects_a_row_that_does_not_increase(self, rows):
+        # each of 1..6 once; these used to be read as if each row were sorted,
+        # and the two-row pass would refuse them as not (n, n)
+        with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
+            _tymoczko_parts(rows)
 
 
 class TestFindCrossings:

@@ -37,6 +37,7 @@ from webweave.tableau import (
     RowStrictTableau,
     Shape,
     SkewShape,
+    _standardize,
     enumerate_russell,
     enumerate_standard,
     rotate_complement,
@@ -392,6 +393,19 @@ def _agrees_with_oracles(tableaux):
         assert out == _rows(evacuate_by_cells(t)), t.rows
         if every or index in sample:
             assert out == _rows(evacuate_by_delta(t)), t.rows
+
+
+class TestEvacuationCommutesWithStandardization:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_russell_filling(self, k):
+        # the step from the standard case of the theorem to the Russell case:
+        # a Russell web is its standardization's Tymoczko web with the pairs
+        # (j, j+1) contracted, and evacuating 1..3k sends (j, j+1) to (3k - j, 3k + 1 - j)
+        for h in range(3 * k // 2 + 1):
+            for t in enumerate_russell(k, h):
+                rows, starts = _standardize(t.rows)
+                reflected_starts = tuple(sorted(3 * k - j for j in starts))
+                assert _standardize(_evacuate_rows(t.rows)) == (_evacuate_rows(rows), reflected_starts), t.rows
 
 
 class TestEvacuateRowsAgainstOracles:
