@@ -12,10 +12,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from math import inf
 from typing import Callable, NamedTuple
 
-from .tableau import RowStrictTableau, _check_ints, _russell_rows, _standardize
+from .tableau import RowStrictTableau, _check_ints, _russell_rows, _standardize, is_standard
 from .webcore import (
     BLACK,
     WHITE,
@@ -37,29 +36,23 @@ Pair = tuple[int, int]
 
 
 _NOT_2ROW = "expected a standard tableau of shape (n, n)"
+_NOT_3ROW = "expected a standard tableau of shape (k, k, k)"
 
 
 def _pair_rows(top, bottom) -> list[Pair]:
     """The Catalan pairs of two rows, in bottom-row order: each bottom value
     with the largest unpaired smaller top value, in one stack pass that
-    merges the rows in increasing order.  Raises ValueError unless every
-    bottom value finds a partner (the lattice condition), and
-    ValueError(_NOT_2ROW) unless the merged values strictly increase, as the
-    rows of a standard tableau do; a caller with other refusals makes them
-    first."""
+    merges the rows in increasing order.  The rows must strictly increase
+    and be disjoint, as a standard tableau's do; the callers check that
+    once or build such rows.  Raises ValueError unless every bottom value
+    finds a partner (the lattice condition)."""
     pairs: list[Pair] = []
     unpaired: list[int] = []
-    i, n, last = 0, len(top), -inf
+    i, n = 0, len(top)
     for v in bottom:
         while i < n and top[i] < v:
-            if top[i] <= last:
-                raise ValueError(_NOT_2ROW)
-            last = top[i]
-            unpaired.append(last)
+            unpaired.append(top[i])
             i += 1
-        if v <= last:
-            raise ValueError(_NOT_2ROW)
-        last = v
         if not unpaired:
             raise ValueError(f"value {v} precedes every unpaired value of the row above")
         pairs.append((unpaired.pop(), v))
@@ -88,23 +81,23 @@ def catalan_pairing(top_row, bottom_row) -> tuple[Pair, ...]:
 
 def _catalan_pairs(rows) -> tuple[Pair, ...]:
     """The pairs, sorted, of the noncrossing matching of a standard (n, n)
-    tableau given by its rows: those of _pair_rows, which checks the lattice
-    condition and that the rows merge strictly.  The merge's least and
-    greatest values, the first pair's top and the last bottom value, then
-    show that the rows hold 1..2n once."""
-    if len(rows) != 2 or len(rows[0]) != len(rows[1]):
-        raise ValueError(_NOT_2ROW)
-    pairs = tuple(sorted(_pair_rows(*rows)))
-    if pairs and (pairs[0][0] < 1 or rows[1][-1] > 2 * len(pairs)):
-        raise ValueError(_NOT_2ROW)
-    return pairs
+    tableau given by its rows, which are not checked again (_pair_rows)."""
+    return tuple(sorted(_pair_rows(*rows)))
+
+
+def _standard_rows(t: RowStrictTableau, rows: int, refusal: str):
+    """The rows of t, a standard (is_standard) rectangle of `rows` rows, or
+    ValueError(refusal): the one standardness check of the public maps, so
+    the row kernels trust what they read."""
+    if not (t.is_rectangular and len(t.rows) == rows and is_standard(t)):
+        raise ValueError(refusal)
+    return t.rows
 
 
 def web_of_2row(t: RowStrictTableau) -> Matching:
-    """The noncrossing matching of a 2-row rectangular standard tableau."""
-    if not t.is_straight:
-        raise ValueError(_NOT_2ROW)
-    pairs = _catalan_pairs(t.rows)
+    """The noncrossing matching of a 2-row rectangular standard tableau;
+    any other tableau is refused (_standard_rows)."""
+    pairs = _catalan_pairs(_standard_rows(t, 2, _NOT_2ROW))
     return Matching(len(pairs), pairs)
 
 
@@ -149,37 +142,25 @@ class ArcDiagram:
                 raise ValueError(f"middle point {p} carries {count} designated ends, expected 2")
 
 
-_NOT_STANDARD = "expected a standard tableau of shape (k, k, k)"
-
-
 def _arc_ends(rows) -> list[tuple[int, int]]:
     """The m-diagram's arcs as (left, right) endpoints, two per middle-row
     value in increasing order: first the arc to its partner in the top row,
     whose middle end is on the right, then the arc to its partner in the
     bottom row, whose middle end is on the left.
 
-    `rows` must be three strictly increasing rows of k that hold each of
-    1..3k once, so every refusal but the lattice one names (k, k, k).  The
-    partners are the sl2 pairs (_pair_rows) of rows 1-2, in middle-row
-    order, and of rows 2-3, sorted into it; _pair_rows checks the lattice
-    condition.
+    `rows` are those of a standard (k, k, k) tableau, which are not checked
+    again.  The partners are the sl2 pairs (_pair_rows) of rows 1-2, in
+    middle-row order, and of rows 2-3, sorted into it.
     """
-    if len(rows) != 3:
-        raise ValueError(_NOT_STANDARD)
     top, middle, bottom = rows
-    k = len(middle)
-    values = [*top, *middle, *bottom]
-    if not (len(top) == k == len(bottom) and sorted(values) == list(range(1, 3 * k + 1))
-            and values == [*sorted(top), *sorted(middle), *sorted(bottom)]):
-        raise ValueError(_NOT_STANDARD)
     return [arc for arcs in zip(_pair_rows(top, middle), sorted(_pair_rows(middle, bottom))) for arc in arcs]
 
 
 def m_diagram(u: RowStrictTableau) -> ArcDiagram:
-    """Join each middle-row entry to its partners in the rows above and below."""
-    if not (u.is_rectangular and len(u.rows) == 3):
-        raise ValueError(_NOT_STANDARD)
-    ends = _arc_ends(u.rows)  # refuses values other than 1..3k each once
+    """Join each middle-row entry to its partners in the rows above and
+    below; any tableau but a standard (k, k, k) one is refused
+    (_standard_rows)."""
+    ends = _arc_ends(_standard_rows(u, 3, _NOT_3ROW))
     arcs = tuple(Arc(left, right, middle=left if a % 2 else right) for a, (left, right) in enumerate(ends))
     return ArcDiagram(u.size, arcs)
 
@@ -240,11 +221,10 @@ def tymoczko_web(u: RowStrictTableau) -> Web:
     second arc rightward, first arc leftward, second arc leftward); the two
     germs pointing at tripod whites are cyclically adjacent, the new black
     vertex joins them, the new white vertex joins the other two, and the H bar
-    joins black to white.
+    joins black to white.  Any tableau but a standard (k, k, k) one is
+    refused (_standard_rows).
     """
-    if not u.is_rectangular:
-        raise ValueError(_NOT_STANDARD)
-    return Web(*_tymoczko_parts(u.rows))
+    return Web(*_tymoczko_parts(_standard_rows(u, 3, _NOT_3ROW)))
 
 
 def _tymoczko_parts(rows):
@@ -313,7 +293,8 @@ def _russell_parts(rows, webs=None, shared=None):
     contracted without doubled values.  The rows strictly increase, as a
     tableau's and a growth's do; _standardize makes russell_repetition's
     checks on them, and the standardized rows need no more: standardizing
-    keeps rows strict and columns weak, and _arc_ends checks the values.
+    keeps rows strict and columns weak and gives each of 1..3k once, so they
+    are a standard tableau's rows, which _arc_ends trusts.
 
     Without `webs` (the CLI, russell_web, tableau_of_web) the
     standardization's Tymoczko web is built per call.  A campaign batch's

@@ -146,9 +146,16 @@ class RowStrictTableau:
 
     @classmethod
     def from_rows(cls, rows, inner=()) -> RowStrictTableau:
+        """The tableau of these rows, row r starting right of inner[r-1]
+        boxes.  Trailing zeros of `inner` are dropped; Shape refuses any
+        other part below 1."""
         rows = tuple(tuple(row) for row in rows)
-        outer = Shape(tuple(len(row) + (inner[i] if i < len(inner) else 0) for i, row in enumerate(rows)))
-        return cls(SkewShape(outer, Shape(tuple(p for p in inner if p > 0))), rows)
+        inner = tuple(inner)
+        while inner and inner[-1] == 0:
+            inner = inner[:-1]
+        inner_shape = Shape(inner)
+        outer = Shape(tuple(len(row) + inner_shape.row(r) for r, row in enumerate(rows, start=1)))
+        return cls(SkewShape(outer, inner_shape), rows)
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:

@@ -32,7 +32,8 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_ints((self.n, *(point for pair in self.pairs for point in pair)), "point")
+        _check_ints((self.n,), "number of pairs")
+        _check_ints((point for pair in self.pairs for point in pair), "point")
         norm = tuple(sorted((min(i, j), max(i, j)) for i, j in self.pairs))
         object.__setattr__(self, "pairs", norm)
         _check_pairs(self.n, norm)

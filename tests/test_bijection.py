@@ -48,6 +48,7 @@ from webweave.tableau import (
     Shape,
     enumerate_russell,
     enumerate_standard,
+    is_standard,
     standardize_with_pairs,
 )
 from webweave.verify import Family
@@ -195,15 +196,6 @@ class TestCatalanPairsOfRows:
         assert SL2.key(SL2.reflect(_catalan_pairs([list(r) for r in rows]))) == reflected
         assert SL2.key(_catalan_pairs(rows)) == "((1, 6), (2, 3), (4, 5))"
 
-    @pytest.mark.parametrize(
-        "rows",
-        [((1, 2), (2, 3)), ((1, 3), (2, 5)), ((0, 1), (2, 3)), ((1, 2), (3,)), ((2, 1), (3, 4)), ((1,), (2,), (3,)),
-         ((1, 4), (3, 2))],
-    )
-    def test_rejects_non_standard(self, rows):
-        with pytest.raises(ValueError, match=r"standard tableau of shape \(n, n\)"):
-            _catalan_pairs(rows)
-
     @pytest.mark.parametrize("rows", [((2, 3), (1, 4)), ((1, 4), (2, 3)), ((3, 4), (1, 2))])
     def test_rejects_non_lattice(self, rows):
         with pytest.raises(ValueError, match="precedes"):
@@ -227,6 +219,11 @@ class TestWebOf2Row:
     def test_rejects_skew_shape(self):
         with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(n, n\)$"):
             web_of_2row(T([[2], [1, 3]], (1,)))
+
+    @pytest.mark.parametrize("rows", [((1, 2), (2, 3)), ((1, 3), (2, 5)), ((1, 2), (3,)), ((1,), (2,), (3,))])
+    def test_rejects_non_standard(self, rows):
+        with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(n, n\)$"):
+            web_of_2row(T(rows))
 
 
 class TestMDiagram:
@@ -300,10 +297,62 @@ class TestGeometryAgainstOracle:
     def test_m_diagram_keeps_its_checks(self):
         skew = T([[1], [2], [3]], inner=(1, 1, 1))
         for bad in (T([[1, 2], [3, 4]]), T([[1], [2], [4]]), T([[1, 2], [3], [4]]), T([[1], [1], [2]]), skew):
-            with pytest.raises(ValueError, match="standard tableau"):
+            with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
                 m_diagram(bad)
-            with pytest.raises(ValueError, match="standard tableau"):
+            with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
                 tymoczko_web(bad)
+
+
+def _fillings(shape, largest):
+    """Every tableau of the straight shape with entries in 1..largest."""
+    out = []
+    for rows in itertools.product(*(itertools.combinations(range(1, largest + 1), p) for p in shape)):
+        try:
+            out.append(T(rows))
+        except ValueError:  # a column that decreases
+            pass
+    return out
+
+
+class TestStandardnessAtTheBoundary:
+    """web_of_2row, m_diagram and tymoczko_web check standardness once, with
+    is_standard; the row kernels behind them trust their rows."""
+
+    TWO_ROWS = _fillings((2, 2), 5) + _fillings((3, 3), 7) + _fillings((2, 1), 4)
+    THREE_ROWS = _fillings((1, 1, 1), 4) + _fillings((2, 2, 2), 7) + _fillings((2, 2, 1), 6)
+
+    def test_two_row_map_refuses_exactly_what_is_not_standard(self):
+        standard = 0
+        for t in self.TWO_ROWS + self.THREE_ROWS:
+            if len(t.rows) == 2 and t.is_rectangular and is_standard(t):
+                standard += 1
+                assert web_of_2row(t) == Matching(len(t.rows[0]), catalan_pairing(*t.rows)), t.rows
+            else:
+                with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(n, n\)$"):
+                    web_of_2row(t)
+        assert standard == 2 + 5
+
+    def test_three_row_maps_refuse_exactly_what_is_not_standard(self):
+        standard = 0
+        for t in self.THREE_ROWS + self.TWO_ROWS:
+            if len(t.rows) == 3 and t.is_rectangular and is_standard(t):
+                standard += 1
+                assert m_diagram(t) == m_diagram_by_pairing(t), t.rows
+                assert tymoczko_web(t) == Web(*tymoczko_parts_by_diagram(t)), t.rows
+                continue
+            for build in (m_diagram, tymoczko_web):
+                with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
+                    build(t)
+        assert standard == 1 + 5
+
+    def test_the_check_is_is_standard(self, monkeypatch):
+        # a standard tableau that is_standard refuses is refused by all three
+        monkeypatch.setattr(bijection, "is_standard", lambda t: False)
+        with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(n, n\)$"):
+            web_of_2row(T([[1, 2], [3, 4]]))
+        for build in (m_diagram, tymoczko_web):
+            with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
+                build(BIJ_STANDARD)
 
 
 def _as_tuples(parts):
@@ -357,13 +406,6 @@ class TestIntegerBuilderAgainstOracle:
             _tymoczko_parts(((2,), (1,), (3,)))
         with pytest.raises(ValueError, match="precedes"):
             _tymoczko_parts(((1,), (3,), (2,)))
-
-    @pytest.mark.parametrize("rows", [((2, 1), (3, 4), (5, 6)), ((1, 2), (4, 3), (5, 6)), ((1, 2), (3, 4), (6, 5))])
-    def test_rejects_a_row_that_does_not_increase(self, rows):
-        # each of 1..6 once; these used to be read as if each row were sorted,
-        # and the two-row pass would refuse them as not (n, n)
-        with pytest.raises(ValueError, match=r"^expected a standard tableau of shape \(k, k, k\)$"):
-            _tymoczko_parts(rows)
 
 
 class TestFindCrossings:

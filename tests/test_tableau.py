@@ -576,6 +576,23 @@ class TestTextAndJson:
         with pytest.raises(ValueError, match=re.escape(says)):
             tableau_from_json(doc)
 
+    @pytest.mark.parametrize("inner, bad", [([0, 1], 0), ([-1], -1), ([1, 0, 1], 0), ([-5], -5)])
+    def test_inner_that_is_not_a_partition_is_refused_as_such(self, inner, bad):
+        # each used to be refused for a row's length: [0, 1] and [-1] as
+        # "row 1 has 2 entries, shape wants 1", [1, 0, 1] as "row 2 has 1
+        # entries, shape wants 0"
+        says = f"^shape parts must be positive, got {bad}$"
+        with pytest.raises(ValueError, match=says):
+            T([[1, 2], [3]], inner)
+        with pytest.raises(ValueError, match=says):
+            tableau_from_json({"rows": [[1, 2], [3]], "inner": inner})
+
+    @pytest.mark.parametrize("inner, parts", [([1, 0], (1,)), ([0], ()), ([1, 0, 0], (1,)), ([], ())])
+    def test_trailing_zeros_of_inner_are_dropped(self, inner, parts):
+        t = T([[1, 2], [3]], inner)
+        assert t.shape.inner == Shape(parts)
+        assert tableau_from_json({"rows": [[1, 2], [3]], "inner": inner}) == t
+
     def test_json_skew(self):
         t = tableau_from_cells({(1, 2): 1, (2, 1): 1, (2, 2): 2})
         doc = tableau_to_json(t)

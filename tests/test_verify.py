@@ -965,3 +965,70 @@ class TestContractionRefusal:
             _memo_free(monkeypatch, self.FAMILY)
         doc = _doc(self.FAMILY, "validity", jobs)
         assert len(victims) == 7 and doc["total"] == 576 and doc["failures"] == victims
+
+
+def _doubled(rows):
+    """The value 2 written as 1: 1 is doubled and 2 is missing."""
+    return tuple(tuple(1 if v == 2 else v for v in row) for row in rows)
+
+
+def _gap(rows):
+    """The largest value written one more: a gap below it."""
+    n = max(map(max, rows))
+    return tuple(tuple(n + 1 if v == n else v for v in row) for row in rows)
+
+
+def _swapped(rows):
+    """The first two entries of the last row swapped."""
+    *rest, last = rows
+    return (*rest, (last[1], last[0], *last[2:]))
+
+
+def _seed_growth(monkeypatch, family, fault, member=0):
+    """Grow the family with the rows of its member-th tableau in growth
+    order replaced by fault(rows), and return those faulty rows.  Pool
+    workers are forked and see the patch."""
+    real = Family.grow
+    victim = [rows for shard in family.shards() for rows in real(family, shard)][member]
+
+    def grow(self, shard):
+        return (fault(rows) if rows == victim else rows for rows in real(self, shard))
+
+    monkeypatch.setattr(Family, "grow", grow)
+    return fault(victim)
+
+
+def _never_ok(family, check, jobs=1) -> bool:
+    """Whether the campaign writes a record or raises what a malformed
+    growth raises: a gate's ValueError or evacuation's AssertionError."""
+    try:
+        return not run_verification(family, check, jobs=jobs).ok
+    except (ValueError, AssertionError):
+        return True
+
+
+class TestMalformedGrowth:
+    """The row kernels trust the rows they are given, so a growth that
+    yields rows no standard tableau has is caught by the campaigns' gates:
+    the pipeline's check, the inverse and evacuation."""
+
+    FAMILIES = [Family((3, 3, 3)), Family((5, 5))]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fault", [_doubled, _gap, _swapped], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("family", FAMILIES, ids=Family.describe)
+    def test_seeded_member_fails_every_check(self, family, fault, jobs, monkeypatch):
+        bad = _seed_growth(monkeypatch, family, fault)
+        report = run_verification(family, "validity", jobs=jobs)
+        assert report.total == 42 and [f["tableau"] for f in report.failures] == [tableau._format_rows(bad)]
+        assert _never_ok(family, "theorem", jobs) and _never_ok(family, "injectivity", jobs)
+
+    @pytest.mark.parametrize("fault", [_doubled, _gap, _swapped], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("family", FAMILIES, ids=Family.describe)
+    def test_injectivity_fails_whichever_member_is_seeded(self, family, fault, monkeypatch):
+        # validity does not see every such member: a swapped last row can
+        # pair as the sorted one does, and the web is then a valid web
+        for member in range(42):
+            with monkeypatch.context() as patched:
+                _seed_growth(patched, family, fault, member)
+                assert _never_ok(family, "injectivity"), member

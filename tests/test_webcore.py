@@ -111,11 +111,21 @@ class TestMatching:
         with pytest.raises(ValueError):
             Matching(2, ((1, 2), (3, 3)))
 
-    @pytest.mark.parametrize("n, pairs, bad", [(1, ((1.0, 2.0),), 1.0), (True, ((1, 2),), True)])
+    @pytest.mark.parametrize("n, pairs, bad", [(1, ((1.0, 2.0),), 1.0), (1, ((1, True),), True)])
     def test_rejects_non_integer_points(self, n, pairs, bad):
         # ((1.0, 2.0),) used to raise TypeError from list indexing
-        with pytest.raises(ValueError, match=f"bad point {bad!r}"):
+        with pytest.raises(ValueError, match=f"^bad point {bad!r}; expected an integer$"):
             Matching(n, pairs)
+
+    @pytest.mark.parametrize("n, pairs", [(True, ((1, 2),)), (2.5, ()), (1.0, ((1, 2),)), ("1", ((1, 2),))])
+    def test_rejects_a_number_of_pairs_that_is_not_an_integer(self, n, pairs):
+        # (True, ((1, 2),)) and (2.5, ()) used to be called a bad point
+        with pytest.raises(ValueError, match=f"^bad number of pairs {re.escape(repr(n))}; expected an integer$"):
+            Matching(n, pairs)
+
+    def test_json_number_of_pairs_keeps_its_refusal(self):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            matching_from_json({"n": 2.5, "pairs": []})
 
     def test_empty_is_valid_and_reflection_fixed(self):
         m = Matching(0, ())
