@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -167,50 +168,45 @@ def _failure(rows, expected: str, actual: str) -> dict:
     }
 
 
-def _check_theorem(p: Pipeline, rows):
+def _check_theorem(p: Pipeline, rows, balance):
     """The theorem once per evacuation orbit: t's web, reflected, against
     the web of e = evac(t), compared by the pipeline's `same`; keys are
-    built only for a failure record.  t is skipped when e < t, e is a
-    member of the family and evac(e) == t: then e is grown too, is not
-    skipped, and its check covers t, whatever the involution check finds,
-    provided reflection is an involution that sends isotopic webs to
-    isotopic webs.  Otherwise t is checked in full, its web built once if
-    evacuation fixes it; if it fails and e is its skipped partner, e is
+    built only for a failure record.  t is skipped when e < t and adds
+    hash((t, e)) to balance[0]; a checked t with e > t adds hash((e, t)) to
+    balance[1].  The family's sums agree when each skipped t is the
+    evacuation of one checked tableau that evacuates to it in turn, whose
+    check covers t if reflection is an involution that sends isotopic webs
+    to isotopic webs.  If t fails and evacuating e gives t back, e is
     checked from the two webs built, and its record written if it fails."""
     e = tuple(map(tuple, _evacuate_rows(rows)))
-    if e < rows and _is_partner(e, rows):
+    if e < rows:
+        balance[0] += hash((rows, e))
         return
-    parts = p.parts(rows)
-    e_parts = parts if e == rows else p.parts(e)
+    parts = e_parts = p.parts(rows)
+    if e > rows:
+        balance[1] += hash((e, rows))
+        e_parts = p.parts(e)
     reflected = p.reflect(parts)
     if not p.same(reflected, e_parts):
-        actual = p.key(reflected)
-        yield _failure(rows, p.key(e_parts), actual)
-        if e > rows and _is_partner(e, rows) and not p.same(p.reflect(e_parts), parts):
+        yield _failure(rows, p.key(e_parts), p.key(reflected))
+        if e > rows and tuple(map(tuple, _evacuate_rows(e))) == rows and not p.same(p.reflect(e_parts), parts):
             yield _failure(e, p.key(parts), p.key(p.reflect(e_parts)))
 
 
-def _is_partner(e, rows) -> bool:
-    """Whether e, the evacuation of rows, is a member of rows' family (it has
-    their shape, which evacuation keeps, and their largest entry, so as many
-    doubled values) whose evacuation is rows."""
-    return max(map(max, e)) == max(map(max, rows)) and tuple(map(tuple, _evacuate_rows(e))) == rows
-
-
-def _check_involution(p: Pipeline, rows):
+def _check_involution(p: Pipeline, rows, balance):
     back = _evacuate_rows(_evacuate_rows(rows))
     if tuple(map(tuple, back)) != rows:
         yield _failure(rows, _format_rows(rows), _format_rows(back))
 
 
-def _check_lemma(p: Pipeline, rows):
+def _check_lemma(p: Pipeline, rows, balance):
     actual = _evacuate_rows(rows)
     expected = _rotate_complement(rows, max(map(max, rows)))
     if actual != expected:
         yield _failure(rows, _format_rows(expected), _format_rows(actual))
 
 
-def _check_validity(p: Pipeline, rows):
+def _check_validity(p: Pipeline, rows, balance):
     try:  # a build that its check refuses is a failure too, of either kind
         report = p.defects(p.parts(rows))
     except ValueError as exc:
@@ -219,7 +215,7 @@ def _check_validity(p: Pipeline, rows):
         yield _failure(rows, "", "; ".join(report))
 
 
-def _check_injectivity(p: Pipeline, rows):
+def _check_injectivity(p: Pipeline, rows, balance):
     """The inverse gives the rows back from their web, so no other tableau of
     the family has that web: of two tableaux with one web, one fails here."""
     back = p.inverse(p.parts(rows))
@@ -237,29 +233,29 @@ _PER_TABLEAU = {
 CHECK_NAMES = tuple(_PER_TABLEAU)
 
 
-def _check_batch(args) -> tuple[int, list[dict]]:
+def _check_batch(args) -> tuple[int, list[dict], int, int]:
     """Grow each shard of a batch and check the rows of each tableau in turn
-    with the family's pipeline; return the number grown and the failure
-    records.  Each check yields the records it finds: the theorem check
-    covers a tableau's evacuation orbit, so it may skip a tableau, or write
-    its skipped partner's record with its own (see `_check_theorem`).
-    Raise TimeBudgetExceeded once this call has run longer than
-    `seconds_left` (inf: no budget), growing included.  The budget is a
-    duration, so a pool worker can measure it on its own clock.  The checks
-    run the pipeline that `Pipeline.batch` gives for this call, so a memo
-    it keeps is dropped when the call returns."""
+    with the family's pipeline; return the number grown, the failure
+    records the checks yield, and the two sums of the theorem's orbit
+    balance (see `_check_theorem`; 0 for any other check).  Raise
+    TimeBudgetExceeded once this call has run longer than `seconds_left`
+    (inf: no budget), growing included.  The budget is a duration, so a
+    pool worker can measure it on its own clock.  The checks run the
+    pipeline that `Pipeline.batch` gives for this call, so a memo it keeps
+    is dropped when the call returns."""
     check, family, shards, max_seconds, seconds_left = args
     fn, pipeline = _PER_TABLEAU[check], family.pipeline.batch()
     start = time.monotonic()
     count = 0
     failures = []
+    balance = [0, 0]
     for shard in shards:
         for rows in family.grow(shard):
             count += 1
-            failures.extend(fn(pipeline, rows))
+            failures.extend(fn(pipeline, rows, balance))
             if time.monotonic() - start > seconds_left:
                 raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
-    return count, failures
+    return count, failures, *balance
 
 
 def run_verification(
@@ -272,15 +268,16 @@ def run_verification(
 
     Families beyond the desk-scale bounds are refused unless a time budget is
     given; exceeding a given budget, growing included, aborts with
-    TimeBudgetExceeded, and a negative (-0.0 too), infinite or NaN budget or jobs < 1
+    TimeBudgetExceeded, and a negative (-0.0 too), infinite (past every float too) or NaN budget or jobs < 1
     is refused with ValueError before anything is grown.  `jobs` alone sets
     the workers.  The shards are dealt into `jobs` batches, each of every
     `jobs`-th shard, and each tableau is grown where its batch is
     checked: in a pool worker, or in-process when jobs is 1 or the family
     has fewer than 4 * jobs shards, which makes one batch.  The theorem is
-    checked once per evacuation orbit, and a skipped tableau's failure is
-    recorded by its partner's check, in whichever worker grew it; records
-    are sorted by reading word, so the report does not depend on `jobs`.
+    checked once per evacuation orbit.  Records are sorted by reading word,
+    so the report does not depend on `jobs`; if the sums of the orbit
+    balance (see `_check_theorem`) differ, one record for the family, with
+    no tableau and the two sums, follows them.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
@@ -288,7 +285,7 @@ def run_verification(
         family.check_bounds()
     elif not (
         (_is_int(max_seconds) or isinstance(max_seconds, float))
-        and 0 <= max_seconds < math.inf
+        and 0 <= max_seconds <= sys.float_info.max
         and math.copysign(1.0, max_seconds) > 0  # also NaN and -0.0
     ):
         raise ValueError(f"max_seconds must be a number of seconds >= 0, got {max_seconds!r}")
@@ -315,7 +312,10 @@ def run_verification(
         if seconds_left() < 0:
             raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
 
-    total = sum(count for count, _ in results)
-    failures = sorted((bad for _, batch in results for bad in batch), key=lambda f: tuple(f["reading_word"]))
+    counts, batches, skipped, covered = zip(*results)
+    failures = sorted((bad for batch in batches for bad in batch), key=lambda f: tuple(f["reading_word"]))
+    skipped, covered = sum(skipped), sum(covered)
+    if skipped != covered:
+        failures.append(_failure((), f"skipped tableaux hash to {covered}", f"skipped tableaux hash to {skipped}"))
     elapsed = (time.monotonic() - start) * 1000.0
-    return VerifyReport(family.describe(), check, total, failures, elapsed)
+    return VerifyReport(family.describe(), check, sum(counts), failures, elapsed)

@@ -215,10 +215,13 @@ class TestRunVerification:
         with pytest.raises(ValueError, match="nan"):
             run_verification(Family((9, 9)), "lemma", max_seconds=float("nan"))
 
-    def test_infinite_budget_rejected(self):
-        # an infinite budget would lift the size bounds and bound nothing
-        with pytest.raises(ValueError, match="got inf$"):
-            run_verification(Family((3, 3)), "lemma", max_seconds=inf)
+    @pytest.mark.parametrize("seconds", [inf, 10**400], ids=["inf", "10**400"])
+    def test_infinite_budget_rejected(self, seconds):
+        # an infinite budget would lift the size bounds and bound nothing;
+        # 10**400 is past every float, and raised OverflowError when the
+        # sign of the budget was read
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(seconds))}$"):
+            run_verification(Family((3, 3)), "lemma", max_seconds=seconds)
 
     def test_negative_budget_rejected_before_enumeration(self, monkeypatch):
         # every enumerator, shard listing included, grows through `_fill`
@@ -285,7 +288,7 @@ class TestRunVerification:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 30s$"):
             run_verification(Family((3, 3, 3)), "involution", jobs=2, max_seconds=30)
-        assert [count for count, _ in mapped] == [21, 21]
+        assert [count for count, *_ in mapped] == [21, 21]
 
     def test_parallel_matches_serial(self):
         family = Family((3, 3, 3))
@@ -576,20 +579,22 @@ class TestTheoremOrbits:
         assert len(theorem_failures_per_tableau(family)) == 18
         assert run_verification(family, "theorem").ok
 
-    def test_no_skip_without_an_involution(self, monkeypatch):
+    def test_balance_fails_without_an_involution(self, monkeypatch):
         # evacuation seeded to send every tableau to the least one: each of
-        # the others has a smaller partner in the family that does not
-        # evacuate back to it, so each must be checked in full
+        # the others is skipped, and no checked tableau evacuates to it
         family = Family((3, 3, 3))
         least = min(t.rows for t in family.tableaux())
         monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: least)
         want = theorem_failures_per_tableau(family)
         assert len(want) == 41
-        assert run_verification(family, "theorem").to_json()["failures"] == want
+        doc = _doc(family, "theorem")
+        assert _doc(family, "theorem", 2) == doc
+        _assert_unbalanced(doc, [f for f in want if f["tableau"] == format_tableau(T(least))])
 
-    def test_no_skip_to_a_partner_outside_the_family(self, monkeypatch):
+    def test_balance_fails_on_a_partner_outside_the_family(self, monkeypatch):
         # evacuation seeded to swap each tableau of h=1 with a smaller one of
-        # another h: a partner the family does not grow covers nothing
+        # another h: each member is skipped, and a partner the family does
+        # not grow covers nothing
         family = Family((2, 2, 2), 1)
         others = sorted(t.rows for h in (0, 2, 3) for t in Family((2, 2, 2), h).tableaux())
         swap = {}
@@ -597,9 +602,26 @@ class TestTheoremOrbits:
             swap[rows] = next(s for s in others if s < rows and s not in swap)
             swap[swap[rows]] = rows
         monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: swap[tuple(map(tuple, rows))])
-        want = theorem_failures_per_tableau(family)
-        assert len(want) == 15
-        assert run_verification(family, "theorem").to_json()["failures"] == want
+        assert len(theorem_failures_per_tableau(family)) == 15
+        doc = _doc(family, "theorem")
+        assert _doc(family, "theorem", 2) == doc
+        _assert_unbalanced(doc, [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_balance_pairs_each_skip_with_its_evacuation(self, jobs, monkeypatch):
+        # evacuation seeded to turn two orbits a < c and b < d, with
+        # a < b < c < d, into the 4-cycle a -> c -> b -> d -> a.  Then c and d
+        # are skipped and are the evacuations of the checked a and b, which
+        # pass; but c and d fail, and neither a nor b evacuates back to
+        # them, so a balance of the skipped tableaux alone would hold
+        family = Family((3, 3, 3))
+        orbits = sorted((t.rows, _evacuated(t.rows)) for t in family.tableaux() if t.rows < _evacuated(t.rows))
+        (a, c), (b, d) = next((x, y) for x, y in itertools.combinations(orbits, 2) if x[0] < y[0] < x[1] < y[1])
+        cycle = {a: c, c: b, b: d, d: a}
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: cycle.get(rows) or _evacuate_rows(rows))
+        failed = {f["tableau"] for f in theorem_failures_per_tableau(family)}
+        assert failed == {format_tableau(T(c)), format_tableau(T(d))}
+        _assert_unbalanced(_doc(family, "theorem", jobs), [])
 
     @pytest.mark.parametrize(
         "family, skipped",
@@ -630,6 +652,16 @@ class TestTheoremOrbits:
         assert len(checked) == len(members) - skipped
         assert any(_evacuated(rows) == rows for rows in checked)
         assert sorted(built) == sorted(members)
+
+
+def _assert_unbalanced(doc, records):
+    """The report holds the records, then the family's one record of an
+    orbit balance whose two sums differ."""
+    *rest, last = doc["failures"]
+    assert rest == records
+    assert last["tableau"] == "" and last["reading_word"] == []
+    expected, actual = (re.fullmatch(r"skipped tableaux hash to (-?\d+)", last[k]) for k in ("expected", "actual"))
+    assert expected and actual and expected[1] != actual[1]
 
 
 def _reflect_parts_unreversed(parts):
@@ -1010,7 +1042,8 @@ def _never_ok(family, check, jobs=1) -> bool:
 class TestMalformedGrowth:
     """The row kernels trust the rows they are given, so a growth that
     yields rows no standard tableau has is caught by the campaigns' gates:
-    the pipeline's check, the inverse and evacuation."""
+    the pipeline's check, the inverse, evacuation and the theorem's orbit
+    balance."""
 
     FAMILIES = [Family((3, 3, 3)), Family((5, 5))]
 
@@ -1032,3 +1065,45 @@ class TestMalformedGrowth:
             with monkeypatch.context() as patched:
                 _seed_growth(patched, family, fault, member)
                 assert _never_ok(family, "injectivity"), member
+
+    @pytest.mark.parametrize("fault", [_doubled, _gap, _swapped], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("family, jobs", [(FAMILIES[0], 1), (FAMILIES[0], 2), (FAMILIES[1], 1),
+                                              (Family((2, 2, 2), "all"), 1)],
+                             ids=lambda x: x.describe() if isinstance(x, Family) else f"jobs{x}")
+    def test_theorem_fails_whichever_member_is_seeded(self, family, jobs, fault, monkeypatch):
+        # a seeded member on the skipped side of its orbit is never built,
+        # and its partner's check passes, so only the balance can see it
+        for member in range(len(_members(family))):
+            with monkeypatch.context() as patched:
+                _seed_growth(patched, family, fault, member)
+                assert _never_ok(family, "theorem", jobs), member
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_theorem_fails_on_a_dropped_member(self, family, monkeypatch):
+        members = _members(family)
+        dropped = next(rows for rows in members if _evacuated(rows) != rows)
+        _seed_members(monkeypatch, family, lambda rows: [] if rows == dropped else [rows])
+        doc = _doc(family, "theorem")
+        assert doc["total"] == len(members) - 1
+        _assert_unbalanced(doc, [])
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Family((2, 2, 2), "all")], ids=Family.describe)
+    def test_theorem_fails_on_a_repeated_member(self, family, monkeypatch):
+        members = _members(family)
+        kept, lost = [rows for rows in members if _evacuated(rows) != rows][:2]
+        _seed_members(monkeypatch, family, lambda rows: [kept] if rows == lost else [rows])
+        doc = _doc(family, "theorem")
+        assert doc["total"] == len(members)
+        _assert_unbalanced(doc, [])
+
+
+def _members(family):
+    """The rows of every member of the family, in growth order."""
+    return [rows for shard in family.shards() for rows in family.grow(shard)]
+
+
+def _seed_members(monkeypatch, family, replace):
+    """Grow the family with each member's rows replaced by the list
+    replace(rows) of rows; pool workers are forked and see the patch."""
+    real = Family.grow
+    monkeypatch.setattr(Family, "grow", lambda self, shard: (r for rows in real(self, shard) for r in replace(rows)))
