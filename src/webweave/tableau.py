@@ -506,7 +506,14 @@ def _field(doc: dict, key: str, what: str):
 
 
 def _typed_items(value, kind: type, what: str) -> list:
-    return [_typed(item, kind, f"each entry of {what}") for item in _typed(value, list, what)]
+    """The items of value, an array whose every item is a JSON value of the
+    given kind.  One pass reads each item's exact type; only if it meets
+    another type (a bool, a subclass, a fault) are the items checked one by
+    one, which names the first fault and lets a subclass of the kind pass."""
+    items = _typed(value, list, what)
+    if {*map(type, items)} <= {kind}:
+        return items
+    return [_typed(item, kind, f"each entry of {what}") for item in items]
 
 
 def parse_tableau(text: str) -> RowStrictTableau:

@@ -21,6 +21,7 @@ from .tableau import (
     _max_repetition,
     _rotate_complement,
     _sorted_tableaux,
+    count_standard,
 )
 
 
@@ -277,7 +278,10 @@ def run_verification(
     checked once per evacuation orbit.  Records are sorted by reading word,
     so the report does not depend on `jobs`; if the sums of the orbit
     balance (see `_check_theorem`) differ, one record for the family, with
-    no tableau and the two sums, follows them.
+    no tableau and the two sums, follows them.  A family of standard
+    tableaux must grow count_standard of its shape, whatever the check:
+    else one more record for the family, with no tableau and the two
+    counts, comes last.
     """
     if check not in CHECK_NAMES:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_NAMES}")
@@ -317,5 +321,8 @@ def run_verification(
     skipped, covered = sum(skipped), sum(covered)
     if skipped != covered:
         failures.append(_failure((), f"skipped tableaux hash to {covered}", f"skipped tableaux hash to {skipped}"))
+    total = sum(counts)
+    if not family.is_russell and total != (members := count_standard(Shape(family.shape))):
+        failures.append(_failure((), f"{members} tableaux grown", f"{total} tableaux grown"))
     elapsed = (time.monotonic() - start) * 1000.0
-    return VerifyReport(family.describe(), check, sum(counts), failures, elapsed)
+    return VerifyReport(family.describe(), check, total, failures, elapsed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, count, repeat
 
 from .tableau import _check_ints, _field, _is_int, _typed, _typed_items
 
@@ -225,8 +226,8 @@ def _defects(parts) -> list[str]:
     colors = (*boundary_colors, *internal_colors)
     for v, rot in enumerate(rotation):
         want = 1 if v < b else 3
-        where = f"boundary vertex {v + 1}" if v < b else f"internal vertex {v - b}"
         if len(rot) != want:
+            where = f"boundary vertex {v + 1}" if v < b else f"internal vertex {v - b}"
             report.append(f"{where} has degree {len(rot)}, expected {want}")
     for e, (x, y) in enumerate(edges):
         if colors[x] == colors[y]:
@@ -442,56 +443,69 @@ def matching_from_json(doc: dict | str) -> Matching:
     return Matching(_typed(_field(doc, "n", "a matching document"), int, "n"), pairs)
 
 
-def _endpoint_name(b: int, v: int) -> str:
-    """The document's name of vertex v of a web with b boundary vertices."""
-    return f"b{v}" if v < b else f"i{v - b}"
+def _endpoint_names(b: int, nv: int) -> list[str]:
+    """The document's names of the nv vertices of a web with b boundary vertices."""
+    return [*map("b{}".format, range(b)), *map("i{}".format, range(nv - b))]
 
 
 def web_to_json(web: Web) -> dict:
-    # half-edge 2e starts at edges[e][0] and 2e+1 at edges[e][1]
-    half_rotation = [[2 * e + (web.edges[e][0] != v) for e in rot] for v, rot in enumerate(web.rotation)]
-    b = web.n_boundary
+    name, edges = _endpoint_names(web.n_boundary, web.n_vertices), web.edges
     return {
         "boundary": [{"color": c} for c in web.boundary_colors],
         "internal_count": len(web.internal_colors),
         "internal_colors": list(web.internal_colors),
-        "edges": [[_endpoint_name(b, x), _endpoint_name(b, y)] for x, y in web.edges],
-        "rotation": half_rotation,
+        "edges": [[name[x], name[y]] for x, y in edges],
+        # half-edge 2e starts at edges[e][0] and 2e+1 at edges[e][1]
+        "rotation": [[2 * e + (edges[e][0] != v) for e in rot] for v, rot in enumerate(web.rotation)],
     }
 
 
 def web_from_json(doc: dict | str) -> Web:
     """Read a web document.  Endpoints and half-edges are read only as
-    web_to_json writes them: an endpoint is one of the names _endpoint_name
-    gives, and a half-edge 2e + side sits where edge e's side starts."""
+    web_to_json writes them: an endpoint is one of the names _endpoint_names
+    gives, and a half-edge 2e + side sits where edge e's side starts.
+
+    Each array is checked in bulk: one pass over the exact types of its
+    items, one lookup per endpoint, and one comparison of the listed
+    half-edges' starts with the vertices that list them.  Where a bulk pass
+    does not accept, the items are read one by one, which names the first
+    fault in document order, or accepts what the bulk pass could not vouch
+    for, such as a subclass of str or int."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     doc = _typed(doc, dict, "a web document")
-    boundary_colors = tuple(
-        _field(item, "color", "each entry of boundary")
-        for item in _typed_items(_field(doc, "boundary", "a web document"), dict, "boundary")
-    )
+    boundary_docs = _typed_items(_field(doc, "boundary", "a web document"), dict, "boundary")
+    try:
+        boundary_colors = tuple([item["color"] for item in boundary_docs])
+    except KeyError:
+        boundary_colors = tuple(_field(item, "color", "each entry of boundary") for item in boundary_docs)
     internal_colors = tuple(_typed(_field(doc, "internal_colors", "a web document"), list, "internal_colors"))
     if len(internal_colors) != _typed(_field(doc, "internal_count", "a web document"), int, "internal_count"):
         raise WebStructureError("internal_count disagrees with internal_colors")
-    b = len(boundary_colors)
-    vertex_of = {_endpoint_name(b, v): v for v in range(b + len(internal_colors))}
-
-    def endpoint(name) -> int:
-        v = vertex_of.get(name) if isinstance(name, str) else None
-        if v is None:
-            raise WebStructureError(f"bad endpoint {name!r}")
-        return v
+    nv = len(boundary_colors) + len(internal_colors)
+    vertex_of = dict(zip(_endpoint_names(len(boundary_colors), nv), range(nv)))
 
     edge_docs = _typed_items(_field(doc, "edges", "a web document"), list, "edges")
-    if any(len(ends) != 2 for ends in edge_docs):
+    if not {*map(len, edge_docs)} <= {2}:
         raise WebStructureError("each edge must have two endpoints")
-    edges = tuple((endpoint(x), endpoint(y)) for x, y in edge_docs)
-    start_of = {2 * e + side: v for e, ends in enumerate(edges) for side, v in enumerate(ends)}
-    rotation = []
-    for v, halves in enumerate(_typed_items(_field(doc, "rotation", "a web document"), list, "rotation")):
-        for h in _typed_items(halves, int, f"rotation[{v}]"):
-            if start_of.get(h) != v:
-                raise WebStructureError(f"half-edge {h} does not sit at vertex {v}")
-        rotation.append(tuple(h // 2 for h in halves))
-    return Web(boundary_colors, internal_colors, edges, tuple(rotation))
+    # the endpoints in document order, so starts[h] is where half-edge h starts
+    names = [*chain.from_iterable(edge_docs)]
+    starts = [*map(vertex_of.get, names)] if {*map(type, names)} <= {str} else None
+    if starts is None or None in starts:
+        for name in names:
+            if not isinstance(name, str) or vertex_of.get(name) is None:
+                raise WebStructureError(f"bad endpoint {name!r}")
+        starts = [vertex_of[name] for name in names]
+    edges = tuple(zip(starts[::2], starts[1::2]))
+
+    rotation_docs = _typed_items(_field(doc, "rotation", "a web document"), list, "rotation")
+    start_of = dict(enumerate(starts))
+    listed = [*chain.from_iterable(rotation_docs)]
+    # the vertex that lists each of those half-edges: v, once per entry of rotation[v]
+    listed_at = [*chain.from_iterable(map(repeat, count(), map(len, rotation_docs)))]
+    if not ({*map(type, listed)} <= {int} and [*map(start_of.get, listed)] == listed_at):
+        for v, halves in enumerate(rotation_docs):
+            for h in _typed_items(halves, int, f"rotation[{v}]"):
+                if start_of.get(h) != v:
+                    raise WebStructureError(f"half-edge {h} does not sit at vertex {v}")
+    return Web(boundary_colors, internal_colors, edges, [[h // 2 for h in halves] for halves in rotation_docs])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from bisect import bisect_left
 from collections import deque
@@ -28,6 +29,8 @@ from webweave.tableau import (
     Shape,
     SkewShape,
     _check_ints,
+    _field,
+    _typed,
     enumerate_russell,
     enumerate_standard,
     format_tableau,
@@ -1429,3 +1432,97 @@ def theorem_failures_per_tableau(family) -> list[dict]:
     """Every tableau's full theorem check, records sorted as verify sorts them."""
     failures = [bad for bad in (check_theorem_per_tableau(family, t) for t in family.tableaux()) if bad is not None]
     return sorted(failures, key=lambda f: tuple(f["reading_word"]))
+
+
+# --- the web reader, item by item -------------------------------------------
+
+def typed_items_by_items(value, kind: type, what: str) -> list:
+    """Each item of an array checked in turn.  The reference for
+    webweave.tableau._typed_items, which reads the items' exact types in one
+    pass first."""
+    return [_typed(item, kind, f"each entry of {what}") for item in _typed(value, list, what)]
+
+
+def web_from_json_by_items(doc) -> Web:
+    """A web document read item by item: each entry typed, each endpoint
+    looked up and each half-edge's start compared on its own, in document
+    order.  The reference for webweave.webcore.web_from_json, which checks
+    each array in bulk passes and goes item by item only where they do not
+    accept."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    doc = _typed(doc, dict, "a web document")
+    boundary_colors = tuple(
+        _field(item, "color", "each entry of boundary")
+        for item in typed_items_by_items(_field(doc, "boundary", "a web document"), dict, "boundary")
+    )
+    internal_colors = tuple(_typed(_field(doc, "internal_colors", "a web document"), list, "internal_colors"))
+    if len(internal_colors) != _typed(_field(doc, "internal_count", "a web document"), int, "internal_count"):
+        raise WebStructureError("internal_count disagrees with internal_colors")
+    b = len(boundary_colors)
+    vertex_of = {(f"b{v}" if v < b else f"i{v - b}"): v for v in range(b + len(internal_colors))}
+
+    def endpoint(name) -> int:
+        v = vertex_of.get(name) if isinstance(name, str) else None
+        if v is None:
+            raise WebStructureError(f"bad endpoint {name!r}")
+        return v
+
+    edge_docs = typed_items_by_items(_field(doc, "edges", "a web document"), list, "edges")
+    if any(len(ends) != 2 for ends in edge_docs):
+        raise WebStructureError("each edge must have two endpoints")
+    edges = tuple((endpoint(x), endpoint(y)) for x, y in edge_docs)
+    start_of = {2 * e + side: v for e, ends in enumerate(edges) for side, v in enumerate(ends)}
+    rotation = []
+    for v, halves in enumerate(typed_items_by_items(_field(doc, "rotation", "a web document"), list, "rotation")):
+        for h in typed_items_by_items(halves, int, f"rotation[{v}]"):
+            if start_of.get(h) != v:
+                raise WebStructureError(f"half-edge {h} does not sit at vertex {v}")
+        rotation.append(tuple(h // 2 for h in halves))
+    return Web(boundary_colors, internal_colors, edges, tuple(rotation))
+
+
+def web_document_sites(doc: dict) -> list[tuple]:
+    """The path of every field of a web document that a mutation may
+    replace or delete: each top-level field, boundary entry and its color,
+    internal color, edge and its endpoints, rotation entry and half-edge."""
+    sites = [(key,) for key in doc]
+    sites += [("boundary", i, *rest) for i in range(len(doc["boundary"])) for rest in ((), ("color",))]
+    sites += [("internal_colors", i) for i in range(len(doc["internal_colors"]))]
+    sites += [("edges", e, *rest) for e in range(len(doc["edges"])) for rest in ((), (0,), (1,))]
+    sites += [("rotation", v, *rest) for v, halves in enumerate(doc["rotation"])
+              for rest in ((), *((j,) for j in range(len(halves))))]
+    return sites
+
+
+DELETED = object()  # a mutation that deletes the field instead of replacing it
+
+
+def web_document_values(doc: dict, site: tuple) -> list:
+    """What a mutation may put at a site: -1, an id just out of range (the
+    next internal vertex's name at an endpoint, the next half-edge
+    elsewhere), True, 1.0, "0", None, [], {}, "b99", ["b0"], or DELETED."""
+    out_of_range = f"i{len(doc['internal_colors'])}" if site[0] == "edges" and len(site) == 3 else 2 * len(doc["edges"])
+    return [-1, out_of_range, True, 1.0, "0", None, [], {}, "b99", ["b0"], DELETED]
+
+
+def mutate_web_document(doc: dict, site: tuple, value) -> dict:
+    """A copy of the document with the field at site replaced by value, or
+    deleted (value DELETED)."""
+    doc = json.loads(json.dumps(doc))
+    *path, last = site
+    container = doc
+    for step in path:
+        container = container[step]
+    if value is DELETED:
+        del container[last]
+    else:
+        container[last] = value
+    return doc
+
+
+def seeded_web_mutations(rng: random.Random, doc: dict, count: int) -> list[dict]:
+    """count single-field mutations of the document, drawn without
+    replacement from every (site, value) pair."""
+    pairs = [(site, value) for site in web_document_sites(doc) for value in web_document_values(doc, site)]
+    return [mutate_web_document(doc, *pair) for pair in rng.sample(pairs, min(count, len(pairs)))]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evacuate_by_cells, random_filling
-from test_webcore import square_face_web
+from oracles import evacuate_by_cells, random_filling, seeded_web_mutations, web_from_json_by_items
+from test_webcore import russell_documents, square_face_web
 from webweave import cli, verify
 from webweave.cli import main
 from webweave.render import render_matching_svg
@@ -249,6 +250,18 @@ class TestReflectCommand:
         assert code == 2
         assert err.startswith("error:") and says in err
         assert "Traceback" not in err
+
+    def test_reflect_answers_as_with_the_item_by_item_reader(self, monkeypatch):
+        # every Russell document of k <= 3 as written, and one seeded
+        # mutation of each: exit code, stdout and stderr
+        rng, texts = random.Random(11), []
+        for doc in russell_documents():
+            texts += [json.dumps(doc), *map(json.dumps, seeded_web_mutations(rng, doc, 1))]
+        got = [call_main(["reflect"], text) for text in texts]
+        monkeypatch.setattr(cli, "web_from_json", web_from_json_by_items)
+        assert [call_main(["reflect"], text) for text in texts] == got
+        codes = [code for code, _, _ in got]
+        assert len(codes) == 1224 and codes.count(0) >= 612 and codes.count(2) > 300 and set(codes) == {0, 2}
 
 
 class TestEnumerateCommand:

@@ -1080,12 +1080,32 @@ class TestMalformedGrowth:
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family((2, 2, 2), "all")], ids=Family.describe)
     def test_theorem_fails_on_a_dropped_member(self, family, monkeypatch):
+        # a standard family's count record follows the balance record
         members = _members(family)
         dropped = next(rows for rows in members if _evacuated(rows) != rows)
         _seed_members(monkeypatch, family, lambda rows: [] if rows == dropped else [rows])
         doc = _doc(family, "theorem")
         assert doc["total"] == len(members) - 1
-        _assert_unbalanced(doc, [])
+        if family.is_russell:
+            _assert_unbalanced(doc, [])
+        else:
+            _assert_unbalanced({"failures": doc["failures"][:-1]}, [])
+            assert doc["failures"][-1] == _count_record(len(members), len(members) - 1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("check", verify.CHECK_NAMES)
+    @pytest.mark.parametrize("self_evacuating", [True, False], ids=["self-evacuating", "in an orbit of two"])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3)), Family((3, 3, 3), 0)], ids=Family.describe)
+    def test_every_check_fails_on_a_dropped_standard_member(self, family, self_evacuating, check, jobs, monkeypatch):
+        # the orbit balance covers no self-evacuating member, so only the
+        # count sees one dropped; the count record comes last
+        members = _members(family)
+        dropped = next(rows for rows in members if (_evacuated(rows) == rows) == self_evacuating)
+        _seed_members(monkeypatch, family, lambda rows: [] if rows == dropped else [rows])
+        doc = _doc(family, check, jobs)
+        assert doc["total"] == 41 and doc["failures"][-1] == _count_record(42, 41)
+        unbalanced = check == "theorem" and not self_evacuating
+        assert len(doc["failures"]) == 1 + unbalanced
 
     @pytest.mark.parametrize("family", [*FAMILIES, Family((2, 2, 2), "all")], ids=Family.describe)
     def test_theorem_fails_on_a_repeated_member(self, family, monkeypatch):
@@ -1095,6 +1115,12 @@ class TestMalformedGrowth:
         doc = _doc(family, "theorem")
         assert doc["total"] == len(members)
         _assert_unbalanced(doc, [])
+
+
+def _count_record(members, grown):
+    """The family's record of a standard family that grew the wrong number of members."""
+    return {"tableau": "", "reading_word": [], "expected": f"{members} tableaux grown",
+            "actual": f"{grown} tableaux grown"}
 
 
 def _members(family):

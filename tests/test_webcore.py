@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import random
 import re
 
@@ -14,10 +15,13 @@ from oracles import (
     mutate_web_parts,
     reflect_web_by_expansion,
     renumber_web_parts,
+    seeded_web_mutations,
     turn_or_recolor,
+    typed_items_by_items,
+    web_from_json_by_items,
     web_gate_by_passes,
 )
-from webweave import bijection, cli, webcore
+from webweave import bijection, cli, tableau, webcore
 from webweave.bijection import (
     SL2,
     SL3_RUSSELL,
@@ -509,6 +513,96 @@ class TestWebJson:
         doc["edges"][1] = ends
         with pytest.raises(WebStructureError, match="bad endpoint"):
             web_from_json(doc)
+
+
+def russell_documents() -> list[dict]:
+    """The to-web document of every Russell filling with k <= 3, at every h."""
+    return [web_to_json(russell_web(t))
+            for k in (1, 2, 3) for h in range(3 * k // 2 + 1) for t in enumerate_russell(k, h)]
+
+
+def read_outcome(reader, doc):
+    """What a reader gives for a document: the Web, or its exception's type and text."""
+    try:
+        return reader(doc)
+    except Exception as exc:  # any refusal, so that two readers' refusals compare
+        return type(exc), str(exc)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class TestWebJsonByItems:
+    """The bulk reader gives what the item-by-item reader gives: the same
+    Web, or the same refusal, whose text names the first fault in document
+    order."""
+
+    def test_every_russell_document_reads_back(self):
+        docs = russell_documents()
+        assert len(docs) == 612
+        for doc in docs:
+            web = web_from_json(doc)
+            assert web == web_from_json_by_items(doc) and web_to_json(web) == doc
+
+    def test_seeded_mutations_read_as_item_by_item(self):
+        rng, refusals, seen = random.Random(37), 0, 0
+        for doc in russell_documents():
+            for mutated in seeded_web_mutations(rng, doc, 20):
+                got = read_outcome(web_from_json, mutated)
+                assert got == read_outcome(web_from_json_by_items, mutated), mutated
+                # as text too, as the CLI gives it
+                text = json.dumps(mutated)
+                assert read_outcome(web_from_json, text) == got
+                refusals += isinstance(got, tuple)
+                seen += 1
+        assert seen == 12240 and refusals > seen // 2
+
+    @pytest.mark.parametrize("convert", [
+        lambda doc: {**doc, "edges": [[_Str(x), y] for x, y in doc["edges"]]},
+        lambda doc: {**doc, "rotation": [[_Int(h) for h in halves] for halves in doc["rotation"]]},
+        lambda doc: {**doc, "rotation": [_List(halves) for halves in doc["rotation"]]},
+        lambda doc: {**doc, "edges": _List(map(_List, doc["edges"])), "boundary": [_Dict(c) for c in doc["boundary"]]},
+        lambda doc: {**doc, "rotation": [[True if h == 1 else h for h in halves] for halves in doc["rotation"]]},
+        lambda doc: {**doc, "rotation": [*doc["rotation"][:-1], [doc["rotation"][-1][0]] * 3]},
+        lambda doc: {**doc, "rotation": [*doc["rotation"][:-1], doc["rotation"][0]]},
+        lambda doc: {**doc, "rotation": [[h - 2 * len(doc["edges"]) for h in halves] for halves in doc["rotation"]]},
+        lambda doc: {**doc, "rotation": [*doc["rotation"], "ab"]},
+        lambda doc: {**doc, "rotation": [*doc["rotation"][:-1], {}]},
+        lambda doc: {**doc, "edges": [*doc["edges"], ["b0", "b1", "b2"]]},
+        lambda doc: {**doc, "edges": [doc["edges"][0][:1], [doc["edges"][0][1], *doc["edges"][1]], *doc["edges"][2:]]},
+        lambda doc: {**doc, "edges": [*doc["edges"], [["b0"], "b0"]]},
+        lambda doc: _Dict(doc),
+    ], ids=["str endpoint subclass", "int half subclass", "list rotation subclass", "list and dict subclasses",
+            "bool half-edge", "half listed thrice", "rotation of vertex 0 repeated last", "negative halves",
+            "string rotation entry", "object rotation entry", "three endpoints", "one and three endpoints",
+            "unhashable endpoint", "dict document subclass"])
+    def test_subclasses_and_other_types_read_as_item_by_item(self, convert):
+        docs = [web_to_json(russell_web(t)) for t in enumerate_russell(3, 2)[:12]]
+        for doc in docs:
+            doc = convert(doc)
+            assert read_outcome(web_from_json, doc) == read_outcome(web_from_json_by_items, doc)
+
+    def test_typed_items_reads_as_item_by_item(self):
+        pool = [0, 7, -1, True, False, 1.0, "a", "", None, [], [1], {}, {"a": 1}, _Int(3), _Str("x"), _List(), _Dict()]
+        rng = random.Random(5)
+        for _ in range(3000):
+            kind = rng.choice([int, str, list, dict])
+            value = rng.choice([[rng.choice(pool) for _ in range(rng.randrange(4))], rng.choice(pool), _List([1, 2])])
+            got = read_outcome(lambda v: tableau._typed_items(v, kind, "x"), value)
+            assert got == read_outcome(lambda v: typed_items_by_items(v, kind, "x"), value), (kind, value)
 
 
 def _refuse_every_web(parts) -> None:
