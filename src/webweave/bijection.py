@@ -9,6 +9,7 @@ rational abscissa; no floating point appears anywhere.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
@@ -183,12 +184,23 @@ def _by_abscissa(c, d) -> int:
 
 def _crossings(ends) -> list[tuple[int, int, int, int]]:
     """Every pair of interleaving arcs a = (i, j), b = (k, l), i < k < j < l,
-    as (a, b, num, den): the semicircles meet at abscissa num/den.  Sorted by
-    (a, abscissa, b), all in integers."""
+    of an m-diagram given as _arc_ends gives it, as (a, b, num, den): the
+    semicircles meet at abscissa num/den.  Sorted by (a, abscissa, b), all
+    in integers.
+
+    Each of the two Catalan pairings is noncrossing, so only a top arc (even
+    index, middle end on the right) and a bottom arc (odd index, middle end
+    on the left) can interleave.  The middle ends increase with the index,
+    so one bisect gives each arc's window: for a top arc (i, j), the bottom
+    arcs whose middle end lies in (i, j); for a bottom arc (i, j), the top
+    arcs whose middle end lies past j."""
+    middles = [left for left, _ in ends[1::2]]
+    n = len(ends)
     out = []
     for a, (i, j) in enumerate(ends):
         row = []
-        for b, (k, l) in enumerate(ends):
+        for b in range(2 * bisect_right(middles, j), n, 2) if a % 2 else range(2 * bisect_right(middles, i) + 1, a, 2):
+            k, l = ends[b]
             if i < k < j < l:
                 num, den = k * l - i * j, (k + l) - (i + j)
                 assert k * den < num < j * den
@@ -201,9 +213,18 @@ def _crossings(ends) -> list[tuple[int, int, int, int]]:
 
 def find_crossings(diagram: ArcDiagram) -> tuple[Crossing, ...]:
     """Every interleaving arc pair with its exact semicircle intersection,
-    sorted by (first-opening arc, abscissa, other arc)."""
+    sorted by (first-opening arc, abscissa, other arc).  Any diagram is
+    scanned pair by pair; `_crossings` scans an m-diagram's windows alone."""
     ends = [(arc.left, arc.right) for arc in diagram.arcs]
-    return tuple(Crossing(a, b, Fraction(num, den)) for a, b, num, den in _crossings(ends))
+    out = []
+    for a, (i, j) in enumerate(ends):
+        row = []
+        for b, (k, l) in enumerate(ends):
+            if i < k < j < l:
+                row.append(Crossing(a, b, Fraction(k * l - i * j, (k + l) - (i + j))))
+                assert k < row[-1].x < j
+        out += sorted(row, key=operator.attrgetter("x"))  # stable: ties stay in b order
+    return tuple(out)
 
 
 # At a crossing of arcs a and b the counterclockwise germs are (a rightward,
@@ -297,12 +318,13 @@ def _russell_parts(rows, webs=None, shared=None):
     are a standard tableau's rows, which _arc_ends trusts.
 
     Without `webs` (the CLI, russell_web, tableau_of_web) the
-    standardization's Tymoczko web is built per call.  A campaign batch's
+    standardization's Tymoczko web is built per call.  A campaign's
     pipeline passes two fresh dicts (Pipeline.batch): `webs` keeps each
     standardization's web, keyed by its flat rows, as tuples that share
     equal small tuples through `shared` (see _frozen), so it is built once
-    per batch.  A build that raises leaves nothing behind, and the
-    standardizing and the contraction still run per filling.
+    in-process, or once per pool worker.  A build that raises leaves
+    nothing behind, and the standardizing and the contraction still run per
+    filling.
 
     The contraction reads the built fields before the pipeline's gate
     does, so when it fails on fields that the gate refuses, the gate's
@@ -385,7 +407,7 @@ class Pipeline(NamedTuple):
     reflect them, list their defects, and read the tableau's rows back off
     them.  `parts` builds and checks once; the other stages trust it, as
     the functions that take a Matching or a Web do.  The pipelines here
-    build per call; `batch` gives the pipeline that one campaign batch runs."""
+    build per call; `batch` gives the pipeline that a campaign or pool worker runs."""
 
     build: Callable
     check: Callable[..., None]
@@ -401,10 +423,11 @@ class Pipeline(NamedTuple):
         return parts
 
     def batch(self) -> Pipeline:
-        """The pipeline one campaign batch runs: SL3_RUSSELL's build with a
-        fresh memo of each standardization's Tymoczko web (see
-        _russell_parts), dropped with the batch, and the check still run on
-        every filling; any other pipeline as given."""
+        """The pipeline that one in-process campaign, or one pool worker for
+        every piece it takes, runs: SL3_RUSSELL's build with a fresh memo of
+        each standardization's Tymoczko web (see _russell_parts), dropped
+        with the campaign or the worker, and the check still run on every
+        filling; any other pipeline as given."""
         if self.build is _russell_parts:
             return self._replace(build=partial(_russell_parts, webs={}, shared={}))
         return self

@@ -1,6 +1,7 @@
 """Exhaustive verification campaigns over enumerated tableau families."""
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -234,19 +235,21 @@ _PER_TABLEAU = {
 CHECK_NAMES = tuple(_PER_TABLEAU)
 
 
-def _check_batch(args) -> tuple[int, list[dict], int, int]:
-    """Grow each shard of a batch and check the rows of each tableau in turn
-    with the family's pipeline; return the number grown, the failure
-    records the checks yield, and the two sums of the theorem's orbit
-    balance (see `_check_theorem`; 0 for any other check).  Raise
-    TimeBudgetExceeded once this call has run longer than `seconds_left`
-    (inf: no budget), growing included.  The budget is a duration, so a
-    pool worker can measure it on its own clock.  The checks run the
-    pipeline that `Pipeline.batch` gives for this call, so a memo it keeps
-    is dropped when the call returns."""
-    check, family, shards, max_seconds, seconds_left = args
-    fn, pipeline = _PER_TABLEAU[check], family.pipeline.batch()
-    start = time.monotonic()
+# the pool deals each worker this many pieces, so a worker that finishes early takes another
+PIECES_PER_WORKER = 8
+
+_CAMPAIGNS = itertools.count()  # a token per pool campaign, tagging its workers' state
+_worker = None  # in a pool worker: (campaign token, its pipeline, its deadline), set by _start_worker
+
+
+def _check_shards(check, family, shards, pipeline, deadline, max_seconds) -> tuple[int, list[dict], int, int]:
+    """Grow each shard and check the rows of each tableau in turn with
+    `pipeline`; return the number grown, the failure records the checks
+    yield, and the two sums of the theorem's orbit balance (see
+    `_check_theorem`; 0 for any other check).  Raise TimeBudgetExceeded
+    once the clock has passed `deadline` (inf: no budget), read after every
+    tableau, growing included."""
+    fn = _PER_TABLEAU[check]
     count = 0
     failures = []
     balance = [0, 0]
@@ -254,9 +257,42 @@ def _check_batch(args) -> tuple[int, list[dict], int, int]:
         for rows in family.grow(shard):
             count += 1
             failures.extend(fn(pipeline, rows, balance))
-            if time.monotonic() - start > seconds_left:
+            if time.monotonic() > deadline:
                 raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
     return count, failures, *balance
+
+
+def _check_batch(args) -> tuple[int, list[dict], int, int]:
+    """Check one in-process batch, (check, family, shards, max_seconds,
+    seconds_left), as `_check_shards` does, within `seconds_left` from now.
+    The checks run the pipeline that `Pipeline.batch` gives for this call,
+    so a memo it keeps is dropped when the call returns."""
+    check, family, shards, max_seconds, seconds_left = args
+    return _check_shards(check, family, shards, family.pipeline.batch(), time.monotonic() + seconds_left, max_seconds)
+
+
+def _start_worker(token, family: Family, seconds_left: float) -> None:
+    """A pool worker's initializer: build the worker's pipeline
+    (`Pipeline.batch`) once, for every piece it takes, and fix its deadline
+    `seconds_left` from now on its own clock.  The state carries the
+    campaign's token, which every piece of that campaign carries too."""
+    global _worker
+    _worker = token, family.pipeline.batch(), time.monotonic() + seconds_left
+
+
+def _check_piece(args) -> tuple[int, list[dict], int, int]:
+    """Check one pool piece, (check, family, shards, max_seconds, token),
+    as `_check_shards` does, with the pipeline and deadline of the worker
+    that took it, so a piece that starts late gets only the time left; a
+    piece that starts past the deadline grows nothing.  Worker state of
+    another campaign is never read: its token differs."""
+    check, family, shards, max_seconds, token = args
+    if _worker is None or _worker[0] != token:
+        raise RuntimeError("a piece ran in a worker that its campaign did not start")
+    _, pipeline, deadline = _worker
+    if time.monotonic() > deadline:
+        raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
+    return _check_shards(check, family, shards, pipeline, deadline, max_seconds)
 
 
 def run_verification(
@@ -271,10 +307,17 @@ def run_verification(
     given; exceeding a given budget, growing included, aborts with
     TimeBudgetExceeded, and a negative (-0.0 too), infinite (past every float too) or NaN budget or jobs < 1
     is refused with ValueError before anything is grown.  `jobs` alone sets
-    the workers.  The shards are dealt into `jobs` batches, each of every
-    `jobs`-th shard, and each tableau is grown where its batch is
-    checked: in a pool worker, or in-process when jobs is 1 or the family
-    has fewer than 4 * jobs shards, which makes one batch.  The theorem is
+    the workers.  When jobs is 1 or the family has fewer than 4 * jobs
+    shards, every shard is grown and checked in-process, as one batch.
+    Otherwise the shards are dealt into n = PIECES_PER_WORKER * jobs pieces
+    (at most one per shard), piece i of every n-th shard from the i-th, and
+    a pool of `jobs` workers takes them one at a time, so a worker that
+    finishes early takes the next.  Each worker builds one pipeline
+    (`Pipeline.batch`) for all the pieces it takes, and its deadline is the
+    time left when the pool is made, on its own clock; after the first
+    piece that fails, budget or other, the pieces not yet started are
+    cancelled, and the whole campaign is checked against the budget once the
+    pool returns.  Each tableau is grown where it is checked.  The theorem is
     checked once per evacuation orbit.  Records are sorted by reading word,
     so the report does not depend on `jobs`; if the sums of the orbit
     balance (see `_check_theorem`) differ, one record for the family, with
@@ -304,15 +347,22 @@ def run_verification(
     shards = family.shards()
     if len(shards) < 4 * jobs:
         jobs = 1
-    batches = [(check, family, shards[i::jobs], max_seconds, seconds_left()) for i in range(jobs)]
     if jobs == 1:
-        results = [_check_batch(batches[0])]
+        results = [_check_batch((check, family, shards, max_seconds, seconds_left()))]
     else:
         # imported here, so a serial campaign and the CLI load no process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_batch, batches))
+        token = next(_CAMPAIGNS)
+        n = min(PIECES_PER_WORKER * jobs, len(shards))
+        pieces = [(check, family, shards[i::n], max_seconds, token) for i in range(n)]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(token, family, seconds_left())) as pool:
+            try:
+                results = list(pool.map(_check_piece, pieces))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
         if seconds_left() < 0:
             raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
 

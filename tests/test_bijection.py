@@ -28,9 +28,12 @@ from webweave import bijection
 from webweave.bijection import (
     Arc,
     ArcDiagram,
+    Crossing,
     SL2,
     SL3_RUSSELL,
+    _arc_ends,
     _catalan_pairs,
+    _crossings,
     _russell_parts,
     _tableau_rows,
     _tymoczko_parts,
@@ -293,6 +296,19 @@ class TestGeometryAgainstOracle:
             diagram = m_diagram(t)
             assert diagram == m_diagram_by_pairing(t)
             assert find_crossings(diagram) == find_crossings_by_fraction(diagram)
+
+    @pytest.mark.parametrize("k", [4, 5, 12])
+    def test_windowed_crossings_match_fraction_oracle(self, k):
+        # _crossings scans only the windows of arcs of the other pairing;
+        # every (4,4,4) and (5,5,5) tableau, and 200 random (12,12,12) ones
+        if k < 12:
+            tableaux = enumerate_standard(Shape((k, k, k)))
+        else:
+            rng = random.Random(12)
+            tableaux = [random_filling(rng, 3, k) for _ in range(200)]
+        for t in tableaux:
+            got = [Crossing(a, b, Fraction(num, den)) for a, b, num, den in _crossings(_arc_ends(t.rows))]
+            assert tuple(got) == find_crossings_by_fraction(m_diagram(t))
 
     def test_m_diagram_keeps_its_checks(self):
         skew = T([[1], [2], [3]], inner=(1, 1, 1))

@@ -1,7 +1,9 @@
 import concurrent.futures
+import functools
 import io
 import itertools
 import operator
+import os
 import random
 import re
 from fractions import Fraction
@@ -44,6 +46,68 @@ from webweave.tableau import (
 from webweave.webcore import BLACK, Web, _fields, canonicalize, reflect_web
 
 T = RowStrictTableau.from_rows
+
+
+class InProcessPool:
+    """A process pool double that runs in this process, one simulated worker
+    after another: worker w runs the pool's initializer, keeps the state it
+    sets (`states`), and takes pieces w, w + max_workers, ... in turn.  The
+    results come in piece order.  A piece that raises ends the map, so the
+    pieces not started never run; `ran` lists (worker, piece index) in the
+    order run, `results` what the pieces returned, and `shutdowns` the
+    cancel_futures of each shutdown."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers, self.start = max_workers, functools.partial(initializer, *initargs)
+        self.worker, self.pieces, self.results, self.states, self.ran, self.shutdowns = None, [], [], [], [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        return False
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+    def map(self, fn, pieces):
+        self.pieces = list(pieces)
+        self.results = results = [None] * len(self.pieces)
+        for self.worker in range(self.max_workers):
+            self.start()
+            self.states.append(verify._worker)
+            for i in range(self.worker, len(self.pieces), self.max_workers):
+                self.ran.append((self.worker, i))
+                results[i] = fn(self.pieces[i])
+        return results
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Put InProcessPool in place of the process pool, and list the pools
+    made; the worker state they leave in this process goes with the test."""
+    made = []
+
+    def make(**kwargs):
+        made.append(InProcessPool(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(verify, "_worker", None)
+    return made
+
+
+class TickingClock:
+    """A clock for verify.time that ticks a second per reading; `now` is the
+    last reading."""
+
+    def __init__(self):
+        self.now = -1.0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now
 
 
 class TestFamily:
@@ -263,32 +327,19 @@ class TestRunVerification:
         with pytest.raises(ValueError, match=f"^bad jobs {re.escape(repr(jobs))}; expected an integer$"):
             run_verification(Family((3, 3)), "lemma", jobs=jobs, max_seconds=5)
 
-    def test_parallel_run_is_budgeted_as_a_whole(self, monkeypatch):
-        # a clock that ticks a second per reading: each batch of 21 (3,3,3)
-        # tableaux stays within the 29 or 28 s left when it is sent, so only
-        # the check after the pool returns finds the 30 s budget spent
-        clock = itertools.count()
-        monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
-        mapped = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, batches):
-                mapped.extend(fn(batch) for batch in batches)
-                return mapped
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_parallel_run_is_budgeted_as_a_whole(self, monkeypatch, pools):
+        # a clock that ticks a second per reading: each worker's 21 (3,3,3)
+        # tableaux, in 8 pieces, stay within the 29 s left when the pool is
+        # made, counted from the worker's start, so only the check after the
+        # pool returns finds the 30 s budget spent
+        monkeypatch.setattr(verify, "time", TickingClock())
         with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 30s$"):
             run_verification(Family((3, 3, 3)), "involution", jobs=2, max_seconds=30)
-        assert [count for count, *_ in mapped] == [21, 21]
+        (pool,) = pools
+        assert pool.max_workers == 2 and len(pool.pieces) == 2 * verify.PIECES_PER_WORKER
+        grown = [count for count, *_ in pool.results]
+        assert [sum(grown[w::2]) for w in range(2)] == [21, 21]
+        assert [w for w, _ in pool.ran] == [0] * 8 + [1] * 8 and pool.shutdowns == [False]
 
     def test_parallel_matches_serial(self):
         family = Family((3, 3, 3))
@@ -297,35 +348,21 @@ class TestRunVerification:
         assert serial.total == parallel.total == 42
         assert serial.failures == parallel.failures == []
 
-    def test_jobs_alone_sets_the_workers(self, monkeypatch):
+    def test_jobs_alone_sets_the_workers(self, monkeypatch, pools):
         # WEBWEAVE_THREADS once capped the workers; no variable is read now
         monkeypatch.setenv("WEBWEAVE_THREADS", "1")
-        sent = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                assert max_workers == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, batches):
-                sent.extend(batches)
-                return [fn(batch) for batch in batches]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         report = run_verification(Family((4, 4, 4)), "theorem", jobs=2)
-        assert len(sent) == 2 and report.ok and report.total == 462
+        (pool,) = pools
+        assert pool.max_workers == 2 and len(pool.ran) == 2 * verify.PIECES_PER_WORKER
+        assert sorted(shard for piece in pool.pieces for shard in piece[2]) == sorted(Family((4, 4, 4)).shards())
+        assert report.ok and report.total == 462
 
     @pytest.mark.parametrize("jobs", [2, 8])
     def test_family_with_few_shards_runs_in_process(self, jobs, monkeypatch):
         # (3,3) has 5 shards, fewer than 4 per worker, so it is checked as
         # one batch in-process; with evacuation the identity the theorem
         # fails on every matching that is not its own reflection
-        def no_pool(max_workers):
+        def no_pool(**kwargs):
             raise AssertionError("a process pool was built")
 
         family = Family((3, 3))
@@ -368,28 +405,35 @@ class TestShards:
     @pytest.mark.parametrize("family", [Family((4, 4, 4)), Family((3, 3, 3), "all")], ids=Family.describe)
     def test_output_does_not_depend_on_jobs(self, family, monkeypatch):
         # with evacuation the identity the theorem fails on many tableaux;
-        # the pool is recorded, so the jobs=2 run is known to be sharded
+        # the pool is recorded, so the jobs 2 and 3 runs are known to be
+        # sharded into pieces, each taken by one of `jobs` workers
         monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
-        batches = []
+        pools = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append((max_workers, []))
+                super().__init__(max_workers, **kwargs)
+
             def map(self, fn, sent):
-                sent = list(sent)
-                batches.extend(sent)
-                return super().map(fn, sent)
+                pools[-1][1].extend(sent)
+                return super().map(fn, pools[-1][1])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        docs = [run_verification(family, "theorem", jobs=jobs).to_json() for jobs in (1, 2)]
+        docs = [run_verification(family, "theorem", jobs=jobs).to_json() for jobs in (1, 2, 3)]
         for doc in docs:
             del doc["elapsed_ms"]
-        serial, parallel = docs
-        assert serial == parallel
-        assert serial["total"] == len(family.tableaux())
-        words = [f["reading_word"] for f in serial["failures"]]
+        assert docs[0] == docs[1] == docs[2]
+        assert docs[0]["total"] == len(family.tableaux())
+        words = [f["reading_word"] for f in docs[0]["failures"]]
         assert words and words == sorted(words)
-        # two workers, between them the whole shard list
-        assert len(batches) == 2
-        assert sorted(shard for batch in batches for shard in batch[2]) == sorted(family.shards())
+        # the pieces deal the shard list by stride: each shard once, in one piece
+        shards = family.shards()
+        assert [jobs for jobs, _ in pools] == [2, 3]
+        for jobs, pieces in pools:
+            n = verify.PIECES_PER_WORKER * jobs
+            assert len(pieces) == n and [piece[2] for piece in pieces] == [shards[i::n] for i in range(n)]
+            assert sorted(shard for piece in pieces for shard in piece[2]) == sorted(shards)
 
     @pytest.mark.parametrize(
         "family",
@@ -419,6 +463,76 @@ class TestShards:
         assert family.shards() == shards
         for h, prefix in shards:
             assert list(family.grow((h, prefix))) == grow_by_closures(shape, h, prefix)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "family", [Family((2, 2, 2), 1), Family((3, 3, 3), "all"), Family((8, 8))], ids=Family.describe
+    )
+    def test_pieces_partition_the_shards(self, family, jobs, monkeypatch, pools):
+        # piece i holds every n-th shard from the i-th, n being 8 per worker
+        # or, for the 15 shards of Russell (2,2,2) h=1, one piece per shard;
+        # with evacuation the identity the records are compared too
+        monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
+        serial = _doc(family, "theorem")
+        assert serial["failures"] and _doc(family, "theorem", jobs) == serial
+        shards = family.shards()
+        if jobs == 1:
+            assert not pools
+            return
+        (pool,) = pools
+        n = min(verify.PIECES_PER_WORKER * jobs, len(shards))
+        assert pool.max_workers == jobs and [piece[2] for piece in pool.pieces] == [shards[i::n] for i in range(n)]
+        dealt = [shard for piece in pool.pieces for shard in piece[2]]
+        assert len(dealt) == len(shards) and sorted(dealt) == sorted(shards)
+        assert sorted(i for _, i in pool.ran) == list(range(n))
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_no_piece_grows_past_its_workers_deadline(self, jobs, monkeypatch, pools):
+        # a clock that ticks a second per reading, and a 100 s budget over
+        # (4,4,4), one tableau per shard: in-process the budget trips after
+        # the 100th tableau, and in the pool the first worker grows up to
+        # its deadline, a few pieces in, and no further; the campaign
+        # cancels the pieces not started, and a piece started past its
+        # worker's deadline grows nothing
+        family, clock, grown = Family((4, 4, 4)), TickingClock(), []
+        real_grow = tableau._grow
+
+        def counting_grow(shape, doubled, prefix=(), last=inf):
+            for rows in real_grow(shape, doubled, prefix, last):
+                if last == inf:
+                    grown.append((pools[-1].worker if pools else None, clock.now))
+                yield rows
+
+        monkeypatch.setattr(verify, "_grow", counting_grow)
+        monkeypatch.setattr(verify, "time", clock)
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 100s$"):
+            run_verification(family, "involution", jobs=jobs, max_seconds=100)
+        if jobs == 1:
+            assert not pools and len(grown) == 100
+            return
+        (pool,) = pools
+        (deadline,) = {state[2] for state in pool.states}
+        assert {w for w, _ in pool.ran} == {w for w, _ in grown} == {0} and len(pool.ran) < len(pool.pieces)
+        assert all(now <= deadline for _, now in grown) and grown[-1][1] == deadline
+        assert pool.shutdowns[0] is True
+        grown.clear()
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 100s$"):
+            verify._check_piece(pool.pieces[-1])
+        assert grown == []
+
+    def test_a_tripped_pool_cancels_the_pieces_not_started(self, monkeypatch):
+        # the budget is spent when the pool is made, so the first piece trips
+        cancels = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                cancels.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        with pytest.raises(TimeBudgetExceeded, match=r"^exceeded 1e-09s$"):
+            run_verification(Family((10, 10)), "involution", jobs=2, max_seconds=1e-9)
+        assert cancels[0] is True
 
 
 class TestFailureRecords:
@@ -831,10 +945,12 @@ VICTIM = ((1, 3, 4), (2, 6, 7), (5, 8, 9))
 
 
 class TestBatchMemo:
-    """A campaign batch over a Russell family builds the Tymoczko web of each
-    standardization once (bijection._russell_parts with the memo that
-    _check_batch gives it); the memo-free campaign is the oracle.  Pool
-    workers are forked and see every patch."""
+    """A campaign over a Russell family builds the Tymoczko web of each
+    standardization once in-process, and once per pool worker for all the
+    pieces it takes (bijection._russell_parts with the memo of
+    Pipeline.batch, which _check_batch or the worker's initializer makes);
+    the memo-free campaign is the oracle.  Pool workers are forked and see
+    every patch."""
 
     FAMILY = Family((3, 3, 3), "all")
 
@@ -912,14 +1028,66 @@ class TestBatchMemo:
             _memo_free(monkeypatch, family)
             assert run_verification(family, check).total == len(calls) == len(family.tableaux())
 
-    def test_no_memo_outlives_a_campaign(self, monkeypatch):
-        # a build patched between two campaigns changes the second
-        assert run_verification(self.FAMILY, "validity").ok
+    def test_no_memo_outlives_a_campaign(self, monkeypatch, pools):
+        # a build patched between two campaigns changes the second, whether
+        # either one is serial or pooled; the pool double's workers start in
+        # this process and leave their state here, and neither a serial
+        # campaign nor a later pool reads it
         real = bijection._tymoczko_parts
-        monkeypatch.setattr(bijection, "_tymoczko_parts",
-                            lambda rows: with_float_bar(real)(rows) if _standardized(rows) == VICTIM else real(rows))
-        failed = {f["tableau"] for f in run_verification(self.FAMILY, "validity").failures}
-        assert failed == {format_tableau(t) for t in self.FAMILY.tableaux() if _standardized(t.rows) == VICTIM}
+        victims = {format_tableau(t) for t in self.FAMILY.tableaux() if _standardized(t.rows) == VICTIM}
+        for first, then in [(1, 1), (2, 1), (3, 1), (2, 2)]:
+            assert run_verification(self.FAMILY, "validity", jobs=first).ok
+            with monkeypatch.context() as patched:
+                patched.setattr(bijection, "_tymoczko_parts",
+                                lambda rows: with_float_bar(real)(rows) if _standardized(rows) == VICTIM else real(rows))
+                failed = {f["tableau"] for f in run_verification(self.FAMILY, "validity", jobs=then).failures}
+            assert failed == victims, (first, then)
+        assert [pool.max_workers for pool in pools] == [2, 3, 2, 2]
+
+    def test_a_piece_reads_only_its_campaigns_worker(self, pools):
+        # a piece whose token is not its worker's finds no state to read
+        assert run_verification(self.FAMILY, "validity", jobs=2).ok
+        check, family, shards, max_seconds, token = pools[0].pieces[0]
+        with pytest.raises(RuntimeError, match="did not start"):
+            verify._check_piece((check, family, shards, max_seconds, object()))
+        verify._worker = None
+        with pytest.raises(RuntimeError, match="did not start"):
+            verify._check_piece(pools[0].pieces[0])
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_one_build_per_standardization_per_worker(self, jobs, monkeypatch, pools):
+        # each simulated worker builds the web of each standardization it
+        # meets once, for all the pieces it takes: the 462 of Russell
+        # (4,4,4) are each built, by every worker, and no worker builds one twice
+        family, calls = Family((4, 4, 4), "all"), []
+        serial = _doc(family, "validity")
+        real = bijection._tymoczko_parts
+
+        def logged(rows):
+            calls.append((pools[-1].worker if pools else 0, tuple(map(tuple, rows))))
+            return real(rows)
+
+        monkeypatch.setattr(bijection, "_tymoczko_parts", logged)
+        assert _doc(family, "validity", jobs) == serial
+        assert len(set(calls)) == len(calls) and len({rows for _, rows in calls}) == 462
+        assert {w for w, _ in calls} == set(range(jobs))
+
+    def test_a_pool_worker_builds_each_standardization_once(self, tmp_path, monkeypatch):
+        # pool workers are forked and see the patch; each logs what it
+        # builds to a file named by its process id
+        family, real = Family((4, 4, 4), "all"), bijection._tymoczko_parts
+
+        def logged(rows):
+            with open(tmp_path / str(os.getpid()), "a") as log:
+                log.write(f"{tuple(map(tuple, rows))}\n")
+            return real(rows)
+
+        monkeypatch.setattr(bijection, "_tymoczko_parts", logged)
+        assert run_verification(family, "validity", jobs=2).ok
+        logs = {path.name: path.read_text().splitlines() for path in tmp_path.iterdir()}
+        assert str(os.getpid()) not in logs and 1 <= len(logs) <= 2
+        assert all(len(set(built)) == len(built) for built in logs.values())
+        assert len(set().union(*logs.values())) == 462
 
     def test_no_memo_outlives_a_cli_call(self, monkeypatch, capsys):
         # to-web builds per call: a build patched between two calls on one
