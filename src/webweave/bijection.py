@@ -309,7 +309,7 @@ def russell_web(t: RowStrictTableau) -> Web:
     return Web(*_russell_parts(_russell_rows(t)))
 
 
-def _russell_parts(rows, webs=None, shared=None):
+def _russell_parts(rows, webs=None):
     """The fields of the Russell web of a filling given by its rows, no pair
     contracted without doubled values.  The rows strictly increase, as a
     tableau's and a growth's do; _standardize makes russell_repetition's
@@ -318,13 +318,14 @@ def _russell_parts(rows, webs=None, shared=None):
     are a standard tableau's rows, which _arc_ends trusts.
 
     Without `webs` (the CLI, russell_web, tableau_of_web) the
-    standardization's Tymoczko web is built per call.  A campaign's
-    pipeline passes two fresh dicts (Pipeline.batch): `webs` keeps each
-    standardization's web, keyed by its flat rows, as tuples that share
-    equal small tuples through `shared` (see _frozen), so it is built once
-    in-process, or once per pool worker.  A build that raises leaves
-    nothing behind, and the standardizing and the contraction still run per
-    filling.
+    standardization's Tymoczko web is built per call.  A campaign batch's
+    pipeline passes a fresh dict (Pipeline.batch): `webs` keeps the webs of
+    the last two standardizations built, keyed by their flat rows, as
+    tuples no caller can change.  A family grows the fillings of one
+    standardization together (verify.Family.grow), and the theorem also
+    builds the web of its evacuation, so each is built at most once per
+    batch, or twice for the theorem.  A build that raises leaves nothing behind, and
+    the standardizing and the contraction still run per filling.
 
     The contraction reads the built fields before the pipeline's gate
     does, so when it fails on fields that the gate refuses, the gate's
@@ -337,7 +338,10 @@ def _russell_parts(rows, webs=None, shared=None):
         key = (*rows[0], *rows[1], *rows[2])  # all three rows have length k
         parts = webs.get(key)
         if parts is None:
-            parts = webs[key] = _frozen(_tymoczko_parts(rows), shared)
+            parts = tuple(map(tuple, _tymoczko_parts(rows)))
+            if len(webs) == 2:
+                del webs[next(iter(webs))]
+            webs[key] = parts
     if not pair_starts:
         return parts
     try:
@@ -345,23 +349,6 @@ def _russell_parts(rows, webs=None, shared=None):
     except (TypeError, ValueError, IndexError):
         _check_structure(parts)
         raise
-
-
-def _frozen(parts, shared):
-    """Web fields as tuples, no caller can change them: each color sequence,
-    edge and rotation is the equal tuple already in `shared`, entered there
-    if new.  Only tuples of exact ints or strs are shared, so an id of
-    another type, a float equal to an int, say, keeps its type.  Sharing is
-    what keeps the memo small: serial Russell (5,5,5) h=3 injectivity
-    (109,560 fillings) peaked at 23.5 MB ru_maxrss with it and at 41.8 MB
-    with the builder's tuples stored unshared (one run each, x86_64)."""
-
-    def share(items):
-        t = tuple(items)
-        return shared.setdefault(t, t) if all(type(x) is int or type(x) is str for x in t) else t
-
-    boundary_colors, internal_colors, edges, rotation = parts
-    return share(boundary_colors), share(internal_colors), tuple(map(share, edges)), tuple(map(share, rotation))
 
 
 # --- the inverse, by face depth ----------------------------------------------
@@ -407,7 +394,7 @@ class Pipeline(NamedTuple):
     reflect them, list their defects, and read the tableau's rows back off
     them.  `parts` builds and checks once; the other stages trust it, as
     the functions that take a Matching or a Web do.  The pipelines here
-    build per call; `batch` gives the pipeline that a campaign or pool worker runs."""
+    build per call; `batch` gives the pipeline that a campaign or pool piece runs."""
 
     build: Callable
     check: Callable[..., None]
@@ -423,13 +410,13 @@ class Pipeline(NamedTuple):
         return parts
 
     def batch(self) -> Pipeline:
-        """The pipeline that one in-process campaign, or one pool worker for
-        every piece it takes, runs: SL3_RUSSELL's build with a fresh memo of
-        each standardization's Tymoczko web (see _russell_parts), dropped
-        with the campaign or the worker, and the check still run on every
-        filling; any other pipeline as given."""
+        """The pipeline that one in-process campaign or one pool piece runs:
+        SL3_RUSSELL's build with a fresh memo of the last two
+        standardizations' Tymoczko webs (see _russell_parts), dropped with
+        the batch, and the check still run on every filling; any other
+        pipeline as given."""
         if self.build is _russell_parts:
-            return self._replace(build=partial(_russell_parts, webs={}, shared={}))
+            return self._replace(build=partial(_russell_parts, webs={}))
         return self
 
 

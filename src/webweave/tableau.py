@@ -8,8 +8,9 @@ tableaux.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import chain, combinations, zip_longest
 from math import factorial, inf
 from operator import le
 
@@ -374,67 +375,45 @@ def count_standard(shape: Shape) -> int:
     return factorial(shape.size) // hooks
 
 
-def _fill(parts, rows: list[list[int]], v: int, left: int, remaining: int, last: float):
+def _fill(parts, rows: list[list[int]], v: int, remaining: int, last: float):
     """The children of one node of the growth tree: place the value v in
-    each way it can go into the filled top-left part `rows` of a straight
+    each addable box of the filled top-left part `rows` of a straight
     shape, and yield, with v in place, the generator of that child's own
     children, or `rows` itself where the shape is then full or v is `last`.
     `_grow` drives the generators from a stack, so no call nests once per
     value; the rows are live, and the caller runs each child out before it
-    resumes the parent.
-
-    Each value takes one addable box or, for exactly `left` of the values,
-    an addable box plus a box in a lower row that is addable once the first
-    is placed (never right of the first, since the filled boxes form a
-    partition): a row is addable while shorter than its part and than the
-    row above, whose length the loops carry (with the upper box placed, for
-    the lower).  Rows then strictly and columns weakly increase.  A child
-    with more doubled values left than half its empty boxes is not made.
-    """
-    cut = v >= last
+    resumes the parent.  A row is addable while shorter than its part and
+    than the row above, whose length the loop carries, so rows and columns
+    strictly increase."""
+    cut = v >= last or remaining == 1
     above, r = inf, 0
     for row in rows:
         n = len(row)
         if n < parts[r] and n < above:
             row.append(v)
-            if 2 * left < remaining:
-                yield rows if cut or remaining == 1 else _fill(parts, rows, v + 1, left, remaining - 1, last)
-            if left:
-                up = n + 1
-                for s in range(r + 1, len(rows)):
-                    lower = rows[s]
-                    m = len(lower)
-                    if m < parts[s] and m < up:
-                        lower.append(v)
-                        yield rows if cut or remaining == 2 else _fill(parts, rows, v + 1, left - 1, remaining - 2, last)
-                        lower.pop()
-                    up = m
+            yield rows if cut else _fill(parts, rows, v + 1, remaining - 1, last)
             row.pop()
         above, r = n, r + 1
 
 
-def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = (), last: float = inf):
-    """Yield, in growth order, the rows of every filling of a straight shape
-    with the values 1, 2, ..., exactly `doubled` of them in two boxes, whose
-    values 1..d fill the boxes of `prefix` as there (d its largest entry; the
-    empty prefix starts from the empty shape).  A finite `last` cuts the
-    tree after that value: yield each node there, or a full filling where
-    the shape fills up with fewer values; every filling grows from exactly
-    one of them.  The rows are plain tuples, not validated: growth keeps
-    rows strict and columns weak, and only the public enumerators build
-    tableaux.  The tree is walked depth first from an explicit stack of
-    `_fill` generators, so a filling may have any number of values."""
+def _grow(shape: Shape, prefix: tuple[tuple[int, ...], ...] = (), last: float = inf):
+    """Yield, in growth order, the rows of every standard filling of a
+    straight shape whose values 1..d fill the boxes of `prefix` as there (d
+    its number of boxes; the empty prefix starts from the empty shape).  A
+    finite `last` cuts the tree after that value: yield each node there, or
+    a full filling where the shape fills up sooner; every filling grows
+    from exactly one of them.  The rows are plain tuples, not validated:
+    growth keeps rows and columns strict, and only the public enumerators
+    build tableaux.  The tree is walked depth first from an explicit stack
+    of `_fill` generators, so a filling may have any number of values."""
     parts = shape.parts
     rows = [list(row) for row in prefix] or [[] for _ in parts]
     placed = sum(map(len, rows))
-    top = max(map(max, filter(None, rows)), default=0)
-    left, remaining = doubled - (placed - top), shape.size - placed
-    if 2 * left > remaining:
-        return
-    if remaining == 0 or top >= last:
+    remaining = shape.size - placed
+    if remaining == 0 or placed >= last:
         yield tuple(map(tuple, rows))
         return
-    stack = [_fill(parts, rows, top + 1, left, remaining, last)]
+    stack = [_fill(parts, rows, placed + 1, remaining, last)]
     while stack:
         for child in stack[-1]:
             if child is not rows:
@@ -445,15 +424,30 @@ def _grow(shape: Shape, doubled: int, prefix: tuple[tuple[int, ...], ...] = (), 
             stack.pop()
 
 
-def _sorted_tableaux(shape: Shape, doubled: int) -> list[RowStrictTableau]:
-    """The tableaux `_grow(shape, doubled)` grows, sorted by column word."""
+def _russell_fillings(rows, h: int):
+    """Yield the rows of every filling with h doubled values that
+    standardizes to the standard (k,k,k) tableau of these rows: one per
+    set of h of its descents j (j+1 in a lower row than j) with no two
+    consecutive, each pair (j, j+1) merged into one value, so a value x
+    becomes x less the number of merged starts below it.  `_standardize`
+    splits each merged value back into its pair, and any two fillings with
+    one standardization differ in the pairs they merge."""
+    row_of = {v: r for r, row in enumerate(rows) for v in row}
+    descents = [j for j in range(1, len(row_of)) if row_of[j] < row_of[j + 1]]
+    for starts in combinations(descents, h):
+        if all(b - a > 1 for a, b in zip(starts, starts[1:])):
+            yield tuple(tuple(x - bisect_left(starts, x) for x in row) for row in rows)
+
+
+def _sorted_tableaux(shape: Shape, grown) -> list[RowStrictTableau]:
+    """The tableaux of the rows grown in the straight shape, sorted by column word."""
     skew = SkewShape(shape)
-    return [RowStrictTableau(skew, rows) for rows in sorted(_grow(shape, doubled), key=_column_word)]
+    return [RowStrictTableau(skew, rows) for rows in sorted(grown, key=_column_word)]
 
 
 def enumerate_standard(shape: Shape) -> list[RowStrictTableau]:
     """All standard Young tableaux of a straight shape, sorted by column word."""
-    return _sorted_tableaux(shape, 0)
+    return _sorted_tableaux(shape, _grow(shape))
 
 
 def _max_repetition(k: int) -> int:
@@ -470,17 +464,17 @@ def _check_repetition(k: int, h: int) -> None:
 def enumerate_russell(k: int, h: int) -> list[RowStrictTableau]:
     """All 3-row rectangular once-or-twice fillings with exactly h doubled values.
 
-    Grown value by value in the (k,k,k) rectangle: each value fills one
-    addable box or, for h of the values, two boxes in different rows, the
-    lower one addable once the upper is placed.  Sorted by column word; for
-    h = 0 this is enumerate_standard((k,k,k)).
+    Each standard (k,k,k) tableau, grown value by value, gives the fillings
+    that standardize to it (`_russell_fillings`).  Sorted by column word;
+    for h = 0 this is enumerate_standard((k,k,k)).
     """
     _check_ints((k,), "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_ints((h,), "repetition")
     _check_repetition(k, h)
-    return _sorted_tableaux(Shape((k, k, k)), h)
+    shape = Shape((k, k, k))
+    return _sorted_tableaux(shape, (filling for rows in _grow(shape) for filling in _russell_fillings(rows, h)))
 
 
 # --- text and JSON forms ------------------------------------------------

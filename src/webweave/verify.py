@@ -21,8 +21,10 @@ from .tableau import (
     _is_int,
     _max_repetition,
     _rotate_complement,
-    _sorted_tableaux,
+    _russell_fillings,
     count_standard,
+    enumerate_russell,
+    enumerate_standard,
 )
 
 
@@ -33,15 +35,17 @@ class FamilyBoundError(ValueError):
 class _Kind(NamedTuple):
     pipeline: Pipeline
     bound: int  # the largest side checked without an explicit time budget
-    depth: int  # the value after which shards() cuts the growth trees
 
 
-# by (rows, is_russell: can a value be doubled); doubled values branch into more boxes, so cut sooner
+# by (rows, is_russell: can a value be doubled)
 _KINDS = {
-    (2, False): _Kind(SL2, 8, 10),
-    (3, False): _Kind(SL3_STANDARD, 5, 10),
-    (3, True): _Kind(SL3_RUSSELL, 4, 5),
+    (2, False): _Kind(SL2, 8),
+    (3, False): _Kind(SL3_STANDARD, 5),
+    (3, True): _Kind(SL3_RUSSELL, 4),
 }
+
+# the value after which Family.shards() cuts the standard growth tree
+_SHARD_DEPTH = 10
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -113,23 +117,30 @@ class Family:
             return range(self.max_repetition + 1)
         return range(self.repetition, self.repetition + 1)
 
-    def shards(self) -> list[tuple[int, tuple]]:
-        """The family's growth trees, h by h, cut after its kind's depth: one
-        (h, prefix rows) per node there, in growth order.  That is a few
-        hundred to a few thousand shards however large the family, and each
-        tableau of the family grows from exactly one of them."""
-        shape, depth = Shape(self.shape), self.kind.depth
-        return [(h, prefix) for h in self.repetitions for prefix in _grow(shape, h, (), depth)]
+    def shards(self) -> list[tuple[tuple[int, ...], ...]]:
+        """The standard growth tree of the family's shape, cut after the
+        value _SHARD_DEPTH: the prefix rows of each node there, in growth
+        order.  That is a few hundred to a few thousand shards however large
+        the family, and each standard tableau grows from exactly one of
+        them, so each member does too (see `grow`)."""
+        return list(_grow(Shape(self.shape), (), _SHARD_DEPTH))
 
-    def grow(self, shard: tuple[int, tuple]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def grow(self, shard: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Stream the rows of one shard's tableaux, in growth order, as
-        unvalidated plain tuples (see `tableau._grow`)."""
-        h, prefix = shard
-        return _grow(Shape(self.shape), h, prefix)
+        unvalidated plain tuples (see `tableau._grow`): its standard
+        tableaux or, for a Russell family, each standard tableau's fillings
+        (`tableau._russell_fillings`) one after another, h by h, so the
+        fillings of one standardization come together."""
+        grown = _grow(Shape(self.shape), shard)
+        if not self.is_russell:
+            return grown
+        return (filling for rows in grown for h in self.repetitions for filling in _russell_fillings(rows, h))
 
     def tableaux(self) -> list[RowStrictTableau]:
         """Every tableau of the family, h by h, each h sorted by column word."""
-        return [t for h in self.repetitions for t in _sorted_tableaux(Shape(self.shape), h)]
+        if not self.is_russell:
+            return enumerate_standard(Shape(self.shape))
+        return [t for h in self.repetitions for t in enumerate_russell(self.shape[0], h)]
 
 
 @dataclass
@@ -239,17 +250,19 @@ CHECK_NAMES = tuple(_PER_TABLEAU)
 PIECES_PER_WORKER = 8
 
 _CAMPAIGNS = itertools.count()  # a token per pool campaign, tagging its workers' state
-_worker = None  # in a pool worker: (campaign token, its pipeline, its deadline), set by _start_worker
+_worker = None  # in a pool worker: (campaign token, its deadline), set by _start_worker
 
 
-def _check_shards(check, family, shards, pipeline, deadline, max_seconds) -> tuple[int, list[dict], int, int]:
-    """Grow each shard and check the rows of each tableau in turn with
-    `pipeline`; return the number grown, the failure records the checks
-    yield, and the two sums of the theorem's orbit balance (see
-    `_check_theorem`; 0 for any other check).  Raise TimeBudgetExceeded
-    once the clock has passed `deadline` (inf: no budget), read after every
-    tableau, growing included."""
+def _check_shards(check, family, shards, deadline, max_seconds) -> tuple[int, list[dict], int, int]:
+    """Grow each shard and check the rows of each tableau in turn with the
+    pipeline that `Pipeline.batch` gives for this call, so a memo it keeps
+    is dropped when the call returns; return the number grown, the failure
+    records the checks yield, and the two sums of the theorem's orbit
+    balance (see `_check_theorem`; 0 for any other check).  Raise
+    TimeBudgetExceeded once the clock has passed `deadline` (inf: no
+    budget), read after every tableau, growing included."""
     fn = _PER_TABLEAU[check]
+    pipeline = family.pipeline.batch()
     count = 0
     failures = []
     balance = [0, 0]
@@ -264,35 +277,32 @@ def _check_shards(check, family, shards, pipeline, deadline, max_seconds) -> tup
 
 def _check_batch(args) -> tuple[int, list[dict], int, int]:
     """Check one in-process batch, (check, family, shards, max_seconds,
-    seconds_left), as `_check_shards` does, within `seconds_left` from now.
-    The checks run the pipeline that `Pipeline.batch` gives for this call,
-    so a memo it keeps is dropped when the call returns."""
+    seconds_left), as `_check_shards` does, within `seconds_left` from now."""
     check, family, shards, max_seconds, seconds_left = args
-    return _check_shards(check, family, shards, family.pipeline.batch(), time.monotonic() + seconds_left, max_seconds)
+    return _check_shards(check, family, shards, time.monotonic() + seconds_left, max_seconds)
 
 
-def _start_worker(token, family: Family, seconds_left: float) -> None:
-    """A pool worker's initializer: build the worker's pipeline
-    (`Pipeline.batch`) once, for every piece it takes, and fix its deadline
-    `seconds_left` from now on its own clock.  The state carries the
+def _start_worker(token, seconds_left: float) -> None:
+    """A pool worker's initializer: fix its deadline `seconds_left` from now
+    on its own clock, for every piece it takes.  The state carries the
     campaign's token, which every piece of that campaign carries too."""
     global _worker
-    _worker = token, family.pipeline.batch(), time.monotonic() + seconds_left
+    _worker = token, time.monotonic() + seconds_left
 
 
 def _check_piece(args) -> tuple[int, list[dict], int, int]:
     """Check one pool piece, (check, family, shards, max_seconds, token),
-    as `_check_shards` does, with the pipeline and deadline of the worker
-    that took it, so a piece that starts late gets only the time left; a
-    piece that starts past the deadline grows nothing.  Worker state of
-    another campaign is never read: its token differs."""
+    as `_check_shards` does, by the deadline of the worker that took it, so
+    a piece that starts late gets only the time left; a piece that starts
+    past the deadline grows nothing.  Worker state of another campaign is
+    never read: its token differs."""
     check, family, shards, max_seconds, token = args
     if _worker is None or _worker[0] != token:
         raise RuntimeError("a piece ran in a worker that its campaign did not start")
-    _, pipeline, deadline = _worker
+    deadline = _worker[1]
     if time.monotonic() > deadline:
         raise TimeBudgetExceeded(f"exceeded {max_seconds}s")
-    return _check_shards(check, family, shards, pipeline, deadline, max_seconds)
+    return _check_shards(check, family, shards, deadline, max_seconds)
 
 
 def run_verification(
@@ -312,9 +322,9 @@ def run_verification(
     Otherwise the shards are dealt into n = PIECES_PER_WORKER * jobs pieces
     (at most one per shard), piece i of every n-th shard from the i-th, and
     a pool of `jobs` workers takes them one at a time, so a worker that
-    finishes early takes the next.  Each worker builds one pipeline
-    (`Pipeline.batch`) for all the pieces it takes, and its deadline is the
-    time left when the pool is made, on its own clock; after the first
+    finishes early takes the next.  Each batch or piece runs its own
+    pipeline (`Pipeline.batch`), and a worker's deadline is the time left
+    when the pool is made, on its own clock; after the first
     piece that fails, budget or other, the pieces not yet started are
     cancelled, and the whole campaign is checked against the budget once the
     pool returns.  Each tableau is grown where it is checked.  The theorem is
@@ -357,7 +367,7 @@ def run_verification(
         n = min(PIECES_PER_WORKER * jobs, len(shards))
         pieces = [(check, family, shards[i::n], max_seconds, token) for i in range(n)]
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                                 initargs=(token, family, seconds_left())) as pool:
+                                 initargs=(token, seconds_left())) as pool:
             try:
                 results = list(pool.map(_check_piece, pieces))
             except BaseException:

@@ -525,9 +525,12 @@ def enumerate_standard_by_cells(shape: Shape) -> list[RowStrictTableau]:
 
 
 def _fill_by_closures(parts, rows, v, left, remaining, last):
-    """webweave.tableau._fill with one `addable` closure per growth node,
-    asked again for every row, where `_fill` carries the length of the row
-    above through its row loops."""
+    """The children of one growth node, as webweave.tableau._fill makes
+    them, with one `addable` closure per node, asked again for every row.
+    Each value takes one addable box or, for exactly `left` of the values,
+    an addable box plus a box in a lower row that is addable once the first
+    is placed; a child with more doubled values left than half its empty
+    boxes is not made.  `_fill` grows standard tableaux alone (left 0)."""
 
     def addable(r: int) -> bool:
         n = len(rows[r])
@@ -551,9 +554,13 @@ def _fill_by_closures(parts, rows, v, left, remaining, last):
 
 
 def grow_by_closures(shape: Shape, doubled: int, prefix=(), last=inf) -> list[tuple[tuple[int, ...], ...]]:
-    """The rows webweave.tableau._grow(shape, doubled, prefix, last) yields,
-    in its order, grown by `_fill_by_closures` from the same explicit stack.
-    The reference for the order of `_grow` and of Family.shards()."""
+    """The rows of every filling of a straight shape with the values 1, 2,
+    ..., exactly `doubled` of them in two boxes, grown by `_fill_by_closures`
+    from `prefix` and cut after `last` as webweave.tableau._grow cuts it.
+    At doubled 0 it is the reference for the order of `_grow` and of
+    Family.shards(); at doubled h it is the growth that once listed the
+    Russell fillings, and the reference for the set that
+    `tableau._russell_fillings` gives from every standard tableau."""
     parts = shape.parts
     rows = [list(row) for row in prefix] or [[] for _ in parts]
     placed = sum(map(len, rows))

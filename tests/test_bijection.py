@@ -49,6 +49,7 @@ from webweave.jdt import evacuate
 from webweave.tableau import (
     RowStrictTableau,
     Shape,
+    _standardize,
     enumerate_russell,
     enumerate_standard,
     is_standard,
@@ -509,41 +510,31 @@ class TestRussellWeb:
 
 
 class TestBatchMemo:
-    """_russell_parts with a campaign batch's memo of the Tymoczko web of
-    each standardization (see verify._check_batch), against the build
+    """_russell_parts with a campaign batch's memo of the Tymoczko webs of
+    the last two standardizations (see Pipeline.batch), against the build
     without one, which is the oracle."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_memo_build_equals_the_build(self, k):
         # every filling at every h, in growth order: a standardization is
         # built the first time it is met, at h = 0, and read at every other h
-        family, webs, shared = Family((k, k, k), "all"), {}, {}
+        family, webs = Family((k, k, k), "all"), {}
         for shard in family.shards():
             for rows in family.grow(shard):
-                assert _as_tuples(_russell_parts(rows, webs, shared)) == _as_tuples(_russell_parts(rows)), rows
-        standardizations = {tuple(itertools.chain(*t.rows)) for t in enumerate_standard(Shape((k, k, k)))}
-        assert set(webs) == standardizations and len(webs) == {2: 5, 3: 42, 4: 462}[k]
+                assert _as_tuples(_russell_parts(rows, webs)) == _as_tuples(_russell_parts(rows)), rows
+                assert tuple(itertools.chain(*_standardize(rows)[0])) in webs and len(webs) <= 2
 
-    def test_memo_holds_shared_tuples(self):
-        # no caller can change what another reads, and equal color
-        # sequences, edges and rotations are one object
-        webs, shared = {}, {}
-        for t in Family((3, 3, 3), "all").tableaux():
-            _russell_parts(t.rows, webs, shared)
-        small = []
+    def test_memo_keeps_the_last_two_webs_as_tuples(self):
+        # no caller can change what another reads, and a third
+        # standardization drops the first built
+        webs = {}
+        first, second, third = enumerate_standard(Shape((3, 3, 3)))[:3]
+        for t in (first, second, first, third):
+            _russell_parts(t.rows, webs)
+        assert list(webs) == [tuple(itertools.chain(*t.rows)) for t in (second, third)]
         for parts in webs.values():
             assert type(parts) is tuple and all(type(field) is tuple for field in parts)
-            small += [parts[0], parts[1], *parts[2], *parts[3]]
-        assert all(type(t) is tuple for t in small)
-        assert len({id(t) for t in small}) == len(set(small)) < len(small)
-
-    def test_shared_tuples_keep_their_types(self):
-        # an id equal to a shared one but of another type is not replaced
-        shared = {}
-        sound = bijection._frozen(([BLACK, BLACK], [], [(0, 1)], [(0,), (0,)]), shared)
-        seeded = bijection._frozen(([BLACK, BLACK], [], [(0.0, 1)], [(0,), (False,)]), shared)
-        assert seeded == sound and seeded[3][0] is sound[3][0]
-        assert type(seeded[2][0][0]) is float and type(seeded[3][1][0]) is bool
+            assert all(type(item) is tuple for field in parts[2:] for item in field)
 
     def test_a_raise_is_not_remembered(self, monkeypatch):
         real, calls = bijection._tymoczko_parts, []
@@ -555,12 +546,12 @@ class TestBatchMemo:
             return real(rows)
 
         monkeypatch.setattr(bijection, "_tymoczko_parts", refused_once)
-        webs, shared = {}, {}
+        webs = {}
         with pytest.raises(ValueError, match="^seeded fault$"):
-            _russell_parts(BIJ_RUSSELL.rows, webs, shared)
+            _russell_parts(BIJ_RUSSELL.rows, webs)
         assert webs == {}
-        assert _russell_parts(BIJ_RUSSELL.rows, webs, shared) == _russell_parts(BIJ_RUSSELL.rows)
-        assert _russell_parts(BIJ_RUSSELL.rows, webs, shared) == _russell_parts(BIJ_RUSSELL.rows)
+        assert _russell_parts(BIJ_RUSSELL.rows, webs) == _russell_parts(BIJ_RUSSELL.rows)
+        assert _russell_parts(BIJ_RUSSELL.rows, webs) == _russell_parts(BIJ_RUSSELL.rows)
         assert len(webs) == 1 and len(calls) == 4  # refused, built once, and twice without the memo
 
     @pytest.mark.parametrize("memo", [False, True])
@@ -579,7 +570,7 @@ class TestBatchMemo:
         with pytest.raises(ValueError, match=f"^{says}$") as gate:
             _check_structure(seeded(BIJ_STANDARD.rows))
         monkeypatch.setattr(bijection, "_tymoczko_parts", seeded)
-        webs = ({}, {}) if memo else ()
+        webs = ({},) if memo else ()
         for rows in (BIJ_RUSSELL.rows, BIJ_STANDARD.rows):
             with pytest.raises(ValueError) as refused:
                 SL3_RUSSELL.check(_russell_parts(rows, *webs))

@@ -35,6 +35,7 @@ from webweave.tableau import (
     _column_word,
     _grow,
     _int_of,
+    _russell_fillings,
     _standardize,
     count_standard,
     enumerate_russell,
@@ -51,7 +52,7 @@ from webweave.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
-from webweave.verify import _KINDS
+from webweave.verify import _SHARD_DEPTH
 
 T = RowStrictTableau.from_rows
 
@@ -437,10 +438,9 @@ class TestCounting:
 
 
 _GROWN = (
-    [((n, n), 0) for n in range(1, 9)]
-    + [((k, k, k), 0) for k in range(1, 5)]
-    + [((k, k, k), h) for k in range(1, 4) for h in range(3 * k // 2 + 1)]
-    + [((3, 2, 1), 0), ((4, 2, 2), 0), ((5, 3), 0)]
+    [(n, n) for n in range(1, 9)]
+    + [(k, k, k) for k in range(1, 5)]
+    + [(3, 2, 1), (4, 2, 2), (5, 3)]
 )
 
 
@@ -448,17 +448,56 @@ class TestGrowthOrder:
     # --jobs deals shards by position and the enumeration oracles compare
     # sorted sets, so the order of growth is checked on its own
 
-    @pytest.mark.parametrize("shape,h", _GROWN)
-    def test_matches_closure_growth_in_order(self, shape, h):
-        assert list(_grow(Shape(shape), h)) == grow_by_closures(Shape(shape), h)
+    @pytest.mark.parametrize("shape", _GROWN)
+    def test_matches_closure_growth_in_order(self, shape):
+        assert list(_grow(Shape(shape))) == grow_by_closures(Shape(shape), 0)
 
-    @pytest.mark.parametrize("shape,h", [(shape, h) for shape, h in _GROWN if len(shape) > 1 and shape[0] == shape[-1]])
-    def test_cut_trees_and_their_shards_match_closure_growth(self, shape, h):
-        for depth in sorted({kind.depth for kind in _KINDS.values()}):
-            prefixes = list(_grow(Shape(shape), h, (), depth))
-            assert prefixes == grow_by_closures(Shape(shape), h, (), depth)
+    @pytest.mark.parametrize("shape", [shape for shape in _GROWN if len(shape) > 1 and shape[0] == shape[-1]])
+    def test_cut_trees_and_their_shards_match_closure_growth(self, shape):
+        for depth in (5, _SHARD_DEPTH):
+            prefixes = list(_grow(Shape(shape), (), depth))
+            assert prefixes == grow_by_closures(Shape(shape), 0, (), depth)
             for prefix in prefixes:
-                assert list(_grow(Shape(shape), h, prefix)) == grow_by_closures(Shape(shape), h, prefix)
+                assert list(_grow(Shape(shape), prefix)) == grow_by_closures(Shape(shape), 0, prefix)
+
+
+_FILLED = [(k, h) for k in range(1, 5) for h in range(3 * k // 2 + 1)]
+
+
+class TestRussellFillings:
+    """`_russell_fillings` from every standard (k,k,k) tableau, k <= 4,
+    against the doubled-value growth `grow_by_closures`, which grew the
+    Russell families before."""
+
+    @pytest.mark.parametrize("k,h", _FILLED)
+    def test_each_filling_standardizes_back_with_its_merged_starts(self, k, h):
+        # the starts are each set of h values j, j+1 in a lower row than j,
+        # no two consecutive, in the order of itertools.combinations
+        for t in _grow(Shape((k, k, k))):
+            row_of = {v: r for r, row in enumerate(t) for v in row}
+            mergeable = [starts for starts in itertools.combinations(range(1, 3 * k), h)
+                         if all(row_of[j] < row_of[j + 1] for j in starts)
+                         and all(b - a > 1 for a, b in zip(starts, starts[1:]))]
+            merged = []
+            for filling in _russell_fillings(t, h):
+                rows, starts = _standardize(filling)
+                assert tuple(map(tuple, rows)) == t, filling
+                merged.append(starts)
+            assert merged == mergeable, t
+
+    @pytest.mark.parametrize("k,h", _FILLED)
+    def test_fillings_are_the_doubled_growth(self, k, h):
+        shape = Shape((k, k, k))
+        grown = [filling for t in _grow(shape) for filling in _russell_fillings(t, h)]
+        assert sorted(grown) == sorted(grow_by_closures(shape, h))
+
+    def test_descents_with_a_shared_value_are_not_both_merged(self):
+        # 1, 2 and 3 each sit a row lower than the one before, so (1, 2) and
+        # (2, 3) are descents, but merging both would triple a value
+        column = ((1,), (2,), (3,))
+        assert list(_russell_fillings(column, 1)) == [((1,), (1,), (2,)), ((1,), (2,), (2,))]
+        assert list(_russell_fillings(column, 2)) == []
+        assert list(_russell_fillings(column, 0)) == [column]
 
 
 class TestEnumerateRussell:

@@ -382,8 +382,8 @@ class TestShards:
         grown = []
         real_grow = tableau._grow
 
-        def counting_grow(shape, doubled, prefix=(), last=inf):
-            for rows in real_grow(shape, doubled, prefix, last):
+        def counting_grow(shape, prefix=(), last=inf):
+            for rows in real_grow(shape, prefix, last):
                 if last == inf:
                     grown.append(rows)
                 yield rows
@@ -457,20 +457,37 @@ class TestShards:
     )
     def test_shards_keep_closure_growth_order(self, family):
         # --jobs deals shards by position, so the shard list and each
-        # shard's stream must come in the order the closure growth gives
-        shape, depth = Shape(family.shape), family.kind.depth
-        shards = [(h, prefix) for h in family.repetitions for prefix in grow_by_closures(shape, h, (), depth)]
+        # shard's stream must come in the order the closure growth gives:
+        # a Russell shard gives each standard tableau's fillings, h by h
+        shape = Shape(family.shape)
+        shards = grow_by_closures(shape, 0, (), verify._SHARD_DEPTH)
         assert family.shards() == shards
-        for h, prefix in shards:
-            assert list(family.grow((h, prefix))) == grow_by_closures(shape, h, prefix)
+        for prefix in shards:
+            grown = grow_by_closures(shape, 0, prefix)
+            if family.is_russell:
+                grown = [f for rows in grown for h in family.repetitions for f in tableau._russell_fillings(rows, h)]
+            assert list(family.grow(prefix)) == grown
+
+    @pytest.mark.parametrize(
+        "family", [Family((3, 3, 3), 2), Family((4, 4, 4), "all"), Family((5, 5, 5), "all")], ids=Family.describe
+    )
+    def test_a_standardizations_fillings_come_together(self, family):
+        # the build's memo keeps the last two standardizations' webs, so
+        # each shard must give all the fillings of one standardization, at
+        # every h, one after another, and no other shard any of them; a
+        # (5,5,5) shard grows several standard tableaux, so its first 100
+        # shards show the order within a shard
+        shards = family.shards()[:100]
+        runs = [key for shard in shards for key, _ in itertools.groupby(map(_standardized, family.grow(shard)))]
+        assert len(runs) == len(set(runs)) >= len(shards)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize(
-        "family", [Family((2, 2, 2), 1), Family((3, 3, 3), "all"), Family((8, 8))], ids=Family.describe
+        "family", [Family((4, 4)), Family((3, 3, 3), "all"), Family((8, 8))], ids=Family.describe
     )
     def test_pieces_partition_the_shards(self, family, jobs, monkeypatch, pools):
         # piece i holds every n-th shard from the i-th, n being 8 per worker
-        # or, for the 15 shards of Russell (2,2,2) h=1, one piece per shard;
+        # or, for the 14 shards of (4,4), one piece per shard;
         # with evacuation the identity the records are compared too
         monkeypatch.setattr(verify, "_evacuate_rows", lambda rows: rows)
         serial = _doc(family, "theorem")
@@ -497,8 +514,8 @@ class TestShards:
         family, clock, grown = Family((4, 4, 4)), TickingClock(), []
         real_grow = tableau._grow
 
-        def counting_grow(shape, doubled, prefix=(), last=inf):
-            for rows in real_grow(shape, doubled, prefix, last):
+        def counting_grow(shape, prefix=(), last=inf):
+            for rows in real_grow(shape, prefix, last):
                 if last == inf:
                     grown.append((pools[-1].worker if pools else None, clock.now))
                 yield rows
@@ -511,7 +528,7 @@ class TestShards:
             assert not pools and len(grown) == 100
             return
         (pool,) = pools
-        (deadline,) = {state[2] for state in pool.states}
+        (deadline,) = {state[1] for state in pool.states}
         assert {w for w, _ in pool.ran} == {w for w, _ in grown} == {0} and len(pool.ran) < len(pool.pieces)
         assert all(now <= deadline for _, now in grown) and grown[-1][1] == deadline
         assert pool.shutdowns[0] is True
@@ -939,18 +956,24 @@ def _standardized(rows):
     return tuple(map(tuple, _standardize(rows)[0]))
 
 
+def _flat(rows):
+    """The entries of rows, row by row, in one tuple."""
+    return tuple(itertools.chain(*rows))
+
+
 # a standardization whose m-diagram has crossings, so its Tymoczko web's
 # last edge is an H bar between internal vertices
 VICTIM = ((1, 3, 4), (2, 6, 7), (5, 8, 9))
 
 
 class TestBatchMemo:
-    """A campaign over a Russell family builds the Tymoczko web of each
-    standardization once in-process, and once per pool worker for all the
-    pieces it takes (bijection._russell_parts with the memo of
-    Pipeline.batch, which _check_batch or the worker's initializer makes);
-    the memo-free campaign is the oracle.  Pool workers are forked and see
-    every patch."""
+    """A campaign over a Russell family grows each standardization's
+    fillings together, so the memo of the last two standardizations' webs
+    (bijection._russell_parts with the memo of Pipeline.batch, one per
+    batch or pool piece) builds each standardization's Tymoczko web once
+    for `validity` and `injectivity`, and at most twice for the theorem,
+    which also builds the web of each filling's evacuation; the memo-free
+    campaign is the oracle.  Pool workers are forked and see every patch."""
 
     FAMILY = Family((3, 3, 3), "all")
 
@@ -1008,22 +1031,26 @@ class TestBatchMemo:
         _memo_free(monkeypatch, self.FAMILY)
         assert memo == _doc(self.FAMILY, "validity", jobs)
 
-    @pytest.mark.parametrize(
-        "family, check, built",
-        [(family, check, built) for family, built in ((Family((3, 3, 3), "all"), 42), (Family((4, 4, 4), "all"), 462))
-         for check in ("theorem", "validity", "injectivity")] + [(Family((3, 3, 3), 2), "injectivity", 42)],
-        ids=lambda x: x.describe() if isinstance(x, Family) else str(x),
-    )
-    def test_one_build_per_standardization(self, family, check, built, monkeypatch):
-        # a serial campaign builds each standardization's web once, 462 times
-        # where Russell (4,4,4) has 12,976 members; without the memo it
-        # builds one per member (the theorem check builds each member once,
-        # test_each_orbit_is_checked_once)
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("check", ["theorem", "validity", "injectivity"])
+    @pytest.mark.parametrize("family", [Family((3, 3, 3), "all"), Family((4, 4, 4), "all"), Family((3, 3, 3), 2)],
+                             ids=Family.describe)
+    def test_builds_per_standardization(self, family, check, jobs, monkeypatch, pools):
+        # Russell (4,4,4) has 12,976 members and 462 standardizations, each
+        # built once, serial or over the pool double's pieces; the theorem
+        # builds 829 webs there.  Without the memo a check builds one per
+        # member (the theorem each member once, test_each_orbit_is_checked_once)
         real, calls = bijection._tymoczko_parts, []
-        monkeypatch.setattr(bijection, "_tymoczko_parts", lambda rows: calls.append(rows) or real(rows))
-        report = run_verification(family, check)
-        assert report.ok and len(calls) == built
-        if family.shape == (3, 3, 3):
+        monkeypatch.setattr(bijection, "_tymoczko_parts", lambda rows: calls.append(_flat(rows)) or real(rows))
+        report = run_verification(family, check, jobs=jobs)
+        assert report.ok and len(pools) == (jobs > 1)
+        standardizations = {_flat(_standardize(t.rows)[0]) for t in family.tableaux()}
+        assert set(calls) == standardizations
+        if check == "theorem":
+            assert max(map(calls.count, standardizations)) <= 2
+        else:
+            assert len(calls) == len(standardizations)
+        if family.shape == (3, 3, 3) and jobs == 1:
             calls.clear()
             _memo_free(monkeypatch, family)
             assert run_verification(family, check).total == len(calls) == len(family.tableaux())
@@ -1054,40 +1081,23 @@ class TestBatchMemo:
         with pytest.raises(RuntimeError, match="did not start"):
             verify._check_piece(pools[0].pieces[0])
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_one_build_per_standardization_per_worker(self, jobs, monkeypatch, pools):
-        # each simulated worker builds the web of each standardization it
-        # meets once, for all the pieces it takes: the 462 of Russell
-        # (4,4,4) are each built, by every worker, and no worker builds one twice
-        family, calls = Family((4, 4, 4), "all"), []
-        serial = _doc(family, "validity")
-        real = bijection._tymoczko_parts
-
-        def logged(rows):
-            calls.append((pools[-1].worker if pools else 0, tuple(map(tuple, rows))))
-            return real(rows)
-
-        monkeypatch.setattr(bijection, "_tymoczko_parts", logged)
-        assert _doc(family, "validity", jobs) == serial
-        assert len(set(calls)) == len(calls) and len({rows for _, rows in calls}) == 462
-        assert {w for w, _ in calls} == set(range(jobs))
-
-    def test_a_pool_worker_builds_each_standardization_once(self, tmp_path, monkeypatch):
+    def test_a_pool_builds_each_standardization_once(self, tmp_path, monkeypatch):
         # pool workers are forked and see the patch; each logs what it
-        # builds to a file named by its process id
+        # builds to a file named by its process id, and no standardization
+        # is built twice, by one worker or by two
         family, real = Family((4, 4, 4), "all"), bijection._tymoczko_parts
 
         def logged(rows):
             with open(tmp_path / str(os.getpid()), "a") as log:
-                log.write(f"{tuple(map(tuple, rows))}\n")
+                log.write(f"{_flat(rows)}\n")
             return real(rows)
 
         monkeypatch.setattr(bijection, "_tymoczko_parts", logged)
         assert run_verification(family, "validity", jobs=2).ok
         logs = {path.name: path.read_text().splitlines() for path in tmp_path.iterdir()}
         assert str(os.getpid()) not in logs and 1 <= len(logs) <= 2
-        assert all(len(set(built)) == len(built) for built in logs.values())
-        assert len(set().union(*logs.values())) == 462
+        built = [rows for log in logs.values() for rows in log]
+        assert len(set(built)) == len(built) == 462
 
     def test_no_memo_outlives_a_cli_call(self, monkeypatch, capsys):
         # to-web builds per call: a build patched between two calls on one
